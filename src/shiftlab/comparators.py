@@ -2,15 +2,18 @@
 
 An excursion's mu-visits expand into unit-mass source slots and its
 nu-visits into target slots; any forward bijection between the two is a
-feasible competitor to tau*.  The stable (LIFO) matching is tau* itself;
-FIFO and randomly perturbed matchings provide the comparison class whose
-cost is provably never below the stable one.
+feasible competitor to tau*.  The stable (LIFO) matching is tau* itself,
+computed by the balancing kernel of ``shiftlab.embedding`` through
+``match_slots``; FIFO and randomly perturbed matchings provide the
+comparison class whose cost is provably never below the stable one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .embedding import Excursion, match_slots
 from .errors import ConfigError
@@ -35,16 +38,8 @@ class Comparator:
 def extract_slots(ledger: LocalTimeLedger, exc: Excursion
                   ) -> tuple[list[int], list[int]]:
     """(source_steps, target_steps) with multiplicity, chronological order."""
-    lo, hi = ledger.idx(exc.left), ledger.idx(exc.right)
-    sources: list[int] = []
-    targets: list[int] = []
-    for i in range(lo, hi + 1):
-        step = i - ledger.hb
-        for _ in range(int(ledger.wmu[i])):
-            sources.append(step)
-        for _ in range(int(ledger.wnu[i])):
-            targets.append(step)
-    return sources, targets
+    steps, wmu, wnu = ledger.events(exc.left, exc.right)
+    return np.repeat(steps, wmu).tolist(), np.repeat(steps, wnu).tolist()
 
 
 def lifo_matching(ledger: LocalTimeLedger, exc: Excursion) -> list[tuple[int, int]]:

@@ -5,6 +5,11 @@ up with that of mu; tau* sends each step s to the first later step balancing
 the two functionals over [s, t].  In exact mode (all effective down-steps of
 size 1/q) the balance events are hit exactly and every identity below holds
 with equality in rational arithmetic.
+
+tau* comes from one balancing kernel, ``parenthesis_match`` (LIFO matching
+of mu-slots against nu-slots); ``compute_tau_star`` and
+``cost_of_tau_star_rescan`` stay as per-step oracles.  T* has one
+first-balance rule and one U-flag draw, shared with the first-hit engine.
 """
 
 from __future__ import annotations
@@ -60,23 +65,41 @@ class ExcursionChain:
     rho: tuple[int, ...]
 
 
-def _require_exact(ledger: LocalTimeLedger) -> None:
-    if not ledger.pair.exact_mode_ok:
+MODES = ("exact", "crossing")
+HORIZON_POLICIES = ("fixed", "doubling")
+
+
+def check_options(mode: Mode, policy: str = "doubling") -> None:
+    """Reject an embedding mode or a horizon policy the engines do not know."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown embedding mode {mode!r}")
+    if policy not in HORIZON_POLICIES:
+        raise ConfigError(f"unknown horizon policy {policy!r}")
+
+
+def require_mode(pair: MeasurePair, mode: Mode) -> None:
+    """The exact-mode precondition: every effective down-step of D is 1/q."""
+    check_options(mode)
+    if mode == "exact" and not pair.exact_mode_ok:
         raise ConfigError(
             "exact mode requires every effective nu-atom to weigh exactly 1/q; "
             "use crossing mode for general weights")
 
 
-def _draw_u_flag(ledger: LocalTimeLedger) -> int:
+def first_balance(c: np.ndarray, base: int, mode: Mode) -> int | None:
+    """First index with c == base (exact mode) or c <= base (crossing), else None."""
+    hits = np.flatnonzero(c == base if mode == "exact" else c <= base)
+    return int(hits[0]) if hits.size else None
+
+
+def draw_u_flag(pair: MeasurePair, seed: int, replica: int, start: int) -> int:
     """Remark-2 Bernoulli, measurable w.r.t. the start site.
 
     U ~ Bernoulli(mu~(start)/mu(start)); in the orthogonal case this is
     always 1.
     """
-    pair = ledger.pair
     if pair.orthogonal:
         return 1
-    start = ledger.path.start
     w = pair.mu.weight(start)
     if w == 0:
         raise ConfigError("start site carries no mu mass; start_law must be mu")
@@ -85,8 +108,7 @@ def _draw_u_flag(ledger: LocalTimeLedger) -> int:
         return 1
     if p == 0:
         return 0
-    u = BitStream(ledger.path.cfg.seed, ledger.path.replica,
-                  STREAM_UFLAG).uniform_fraction()
+    u = BitStream(seed, replica, STREAM_UFLAG).uniform_fraction()
     return 1 if u < p else 0
 
 
@@ -99,34 +121,27 @@ def compute_t_star(ledger: LocalTimeLedger, pair: MeasurePair,
     """
     if pair is not ledger.pair and pair.to_json() != ledger.pair.to_json():
         raise ConfigError("measure pair does not match the ledger")
-    if mode not in ("exact", "crossing"):
-        raise ConfigError(f"unknown embedding mode {mode!r}")
-    if mode == "exact":
-        _require_exact(ledger)
-    u_flag = _draw_u_flag(ledger)
-    if u_flag == 0:
-        return EmbeddingResult(t_star=0, site=ledger.path.start, mode=mode,
-                               u_flag=0)
+    require_mode(ledger.pair, mode)
+    path = ledger.path
+    if draw_u_flag(ledger.pair, path.cfg.seed, path.replica, path.start) == 0:
+        return EmbeddingResult(t_star=0, site=path.start, mode=mode, u_flag=0)
     i0 = ledger.idx(0)
     base = ledger.X[i0]                    # C(-1)
     c_fwd = ledger.X[i0 + 2:]              # C(1), C(2), ...
-    if mode == "exact":
-        hits = np.flatnonzero(c_fwd == base)
-    else:
-        hits = np.flatnonzero(c_fwd <= base)
-    if hits.size == 0:
+    h = first_balance(c_fwd, base, mode)
+    if h is None:
         d_min = Fraction(int((c_fwd - base).min()), ledger.q) if c_fwd.size else None
         raise HorizonExceededError(
             "T* not reached within forward horizon",
             horizon=ledger.hf, attained=d_min)
-    n = int(hits[0]) + 1
+    n = h + 1
     return EmbeddingResult(t_star=n, site=int(ledger.pos_all[i0 + n]),
                            mode=mode, u_flag=1)
 
 
 def compute_tau_star(ledger: LocalTimeLedger, s: int) -> int:
     """Smallest t > s with equal mu- and nu-mass over [s, t] (exact mode)."""
-    _require_exact(ledger)
+    require_mode(ledger.pair, "exact")
     i_s = ledger.idx(s)
     target = ledger.X[i_s]                 # C(s-1)
     c_later = ledger.X[i_s + 2:]           # C(s+1), ...
@@ -172,7 +187,7 @@ def decompose_excursions(ledger: LocalTimeLedger, up_to_level: Fraction,
     mode, so that hit exists and tau*(sigma(u)) = rho(u) holds exactly;
     u = 0 degenerates to [0, 0].
     """
-    _require_exact(ledger)
+    require_mode(ledger.pair, "exact")
     up_to_level = Fraction(up_to_level)
     if up_to_level < 0:
         raise ConfigError("level must be nonnegative")
@@ -198,21 +213,14 @@ def decompose_excursions(ledger: LocalTimeLedger, up_to_level: Fraction,
             sigmas.append(0)
             rhos.append(0)
             continue
-        level = c0 - k
-        sig_hits = np.flatnonzero(c_bwd <= level)
-        if sig_hits.size == 0:
-            raise HorizonExceededError(
-                f"level {u} not attained on both sides",
-                attained=levels[-1] if levels else Fraction(0))
-        j = int(sig_hits[0])
-        attained_level = int(c_bwd[j])
-        rho_hits = np.flatnonzero(c_fwd == attained_level)
-        if rho_hits.size == 0:
+        j = first_balance(c_bwd, c0 - k, "crossing")
+        rho = None if j is None else first_balance(c_fwd, c_bwd[j], "exact")
+        if rho is None:
             raise HorizonExceededError(
                 f"level {u} not attained on both sides",
                 attained=levels[-1] if levels else Fraction(0))
         levels.append(u)
-        rhos.append(int(rho_hits[0]))
+        rhos.append(rho)
         # sigma(u) = max{t <= 0 : C(t-1) <= level}; c_bwd[j] = C(-1-j).
         sigmas.append(-j)
     chain = ExcursionChain(levels=tuple(levels), sigma=tuple(sigmas),
@@ -233,34 +241,56 @@ def decompose_excursions(ledger: LocalTimeLedger, up_to_level: Fraction,
     return chain, excursions
 
 
+def parenthesis_match(keys, opens, closes) -> tuple[list, list]:
+    """The balancing kernel: LIFO (parenthesis) matching of unit slots.
+
+    Walks ordered events; event i opens ``opens[i]`` slots and closes
+    ``closes[i]`` slots, its closes popping the newest open slots before its
+    own opens are pushed, so every pair points strictly forward.  Returns
+    (pairs, unmatched): (open key, close key) pairs in closing order, and the
+    keys of the slots still open, oldest first.
+    """
+    pairs, stack = [], []
+    for key, n_open, n_close in zip(keys, opens, closes):
+        for _ in range(min(n_close, len(stack))):
+            pairs.append((stack.pop(), key))
+        stack.extend([key] * n_open)
+    return pairs, stack
+
+
+def _match_ledger(ledger: LocalTimeLedger, left: int, right: int
+                  ) -> tuple[list[tuple[int, int]], list[int]]:
+    """The kernel over the mass-carrying steps in [left, right] (exact mode).
+
+    mu-visits open mu(x)*q slots and nu-visits close one each; ``dict(pairs)``
+    maps each fully matched step to tau*, the close of its last slot.  Where
+    mu and nu share a site the kernel and the balance definition of tau*
+    disagree, so the pair must be orthogonal.
+    """
+    require_mode(ledger.pair, "exact")
+    if not ledger.pair.orthogonal:
+        raise ConfigError(
+            "slot matching needs an orthogonal pair (mu and nu share a site)")
+    steps, wmu, wnu = ledger.events(left, right)
+    return parenthesis_match(steps.tolist(), wmu.tolist(), wnu.tolist())
+
+
 def cost_of_tau_star(ledger: LocalTimeLedger, exc: Excursion, g: Gauge) -> float:
     """Sum over mu-charged steps s in [left, right) of mu(x_s) psi((tau*(s)-s) dt).
 
-    One-pass evaluation: a charged step s waits for the first later step
-    whose C value returns to C(s-1).  Tests cross-check the result against
-    a direct per-step rescan.
+    One pass of the balancing kernel over the excursion.  Tests cross-check
+    the result against a direct per-step rescan.
     """
-    _require_exact(ledger)
-    dt = float(ledger.path.cfg.dt)
-    lo, hi = ledger.idx(exc.left), ledger.idx(exc.right)
-    waiting: dict[int, list[int]] = {}
-    tau: dict[int, int] = {}
-    for i in range(lo, hi + 1):
-        step = i - ledger.hb
-        c = int(ledger.X[i + 1])           # C(step)
-        if c in waiting:
-            for s in waiting.pop(c):
-                tau[s] = step
-        if ledger.wmu[i] > 0 and step < exc.right:
-            waiting.setdefault(int(ledger.X[i]), []).append(step)  # C(step-1)
-    total = 0.0
-    for s, t in tau.items():
-        w = float(ledger.wmu[ledger.idx(s)]) / ledger.q
-        total += w * eval_gauge(g, (t - s) * dt)
-    if waiting:
+    pairs, unmatched = _match_ledger(ledger, exc.left, exc.right)
+    if any(s < exc.right for s in unmatched):
         raise HorizonExceededError(
             "tau* leaves the ledger range for some charged step in the excursion",
             horizon=ledger.hf)
+    dt = float(ledger.path.cfg.dt)
+    total = 0.0
+    for s, t in dict(pairs).items():
+        w = float(ledger.wmu[ledger.idx(s)]) / ledger.q
+        total += w * eval_gauge(g, (t - s) * dt)
     return total
 
 
@@ -280,51 +310,26 @@ def tau_star_map(ledger: LocalTimeLedger, left: int, right: int
                  ) -> tuple[dict[int, int], list[int]]:
     """tau* for every mu-charged step in [left, right), in one forward pass.
 
-    A charged step s waits for the first later step whose C value returns to
-    C(s-1); the scan continues to the forward horizon so targets may lie
-    beyond ``right``.  Returns (tau, unresolved) where unresolved lists the
-    charged steps whose tau* exceeds the horizon.
+    The kernel runs to the forward horizon so targets may lie beyond
+    ``right``; steps at or after ``right`` still open slots (they nest inside
+    earlier ones) but are not reported.  Returns (tau, unresolved) where
+    unresolved lists the charged steps whose tau* exceeds the horizon.
     """
-    _require_exact(ledger)
-    lo = ledger.idx(left)
-    hi_add = ledger.idx(right)
-    waiting: dict[int, list[int]] = {}
-    tau: dict[int, int] = {}
-    n_wait = 0
-    for i in range(lo, len(ledger.pos_all)):
-        step = i - ledger.hb
-        c = int(ledger.X[i + 1])
-        if c in waiting:
-            for s in waiting.pop(c):
-                tau[s] = step
-                n_wait -= 1
-        if i >= hi_add and n_wait == 0:
-            break
-        if i < hi_add and ledger.wmu[i] > 0:
-            waiting.setdefault(int(ledger.X[i]), []).append(step)
-            n_wait += 1
-    unresolved = sorted(s for lst in waiting.values() for s in lst)
-    return tau, unresolved
+    ledger.idx(right)                      # raises outside the ledger range
+    pairs, unmatched = _match_ledger(ledger, left, ledger.hf)
+    still_open = set(unmatched)
+    tau = {s: t for s, t in dict(pairs).items()
+           if s < right and s not in still_open}
+    return tau, sorted(s for s in still_open if s < right)
 
 
 def match_slots(ledger: LocalTimeLedger, left: int, right: int) -> list[tuple[int, int]]:
-    """tau* as parenthesis matching of unit-mass slots on [left, right].
+    """Sorted (source_step, target_step) slot pairs of the kernel on [left, right].
 
     Every mu-charged step contributes mu(x)*q open slots, every nu-charged
-    step one close slot (exact mode).  Returns (source_step, target_step)
-    pairs; in exact mode this reproduces tau* restricted to charged steps.
+    step one close slot (exact mode, orthogonal pair).  A step's last pair
+    is its tau*, as long as that lies inside the window.
     """
-    _require_exact(ledger)
-    lo, hi = ledger.idx(left), ledger.idx(right)
-    pairs: list[tuple[int, int]] = []
-    stack: list[int] = []
-    for i in range(lo, hi + 1):
-        step = i - ledger.hb
-        # Closes before opens: a slot's target is strictly later than its source.
-        for _ in range(int(ledger.wnu[i])):
-            if stack:
-                pairs.append((stack.pop(), step))
-        for _ in range(int(ledger.wmu[i])):
-            stack.append(step)
+    pairs, _ = _match_ledger(ledger, left, right)
     pairs.sort()
     return pairs

@@ -20,12 +20,14 @@ from scipy import stats as sstats
 
 from .comparators import (Comparator, apply_comparator, check_matching,
                           lifo_matching, matching_cost)
-from .embedding import (Excursion, compute_t_star, excursion_mass,
-                        match_slots, tau_star_map)
+from .embedding import (Excursion, check_options, compute_t_star,
+                        draw_u_flag, excursion_mass, first_balance,
+                        match_slots, mu_charged_steps, require_mode,
+                        tau_star_map)
 from .errors import ConfigError, HorizonExceededError
 from .gauges import Gauge, default_gauges, eval_gauge, gauges_from_json
 from .measures import MeasurePair, measure_from_spec, split_measures
-from .rng import BitStream, STREAM_FWD, STREAM_START, STREAM_UFLAG
+from .rng import BitStream, STREAM_FWD, STREAM_START
 from .stable_alloc import PointConfig
 from .transport import inequality_check, sample_feasible_matrix, stable_indicator
 from .walk import (LocalTimeLedger, WalkConfig, WalkPath, build_ledger,
@@ -62,6 +64,9 @@ class ExperimentConfig:
     )
     lags: tuple[int, ...] = (1, 4, 16)
     r_levels: int = 6
+
+    def __post_init__(self):
+        check_options(self.mode, self.horizon_policy)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
@@ -159,8 +164,7 @@ class FirstHitEngine:
     """
 
     def __init__(self, seed: int, pair: MeasurePair, mode: str = "exact"):
-        if mode == "exact" and not pair.exact_mode_ok:
-            raise ConfigError("exact mode requires unit nu-atoms (1/q)")
+        require_mode(pair, mode)
         self.seed = seed
         self.pair = pair
         self.mode = mode
@@ -175,13 +179,9 @@ class FirstHitEngine:
         """Returns {"t_star", "site", "censored", "horizon", "u_flag"}."""
         start_stream = BitStream(self.seed, replica, STREAM_START)
         start = draw_start(self.pair.mu, start_stream)
-        if not self.pair.orthogonal:
-            w = self.pair.mu.weight(start)
-            p = self.pair.mu_tilde.weight(start) / w
-            u = BitStream(self.seed, replica, STREAM_UFLAG).uniform_fraction()
-            if not (p > 0 and (p == 1 or u < p)):
-                return {"t_star": 0, "site": start, "censored": False,
-                        "horizon": 0, "u_flag": 0}
+        if draw_u_flag(self.pair, self.seed, replica, start) == 0:
+            return {"t_star": 0, "site": start, "censored": False,
+                    "horizon": 0, "u_flag": 0}
         stream = BitStream(self.seed, replica, STREAM_FWD)
         pos = start
         c = self.wdiff.get(start, 0)       # C(0); reference C(-1) = 0
@@ -204,12 +204,8 @@ class FirstHitEngine:
                 warr[pos_arr == site] = wn
             c_arr = np.cumsum(warr, dtype=np.int64)
             c_arr += c
-            if self.mode == "exact":
-                hits = np.flatnonzero(c_arr == 0)
-            else:
-                hits = np.flatnonzero(c_arr <= 0)
-            if hits.size:
-                h = int(hits[0])
+            h = first_balance(c_arr, 0, self.mode)
+            if h is not None:
                 return {"t_star": done + h + 1, "site": int(pos_arr[h]),
                         "censored": False, "horizon": done + chunk, "u_flag": 1}
             pos = int(pos_arr[-1])
@@ -484,10 +480,7 @@ def run_ergodic(cfg: ExperimentConfig, r_levels: int | None = None,
         """(1/r) sum of mu(x_s) psi((tau*(s) - s) dt) over charged s in [lo, hi)."""
         total = 0.0
         unmatched = 0
-        i_lo, i_hi = ledger.idx(lo), ledger.idx(hi)
-        steps = np.flatnonzero(ledger.wmu[i_lo:i_hi] > 0) + lo
-        for s in steps:
-            s = int(s)
+        for s in mu_charged_steps(ledger, lo, hi).tolist():
             w = float(ledger.wmu[ledger.idx(s)]) / q
             if s in unresolved:
                 unmatched += 1

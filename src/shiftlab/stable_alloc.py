@@ -2,6 +2,8 @@
 
 The map is parenthesis matching: scanning the merged point set left to
 right, every a opens and every b closes the most recent unmatched a.  The
+sweep is the balancing kernel ``parenthesis_match`` of
+``shiftlab.embedding`` run on the points as one-slot events.  The
 module also computes the horizon N through the integer step function f, the
 local-time quantile discretization of an excursion, and the convergence
 harness comparing the discretized allocation tau_n against tau*.
@@ -14,8 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigError, TruncationError
-from .embedding import compute_tau_star, mu_charged_steps
+from .embedding import compute_tau_star, mu_charged_steps, parenthesis_match
 from .walk import LocalTimeLedger
 
 
@@ -91,23 +95,21 @@ def stable_allocation(cfg: PointConfig) -> StableMatch:
     Raises TruncationError when some a-point has no balancing b within the
     truncation (its tau would depend on unseen points).
     """
-    events = [(x, 0, i) for i, x in enumerate(cfg.a)]
-    events += [(x, 1, j) for j, x in enumerate(cfg.b)]
-    # At equal values (ties within one sequence) process a's before b's and
-    # later a-indices (further left in the infinite order) last, so the
-    # LIFO pop picks the earliest-index a among ties.
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-    tau: dict[int, int] = {}
-    stack: list[int] = []
-    for _x, kind, idx in events:
-        if kind == 0:
-            stack.append(idx)
-        elif stack:
-            tau[stack.pop()] = idx
-    if len(tau) != len(cfg.a):
-        missing = sorted(set(range(len(cfg.a))) - tau.keys())
+    # Sorted as (x, kind, idx): at equal values (ties within one sequence)
+    # process a's before b's and later a-indices (further left in the
+    # infinite order) last, so the LIFO pop picks the earliest-index a among
+    # ties.
+    events = sorted([(x, 0, i) for i, x in enumerate(cfg.a)]
+                    + [(x, 1, j) for j, x in enumerate(cfg.b)])
+    pairs, unmatched = parenthesis_match(
+        [idx for _, _, idx in events],
+        [1 - kind for _, kind, _ in events],        # an a opens one slot
+        [kind for _, kind, _ in events])            # a b closes one
+    if unmatched:
         raise TruncationError(
-            f"a-points at indices {missing} unmatched; extend the b-truncation")
+            f"a-points at indices {sorted(unmatched)} unmatched; "
+            "extend the b-truncation")
+    tau = dict(pairs)
     return StableMatch(tau=tuple(tau[i] for i in range(len(cfg.a))), config=cfg)
 
 
@@ -165,6 +167,22 @@ def compute_N(cfg: PointConfig) -> dict:
     raise TruncationError("b-truncation too short to reach f(b_n) = M - 1")
 
 
+def _quantile_points(steps, weights, q: int, thresholds, last: Fraction
+                     ) -> list[Fraction]:
+    """For each threshold, the first step whose cumulated weight/q reaches it.
+
+    The final point is ``last`` by construction, and so is any point the
+    weights never reach.
+    """
+    cum = np.cumsum(weights).tolist()
+    pts = []
+    for thr in thresholds:
+        k = bisect.bisect_left(cum, thr * q)
+        pts.append(Fraction(int(steps[k])) if k < len(cum) else last)
+    pts[-1] = last
+    return pts
+
+
 def quantile_discretize(ledger: LocalTimeLedger, exc, n: int) -> dict:
     """n-quantile points of ell^mu (descending) and ell^nu (ascending) in exc.
 
@@ -183,39 +201,14 @@ def quantile_discretize(ledger: LocalTimeLedger, exc, n: int) -> dict:
         raise ConfigError("empty excursion (zero mu-mass)")
     left, right = Fraction(exc.left), Fraction(exc.right)
     q = ledger.q
-    step = M / n
-
+    thresholds = [i * M / n for i in range(1, n + 1)]
+    steps, wmu, wnu = ledger.events(exc.left, exc.right)
     # Descending mu-quantiles: a_i = largest step t with mass([t, right)) >= i*M/n.
-    mu_steps = [int(s) for s in mu_charged_steps(ledger, exc.left, exc.right)]
-    a_pts: list[Fraction] = []
-    acc = Fraction(0)
-    thresholds = [i * step for i in range(1, n + 1)]
-    t_idx = 0
-    for s in reversed(mu_steps):
-        acc += Fraction(int(ledger.wmu[ledger.idx(s)]), q)
-        while t_idx < n and acc >= thresholds[t_idx]:
-            a_pts.append(Fraction(s))
-            t_idx += 1
-    while t_idx < n:            # numerically impossible; guards rounding bugs
-        a_pts.append(left)
-        t_idx += 1
-    a_pts[-1] = left            # a_n = b_0 by construction
-
+    before = steps < exc.right
+    a_pts = _quantile_points(steps[before][::-1], wmu[before][::-1], q,
+                             thresholds, left)      # a_n = b_0
     # Ascending nu-quantiles: mass((left, b_j]) >= j*M/n, b_n = right.
-    lo, hi = ledger.idx(exc.left), ledger.idx(exc.right)
-    nu_steps = [i - ledger.hb for i in range(lo, hi + 1) if ledger.wnu[i] > 0]
-    b_pts: list[Fraction] = []
-    acc = Fraction(0)
-    t_idx = 0
-    for s in nu_steps:
-        acc += Fraction(int(ledger.wnu[ledger.idx(s)]), q)
-        while t_idx < n and acc >= thresholds[t_idx]:
-            b_pts.append(Fraction(s))
-            t_idx += 1
-    while t_idx < n:
-        b_pts.append(right)
-        t_idx += 1
-    b_pts[-1] = right           # b_n = a_0
+    b_pts = _quantile_points(steps, wnu, q, thresholds, right)  # b_n = a_0
 
     mesh = (right - left) / n
     pad = 2 * n + 4

@@ -200,6 +200,13 @@ class LocalTimeLedger:
             raise HorizonExceededError(f"step {n} outside ledger range")
         return i
 
+    def events(self, left: int, right: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(steps, wmu, wnu) of the steps in [left, right] that carry mass."""
+        lo, hi = self.idx(left), self.idx(right) + 1
+        rel = np.flatnonzero(self.wmu[lo:hi] + self.wnu[lo:hi])
+        return rel + left, self.wmu[lo + rel], self.wnu[lo + rel]
+
     def range_mass(self, prefix: np.ndarray, s: int, t: int) -> int:
         """Integer numerator of the functional mass over steps [s, t]."""
         if s > t:

@@ -156,3 +156,19 @@ def test_horizon_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["--output-dir", str(tmp_path / "o"), "embed", cfg]) == EXIT_HORIZON
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "horizon" and err["horizon"] == 512
+
+
+def test_unknown_mode_and_policy_are_config_errors(tmp_path, capsys):
+    cfg = write_json(tmp_path, "cfg.json",
+                     walk_config({"mode": "exakt", "horizon_policy": "dubling"}))
+    assert main(["--output-dir", str(tmp_path / "o"), "embed", cfg]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "o").exists()
+
+
+def test_matching_on_non_orthogonal_pair_is_config_error(tmp_path, capsys):
+    cfg = write_json(tmp_path, "cfg.json", walk_config({
+        "mu": {"denominator": 2, "atoms": [[0, 1], [1, 1]]},
+        "nu": {"denominator": 2, "atoms": [[-1, 1], [1, 1]]}}))
+    assert main(["--output-dir", str(tmp_path / "o"), "compare", cfg]) == EXIT_CONFIG
+    assert "orthogonal" in json.loads(capsys.readouterr().err)["message"]

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.embedding import compute_t_star
 from shiftlab.errors import ConfigError, HorizonExceededError
@@ -169,3 +171,44 @@ def test_report_write(tmp_path, delta_pair):
     rep.write(tmp_path)
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "tables" / "law.csv").read_text().startswith("site,")
+
+
+@st.composite
+def measure_pairs(draw):
+    """Any pair of probability measures on sites -2..2 with denominator q."""
+    q = draw(st.integers(1, 4))
+
+    def measure():
+        units = draw(st.lists(st.sampled_from(range(-2, 3)), min_size=q,
+                              max_size=q))
+        return DiscreteMeasure.from_atoms(
+            [(s, Fraction(units.count(s), q)) for s in set(units)], q)
+
+    return split_measures(measure(), measure())
+
+
+@given(measure_pairs(), st.booleans(), st.integers(0, 10**6),
+       st.integers(0, 20))
+@settings(max_examples=80, deadline=None)
+def test_engine_matches_ledger_on_random_pairs(pair, exact, seed, rep):
+    mode = "exact" if exact and pair.exact_mode_ok else "crossing"
+    walk = WalkConfig(dx=Fraction(1), horizon_fwd=512, horizon_bwd=1,
+                      seed=seed, start_law=pair.mu)
+    out = FirstHitEngine(seed, pair, mode).run_replica(rep, 512, 512,
+                                                       policy="fixed")
+    led = build_ledger(sample_walk(walk, rep), pair)
+    try:
+        res = compute_t_star(led, pair, mode=mode)
+    except HorizonExceededError:
+        assert out["censored"]
+        return
+    assert not out["censored"]
+    assert (out["t_star"], out["site"], out["u_flag"]) == \
+        (res.t_star, res.site, res.u_flag)
+
+
+def test_config_rejects_unknown_mode_and_policy(symmetric_pair):
+    with pytest.raises(ConfigError):
+        make_cfg(symmetric_pair, "embed_law", mode="exakt")
+    with pytest.raises(ConfigError):
+        make_cfg(symmetric_pair, "embed_law", horizon_policy="dubling")
