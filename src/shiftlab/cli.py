@@ -16,7 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import (ConfigError, FeasibilityError, HorizonExceededError,
-                     ShiftLabError, SizeLimitError, TruncationError)
+                     InvariantError, ShiftLabError, SizeLimitError,
+                     TruncationError)
 from .experiments import (ExperimentConfig, StatReport, run_cost_compare,
                           run_embed_law, run_ergodic, run_excursion_cost,
                           run_tail, run_unbiased_test)
@@ -221,7 +222,7 @@ def main(argv=None) -> int:
         _emit_error("horizon", exc)
         return EXIT_HORIZON
     except (FeasibilityError, TruncationError, SizeLimitError,
-            AssertionError) as exc:
+            InvariantError, AssertionError) as exc:
         _emit_error("invariant", exc)
         return EXIT_INVARIANT
     except ShiftLabError as exc:

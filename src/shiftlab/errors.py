@@ -31,6 +31,10 @@ class TruncationError(ShiftLabError):
     """A finite point configuration is too short to answer the query."""
 
 
+class InvariantError(ShiftLabError):
+    """An internal invariant of the package failed; a bug, not bad input."""
+
+
 class SizeLimitError(ShiftLabError):
     """Brute-force oracle invoked beyond its supported instance size."""
 

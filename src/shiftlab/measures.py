@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,9 @@ def split_measures(mu: DiscreteMeasure, nu: DiscreteMeasure) -> MeasurePair:
 
     mu_t = _subtract(mu)
     nu_t = _subtract(nu)
-    assert mu_t.total == nu_t.total
+    if mu_t.total != nu_t.total:
+        raise InvariantError(
+            f"mu~ and nu~ carry unequal mass {mu_t.total} and {nu_t.total}")
     return MeasurePair(
         mu=mu, nu=nu, common_part=common, mu_tilde=mu_t, nu_tilde=nu_t,
         rho=mu_t.total, orthogonal=(common.total == 0), denominator=q)

@@ -5,6 +5,12 @@ The raw word stream is consumed sequentially, so a stream yields identical
 output no matter how requests are chunked.  Replicas, directions, and
 auxiliary draws all get their own stream id and can therefore run in any
 order, or in parallel, without coordination.
+
+One stream serves one consumer kind: bits (``take_bits``/``take_steps``),
+raw words (``take_words``) or uniforms (``uniform_fraction``/
+``uniform_floats``).  The bit kind buffers unread bits and the others read
+the raw words directly, so mixing kinds would make the output depend on how
+requests are chunked; asking a stream for a second kind raises.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+from .errors import InvariantError
 
 # Stream roles within one (seed, replica).
 STREAM_START = 0
@@ -44,11 +52,22 @@ class BitStream:
         self.ids = tuple(int(i) for i in ids)
         self._bg = np.random.Philox(key=[self.seed, _mix(self.ids)])
         self._bits = np.empty(0, dtype=np.uint8)
+        self._kind: str | None = None
+
+    def _claim(self, kind: str) -> None:
+        """Bind the stream to ``kind``; callers check ``_kind`` first."""
+        if self._kind is not None:
+            raise InvariantError(
+                f"stream {(self.seed, *self.ids)} serves {self._kind} draws; "
+                f"it cannot also serve {kind} draws")
+        self._kind = kind
 
     def take_bits(self, n: int) -> np.ndarray:
         """Return the next n bits as a uint8 array of 0/1."""
         if n < 0:
             raise ValueError("n must be nonnegative")
+        if self._kind != "bits":
+            self._claim("bits")
         while self._bits.size < n:
             need_words = max(64, -(-(n - self._bits.size) // 64))
             words = self._bg.random_raw(need_words)
@@ -62,12 +81,28 @@ class BitStream:
         bits = self.take_bits(n)
         return (2 * bits.astype(np.int8) - 1)
 
+    def take_words(self, n: int) -> np.ndarray:
+        """Return the next 64 n bits as n uint64 words.
+
+        Bit i of the stream is bit 63 - (i mod 64) of word i // 64, the
+        order in which ``take_bits`` unpacks them.
+        """
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if self._kind != "words":
+            self._claim("words")
+        return self._bg.random_raw(n)
+
     def uniform_fraction(self) -> Fraction:
         """One exact uniform draw on [0, 1) with 64-bit resolution."""
+        if self._kind != "uniforms":
+            self._claim("uniforms")
         word = int(self._bg.random_raw(1)[0])
         return Fraction(word, 1 << 64)
 
     def uniform_floats(self, n: int) -> np.ndarray:
+        if self._kind != "uniforms":
+            self._claim("uniforms")
         words = self._bg.random_raw(n)
         return words / float(1 << 64)
 

@@ -1,8 +1,9 @@
-"""Hand-built walk paths for fixture-level tests.
+"""Hand-built walk paths and reference simulations for tests.
 
 ScriptedPath mimics the WalkPath interface but replays a fixed position
 sequence, so ledger and embedding behavior can be checked against hand
-counts.
+counts.  step_first_hit is the step-by-step first-hit simulation that the
+word-skipping FirstHitEngine must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from shiftlab import experiments
+from shiftlab.embedding import draw_u_flag, first_balance
+from shiftlab.rng import STREAM_FWD, STREAM_START, BitStream
+from shiftlab.walk import draw_start
 
 
 @dataclass
@@ -50,3 +56,47 @@ class ScriptedPath:
 
     def full_positions(self) -> np.ndarray:
         return np.concatenate([self._bwd[:0:-1], self._fwd])
+
+
+def step_first_hit(engine, replica: int, h0: int, hmax: int,
+                   policy: str = "doubling") -> dict:
+    """FirstHitEngine.run_replica, one step at a time over the policy chunks.
+
+    Every step of each chunk gets its position and weight; the chunk
+    schedule is the horizon policy's (doubling from h0, or hmax at once,
+    capped at hmax, in pieces of at most experiments._CHUNK_CAP steps).
+    """
+    start = draw_start(engine.pair.mu,
+                       BitStream(engine.seed, replica, STREAM_START))
+    if draw_u_flag(engine.pair, engine.seed, replica, start) == 0:
+        return {"t_star": 0, "site": start, "censored": False,
+                "horizon": 0, "u_flag": 0}
+    stream = BitStream(engine.seed, replica, STREAM_FWD)
+    pos = start
+    c = engine.wdiff.get(start, 0)
+    done = 0
+    horizon = h0 if policy == "doubling" else hmax
+    while True:
+        want = min(horizon, hmax) - done
+        chunk = min(want, experiments._CHUNK_CAP)
+        if chunk <= 0:
+            if policy == "doubling" and horizon < hmax:
+                horizon *= 2
+                continue
+            return {"t_star": None, "site": None, "censored": True,
+                    "horizon": done, "u_flag": 1}
+        steps = stream.take_steps(chunk)
+        pos_arr = np.cumsum(steps, dtype=np.int64)
+        pos_arr += pos
+        warr = np.zeros(chunk, dtype=np.int64)
+        for site, wn in engine.wdiff.items():
+            warr[pos_arr == site] = wn
+        c_arr = np.cumsum(warr, dtype=np.int64)
+        c_arr += c
+        h = first_balance(c_arr, 0, engine.mode)
+        if h is not None:
+            return {"t_star": done + h + 1, "site": int(pos_arr[h]),
+                    "censored": False, "horizon": done + chunk, "u_flag": 1}
+        pos = int(pos_arr[-1])
+        c = int(c_arr[-1])
+        done += chunk

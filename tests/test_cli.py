@@ -133,6 +133,17 @@ def test_unmatched_truncation_is_invariant_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unbalanced_split_is_invariant_error(tmp_path, capsys, monkeypatch):
+    from shiftlab.measures import DiscreteMeasure
+
+    monkeypatch.setattr(DiscreteMeasure, "is_probability",
+                        property(lambda self: True))
+    cfg = write_json(tmp_path, "cfg.json", walk_config(
+        {"nu": {"denominator": 2, "atoms": [[1, 1]]}}))
+    assert main(["--output-dir", str(tmp_path / "o"), "embed", cfg]) == EXIT_INVARIANT
+    assert json.loads(capsys.readouterr().err)["error"] == "invariant"
+
+
 def test_censoring_everywhere_is_not_an_error(tmp_path):
     # Exhausted horizons on some replicas are data, not a failure.
     cfg = write_json(tmp_path, "cfg.json", walk_config(

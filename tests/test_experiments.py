@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import step_first_hit
+from shiftlab import experiments
 from shiftlab.embedding import compute_t_star
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.experiments import (DEFAULT_THRESHOLDS, ExperimentConfig,
-                                  FirstHitEngine, run_cost_compare,
-                                  run_embed_law, run_ergodic,
-                                  run_excursion_cost, run_tail,
+                                  FirstHitEngine, _first_excursion,
+                                  run_cost_compare, run_embed_law,
+                                  run_ergodic, run_excursion_cost, run_tail,
                                   run_unbiased_test)
 from shiftlab.gauges import capped, log1p, power
 from shiftlab.measures import DiscreteMeasure, split_measures
@@ -72,6 +74,11 @@ def test_engine_matches_ledger(symmetric_pair):
         assert (out["t_star"], out["site"]) == (res.t_star, res.site)
 
 
+def test_engine_rejects_a_zero_first_horizon(delta_pair):
+    with pytest.raises(ConfigError):
+        FirstHitEngine(0, delta_pair).run_replica(0, 0, 100)
+
+
 def test_engine_rejects_non_unit_atoms():
     pair = split_measures(
         DiscreteMeasure.delta(0),
@@ -79,6 +86,40 @@ def test_engine_rejects_non_unit_atoms():
     with pytest.raises(ConfigError):
         FirstHitEngine(0, pair)
     FirstHitEngine(0, pair, mode="crossing")
+
+
+def test_engine_on_identical_measures_stops_at_once():
+    mu = DiscreteMeasure.from_atoms([(0, Fraction(1, 2)), (3, Fraction(1, 2))])
+    engine = FirstHitEngine(0, split_measures(mu, mu))
+    assert engine.wdiff == {}
+    for rep in range(10):
+        out = engine.run_replica(rep, 64, 1 << 12)
+        assert out["site"] in (0, 3)
+        assert out == {"t_star": 0, "site": out["site"], "censored": False,
+                       "horizon": 0, "u_flag": 0}
+
+
+@pytest.mark.parametrize("cap", [200, 256])
+def test_engine_matches_step_oracle_across_chunk_caps(monkeypatch, delta_pair,
+                                                      cap):
+    monkeypatch.setattr(experiments, "_CHUNK_CAP", cap)
+    engine = FirstHitEngine(5, delta_pair)
+    for rep in range(40):
+        for h0, hmax, policy in ((1, 5000, "doubling"), (1000, 4097, "fixed")):
+            assert engine.run_replica(rep, h0, hmax, policy) == \
+                step_first_hit(engine, rep, h0, hmax, policy)
+
+
+def test_first_excursion_slot_cap_keeps_the_mass_filter(symmetric_pair):
+    cfg = make_cfg(symmetric_pair, "excursion_cost", seed=13, replicas=60,
+                   hf=64, max_horizon=1 << 12)
+    for rep in range(60):
+        full = _first_excursion(cfg, rep)
+        capped = _first_excursion(cfg, rep, slot_cap=6)
+        if full is None or full[1].mass * full[0].q > 6:
+            assert capped is None
+        else:
+            assert capped[1] == full[1]
 
 
 def test_embed_law_forced(delta_pair):
@@ -205,6 +246,18 @@ def test_engine_matches_ledger_on_random_pairs(pair, exact, seed, rep):
     assert not out["censored"]
     assert (out["t_star"], out["site"], out["u_flag"]) == \
         (res.t_star, res.site, res.u_flag)
+
+
+@given(measure_pairs(), st.booleans(), st.integers(0, 10**6),
+       st.integers(0, 20), st.sampled_from((1, 63, 64, 1000, 1024)),
+       st.sampled_from((777, 4097, 1 << 12)),
+       st.sampled_from(("doubling", "fixed")))
+@settings(max_examples=120, deadline=None)
+def test_engine_matches_step_oracle(pair, exact, seed, rep, h0, hmax, policy):
+    mode = "exact" if exact and pair.exact_mode_ok else "crossing"
+    engine = FirstHitEngine(seed, pair, mode)
+    assert engine.run_replica(rep, h0, hmax, policy) == \
+        step_first_hit(engine, rep, h0, hmax, policy)
 
 
 def test_config_rejects_unknown_mode_and_policy(symmetric_pair):

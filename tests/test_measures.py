@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab.errors import ConfigError
+from shiftlab.errors import ConfigError, InvariantError
 from shiftlab.measures import (DiscreteMeasure, measure_from_spec,
                                pair_from_json, split_measures)
 
@@ -59,6 +59,16 @@ def test_split_identical_measures():
     assert pair.rho == 0 and not pair.orthogonal
     assert pair.mu_tilde.total == 0
     assert pair.exact_mode_ok  # vacuously: no nu~-atoms
+
+
+def test_split_unequal_masses_is_an_invariant_error(monkeypatch):
+    # Probability inputs always balance; let a half-mass nu through the
+    # input check to reach the invariant, which must hold under -O too.
+    monkeypatch.setattr(DiscreteMeasure, "is_probability",
+                        property(lambda self: True))
+    half = DiscreteMeasure.from_atoms([(1, Fraction(1, 2))])
+    with pytest.raises(InvariantError):
+        split_measures(DiscreteMeasure.delta(0), half)
 
 
 def test_exactness_condition():

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from shiftlab.errors import InvariantError
 from shiftlab.rng import (BitStream, STREAM_BWD, STREAM_FWD, STREAM_START,
                           stream)
 
@@ -10,6 +12,34 @@ def test_chunking_invariance():
     parts = [chunked.take_steps(n) for n in (1, 2, 61, 64, 500, 372)]
     assert sum(len(p) for p in parts) == 1000
     assert np.array_equal(np.concatenate(parts), one_shot)
+
+
+def test_take_words_is_the_bit_stream_packed():
+    bits = BitStream(11, 0, STREAM_FWD).take_bits(64 * 50)
+    chunked = BitStream(11, 0, STREAM_FWD)
+    words = np.concatenate([chunked.take_words(n) for n in (1, 0, 17, 32)])
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, np.packbits(bits).view(">u8").astype(np.uint64))
+
+
+_DRAWS = {
+    "bits": lambda st: st.take_bits(3),
+    "steps": lambda st: st.take_steps(3),
+    "words": lambda st: st.take_words(3),
+    "fraction": lambda st: st.uniform_fraction(),
+    "floats": lambda st: st.uniform_floats(3),
+}
+
+
+@pytest.mark.parametrize("first, second", [
+    ("bits", "words"), ("steps", "floats"), ("words", "fraction"),
+    ("floats", "bits"), ("fraction", "words")])
+def test_one_consumer_kind_per_stream(first, second):
+    st = BitStream(4, 1, STREAM_FWD)
+    _DRAWS[first](st)
+    _DRAWS[first](st)
+    with pytest.raises(InvariantError):
+        _DRAWS[second](st)
 
 
 def test_streams_are_deterministic():
