@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import (ConfigError, FeasibilityError, HorizonExceededError,
@@ -96,16 +95,8 @@ def _cmd_walk(args, obj: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _point_config(obj: dict) -> PointConfig:
-    if "a" not in obj or "b" not in obj:
-        raise ConfigError("instance must define point sequences 'a' and 'b'")
-    return PointConfig.make([Fraction(str(x)) for x in obj["a"]],
-                            [Fraction(str(x)) for x in obj["b"]],
-                            allow_ties=bool(obj.get("allow_ties", False)))
-
-
 def _cmd_allocate(args, obj: dict, out_dir: Path) -> int:
-    cfg = _point_config(obj)
+    cfg = PointConfig.from_json(obj)
     match = stable_allocation(cfg)
     horizon = compute_N(cfg)
     report = StatReport("allocate", "-", {
@@ -130,7 +121,7 @@ def _matrix(obj: dict, cfg: PointConfig) -> TransportMatrix:
 
 
 def _cmd_repair(args, obj: dict, out_dir: Path) -> int:
-    cfg = _point_config(obj)
+    cfg = PointConfig.from_json(obj)
     pi = _matrix(obj, cfg)
     pi.validate()
     gauges = _gauges(obj)
@@ -157,7 +148,7 @@ def _cmd_repair(args, obj: dict, out_dir: Path) -> int:
 
 
 def _cmd_inequality(args, obj: dict, out_dir: Path) -> int:
-    cfg = _point_config(obj)
+    cfg = PointConfig.from_json(obj)
     pi = _matrix(obj, cfg)
     gauges = _gauges(obj)
     reports = {g.label: inequality_check(pi, g=g).to_json() for g in gauges}

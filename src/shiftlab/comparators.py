@@ -64,9 +64,10 @@ def fifo_matching(ledger: LocalTimeLedger, exc: Excursion) -> list[tuple[int, in
 
 
 def random_rematch(ledger: LocalTimeLedger, exc: Excursion, seed: int,
-                   n_swaps: int = 8) -> list[tuple[int, int]]:
-    """Random forward-preserving transpositions applied to the stable matching."""
-    pairs = lifo_matching(ledger, exc)
+                   n_swaps: int = 8, stable: list | None = None) -> list[tuple[int, int]]:
+    """Random forward-preserving transpositions applied to the stable
+    matching, passed as ``stable`` when the caller already holds it."""
+    pairs = lifo_matching(ledger, exc) if stable is None else stable
     if len(pairs) < 2:
         return pairs
     rng = BitStream(seed, 0x5EAC, exc.left, exc.right)
@@ -83,13 +84,14 @@ def random_rematch(ledger: LocalTimeLedger, exc: Excursion, seed: int,
     return pairs
 
 
-def apply_comparator(ledger: LocalTimeLedger, exc: Excursion,
-                     comp: Comparator) -> list[tuple[int, int]]:
+def apply_comparator(ledger: LocalTimeLedger, exc: Excursion, comp: Comparator,
+                     stable: list | None = None) -> list[tuple[int, int]]:
+    """The comparator's matching; ``stable`` as in ``random_rematch``."""
     if comp.kind == "stable":
-        return lifo_matching(ledger, exc)
+        return lifo_matching(ledger, exc) if stable is None else stable
     if comp.kind == "fifo_rematch":
         return fifo_matching(ledger, exc)
-    return random_rematch(ledger, exc, comp.seed, comp.n_swaps)
+    return random_rematch(ledger, exc, comp.seed, comp.n_swaps, stable)
 
 
 def matching_cost(pairs: list[tuple[int, int]], g: Gauge, dt: Fraction,

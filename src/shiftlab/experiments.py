@@ -453,8 +453,7 @@ def run_cost_compare(cfg: ExperimentConfig, comparators=None) -> StatReport:
         c_stable = [matching_cost(stable_pairs, g, cfg.walk.dt, unit)
                     for g in cfg.gauges]
         for comp in comparators:
-            pairs = (stable_pairs if comp.kind == "stable"
-                     else apply_comparator(ledger, exc, comp))
+            pairs = apply_comparator(ledger, exc, comp, stable_pairs)
             check_matching(ledger, exc, pairs)
             for g, c_stable_g in zip(cfg.gauges, c_stable):
                 c_comp = matching_cost(pairs, g, cfg.walk.dt, unit)
@@ -505,10 +504,8 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
         if not sources:
             skipped += 1
             continue
-        pcfg = PointConfig(
-            tuple(Fraction(s) * dt_f for s in sources),
-            tuple(Fraction(t) * dt_f for t in targets),
-            allow_ties=True)
+        pcfg = PointConfig.make([s * dt_f for s in sources],
+                                [t * dt_f for t in targets], allow_ties=True)
         n = len(sources)
         # Stable indicator: exact equality of both sides.
         pi0 = stable_indicator(pcfg, n)

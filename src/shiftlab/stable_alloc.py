@@ -12,6 +12,7 @@ harness comparing the discretized allocation tau_n against tau*.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -27,39 +28,59 @@ from .walk import LocalTimeLedger
 class PointConfig:
     """Finite truncations of a_1 > a_2 > ... and b_1 < b_2 < ... (disjoint).
 
-    ``allow_ties`` admits repeated values inside one sequence (multiset
-    semantics for quantile configurations with atoms); cross-sequence values
-    must always be distinct.
+    Points are integer numerators over one common denominator ``q`` (``make``
+    takes the lcm of the input denominators), so window algorithms run on
+    ints.  ``allow_ties`` admits repeated values inside one sequence
+    (multiset semantics for quantile configurations with atoms);
+    cross-sequence values must always be distinct.
     """
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    a_num: tuple[int, ...]
+    b_num: tuple[int, ...]
+    q: int = 1
     allow_ties: bool = False
 
     def __post_init__(self):
-        cmp = (lambda x, y: x < y) if self.allow_ties else (lambda x, y: x <= y)
-        for i in range(1, len(self.a)):
-            if cmp(self.a[i - 1], self.a[i]):
-                raise ConfigError("a-sequence must be decreasing")
-        for j in range(1, len(self.b)):
-            if cmp(self.b[j], self.b[j - 1]):
-                raise ConfigError("b-sequence must be increasing")
-        if set(self.a) & set(self.b):
+        if self.q < 1:
+            raise ConfigError("common denominator q must be >= 1")
+        step = 0 if self.allow_ties else 1      # least gap between neighbours
+        if any(x - y < step for x, y in zip(self.a_num, self.a_num[1:])):
+            raise ConfigError("a-sequence must be decreasing")
+        if any(y - x < step for x, y in zip(self.b_num, self.b_num[1:])):
+            raise ConfigError("b-sequence must be increasing")
+        if set(self.a_num) & set(self.b_num):
             raise ConfigError("a- and b-sets must be disjoint")
+
+    @property
+    def a(self) -> tuple[Fraction, ...]:
+        """The a-points as Fractions, built on each access (not for hot paths)."""
+        return tuple(Fraction(x, self.q) for x in self.a_num)
+
+    @property
+    def b(self) -> tuple[Fraction, ...]:
+        """The b-points as Fractions, built on each access (not for hot paths)."""
+        return tuple(Fraction(x, self.q) for x in self.b_num)
 
     @classmethod
     def make(cls, a: Sequence, b: Sequence, allow_ties: bool = False) -> "PointConfig":
-        return cls(tuple(Fraction(x) for x in a),
-                   tuple(Fraction(x) for x in b), allow_ties)
+        fa, fb = [Fraction(x) for x in a], [Fraction(x) for x in b]
+        q = math.lcm(*(x.denominator for x in fa + fb))
+        return cls(tuple(x.numerator * (q // x.denominator) for x in fa),
+                   tuple(x.numerator * (q // x.denominator) for x in fb),
+                   q, allow_ties)
 
     def to_json(self) -> dict:
-        return {"a": [str(x) for x in self.a], "b": [str(x) for x in self.b]}
+        return {"a": [str(x) for x in self.a], "b": [str(x) for x in self.b],
+                "allow_ties": self.allow_ties}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointConfig":
+        """{"a", "b", "allow_ties"} with numbers or strings such as "1/3"."""
         try:
-            return cls.make(obj["a"], obj["b"])
-        except (KeyError, TypeError) as exc:
+            return cls.make([Fraction(str(x)) for x in obj["a"]],
+                            [Fraction(str(x)) for x in obj["b"]],
+                            allow_ties=bool(obj.get("allow_ties", False)))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"malformed point config: {obj!r}") from exc
 
 
@@ -71,22 +92,14 @@ class StableMatch:
     config: PointConfig
 
     def pairs(self) -> list[tuple[Fraction, Fraction]]:
-        return [(self.config.a[i], self.config.b[j]) for i, j in enumerate(self.tau)]
+        b = self.config.b
+        return [(x, b[j]) for x, j in zip(self.config.a, self.tau)]
 
     def to_json(self) -> dict:
         return {
             "tau": list(self.tau),
             "pairs": [[str(x), str(y)] for x, y in self.pairs()],
         }
-
-
-@dataclass(frozen=True)
-class FFunction:
-    """f(x) = |A n [b_1, x]| - |B n [b_1, x]| as breakpoints on [b_1, a_1]."""
-
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[int, ...]
-    minimum: int
 
 
 def stable_allocation(cfg: PointConfig) -> StableMatch:
@@ -99,8 +112,8 @@ def stable_allocation(cfg: PointConfig) -> StableMatch:
     # process a's before b's and later a-indices (further left in the
     # infinite order) last, so the LIFO pop picks the earliest-index a among
     # ties.
-    events = sorted([(x, 0, i) for i, x in enumerate(cfg.a)]
-                    + [(x, 1, j) for j, x in enumerate(cfg.b)])
+    events = sorted([(x, 0, i) for i, x in enumerate(cfg.a_num)]
+                    + [(x, 1, j) for j, x in enumerate(cfg.b_num)])
     pairs, unmatched = parenthesis_match(
         [idx for _, _, idx in events],
         [1 - kind for _, kind, _ in events],        # an a opens one slot
@@ -110,26 +123,27 @@ def stable_allocation(cfg: PointConfig) -> StableMatch:
             f"a-points at indices {sorted(unmatched)} unmatched; "
             "extend the b-truncation")
     tau = dict(pairs)
-    return StableMatch(tau=tuple(tau[i] for i in range(len(cfg.a))), config=cfg)
+    return StableMatch(tau=tuple(tau[i] for i in range(len(cfg.a_num))), config=cfg)
 
 
 def naive_allocation(cfg: PointConfig) -> StableMatch:
     """Direct evaluation of the min-definition; the O(n^2 log n) oracle."""
-    a_sorted = sorted(cfg.a)
-    b_sorted = list(cfg.b)
+    a_sorted = sorted(cfg.a_num)
+    b_sorted = list(cfg.b_num)
 
     def count_in(points, lo, hi):
         return bisect.bisect_right(points, hi) - bisect.bisect_left(points, lo)
 
     tau = []
-    for i, a in enumerate(cfg.a):
+    for i, a in enumerate(cfg.a_num):
         found = None
-        for j, b in enumerate(cfg.b):
+        for j, b in enumerate(cfg.b_num):
             if b > a and count_in(b_sorted, a, b) == count_in(a_sorted, a, b):
                 found = j
                 break
         if found is None:
-            raise TruncationError(f"a-point {a} unmatched in naive evaluation")
+            raise TruncationError(
+                f"a-point {Fraction(a, cfg.q)} unmatched in naive evaluation")
         tau.append(found)
     if len(set(tau)) != len(tau):
         # With ties the plain min-definition can reuse a b; resolve by the
@@ -139,31 +153,32 @@ def naive_allocation(cfg: PointConfig) -> StableMatch:
 
 
 def compute_N(cfg: PointConfig) -> dict:
-    """Horizon N with tau(a_m) = b_m for all m >= N, via min of f on [b_1, a_1].
-
-    Returns {"N": int (1-based), "M": int, "f": FFunction}.
+    """Horizon N with tau(a_m) = b_m for all m >= N, via the minimum M of
+    f(x) = |A n [b_1, x]| - |B n [b_1, x]| on [b_1, a_1], found in one merged
+    sweep of the ascending a's and b's.  Returns {"N": int (1-based), "M": int}.
     """
-    if not cfg.a or not cfg.b:
+    if not cfg.a_num or not cfg.b_num:
         raise ConfigError("need nonempty sequences")
-    a1, b1 = cfg.a[0], cfg.b[0]
-    if a1 < b1:
-        f = FFunction(breakpoints=(b1,), values=(0,), minimum=0)
-        return {"N": 1, "M": 0, "f": f}
-    pts = sorted(p for p in set(cfg.a) | set(cfg.b) if b1 <= p <= a1)
-    a_sorted = sorted(cfg.a)
-    b_sorted = list(cfg.b)
-    values = []
-    for x in pts:
-        fa = bisect.bisect_right(a_sorted, x) - bisect.bisect_left(a_sorted, b1)
-        fb = bisect.bisect_right(b_sorted, x) - bisect.bisect_left(b_sorted, b1)
-        values.append(fa - fb)
-    M = min(values)
-    f = FFunction(breakpoints=tuple(pts), values=tuple(values), minimum=M)
-    # Smallest n with f(b_n) = M - 1; f decreases by unit jumps beyond a_1.
-    for n, b in enumerate(cfg.b, start=1):
-        fa = bisect.bisect_right(a_sorted, b) - bisect.bisect_left(a_sorted, b1)
-        if fa - n == M - 1:
-            return {"N": n, "M": M, "f": f}
+    a_asc, b = cfg.a_num[::-1], cfg.b_num
+    a1 = a_asc[-1]
+    if a1 < b[0]:
+        return {"N": 1, "M": 0}
+    lo = bisect.bisect_left(a_asc, b[0])    # a's below b_1 never count
+    ia, M = lo, 0
+    # f falls only at a b, so M is the least f(b_j) over b_j < a_1.
+    for j, x in enumerate(b, start=1):
+        if x > a1:
+            break
+        while a_asc[ia] < x:
+            ia += 1
+        M = min(M, ia - lo - j)
+    # Smallest n with |A n [b_1, b_n]| - n = M - 1.  Up to a_1 that count
+    # minus n is at least f(b_n) >= M; past a_1 it is A - n for the A
+    # a-points in [b_1, a_1], which hits M - 1 once, at n = A - M + 1 (that
+    # b_n lies past a_1, else f(b_n) <= (A - 1) - n = M - 2).
+    n = len(a_asc) - lo - M + 1
+    if n <= len(b):
+        return {"N": n, "M": M}
     raise TruncationError("b-truncation too short to reach f(b_n) = M - 1")
 
 
@@ -214,7 +229,7 @@ def quantile_discretize(ledger: LocalTimeLedger, exc, n: int) -> dict:
     pad = 2 * n + 4
     a_full = a_pts + [left - k * mesh for k in range(1, pad + 1)]
     b_full = b_pts + [right + k * mesh for k in range(1, pad + 1)]
-    cfg = PointConfig(tuple(a_full), tuple(b_full), allow_ties=True)
+    cfg = PointConfig.make(a_full, b_full, allow_ties=True)
 
     a_desc = a_pts              # a_1 >= a_2 >= ... >= a_n = left
     b_asc = b_pts

@@ -4,13 +4,14 @@ A feasible matrix sends unit mass from each a_i (i <= N) forward to the b's,
 with every b_j (j <= N) receiving unit mass.  Four points a_k < a_i < b_j < b_l
 carrying transversal mass form a crossing; repairing it moves the overlap to
 the uncrossed pairs and, by concavity of the gauge, never increases cost.
-All polytope arithmetic is exact rational; gauges touch floats only at the
-final evaluation.
+Points are integer numerators over q and masses exact rationals; floats
+appear only at gauge evaluation, a gap (b - a) / q being one int division.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,7 +28,7 @@ from .stable_alloc import PointConfig, StableMatch, compute_N, stable_allocation
 class TransportMatrix:
     """Sparse nonnegative rational matrix over a PointConfig window.
 
-    Row/column indices are 0-based into cfg.a / cfg.b; the constraint window
+    Row/column indices are 0-based into the a- and b-points; the constraint window
     is rows i < N and columns j < N.
     """
 
@@ -47,41 +48,33 @@ class TransportMatrix:
         else:
             self.entries[(i, j)] = v
 
-    def row_sum(self, i: int) -> Fraction:
-        return sum((v for (r, _), v in self.entries.items() if r == i), Fraction(0))
-
-    def col_sum(self, j: int) -> Fraction:
-        return sum((v for (_, c), v in self.entries.items() if c == j), Fraction(0))
-
     def validate(self) -> None:
         """Raise FeasibilityError listing every violated constraint."""
+        a, b = self.cfg.a_num, self.cfg.b_num
         bad = []
+        rows, cols = defaultdict(Fraction), defaultdict(Fraction)
         for (i, j), v in self.entries.items():
             if v < 0:
                 bad.append(("nonnegative", (i, j), v))
-            if self.cfg.a[i] > self.cfg.b[j]:
+            if a[i] > b[j]:
                 bad.append(("forward_looking", (i, j), v))
-        for i in range(self.N):
-            s = self.row_sum(i)
-            if s != 1:
-                bad.append(("row_sum", i, s - 1))
-        for j in range(self.N):
-            s = self.col_sum(j)
-            if s != 1:
-                bad.append(("col_sum", j, s - 1))
+            rows[i] += v
+            cols[j] += v
+        for kind, sums in (("row_sum", rows), ("col_sum", cols)):
+            bad += [(kind, i, sums[i] - 1) for i in range(self.N) if sums[i] != 1]
         if bad:
             raise FeasibilityError(f"{len(bad)} constraint violations", bad)
 
     def cost(self, g: Gauge) -> float:
         """Window cost with the double-count convention (pairs i,j < N twice)."""
+        a, b, q = self.cfg.a_num, self.cfg.b_num, self.cfg.q
         total = 0.0
         for (i, j), v in self.entries.items():
             if v == 0:
                 continue
             mult = (i < self.N) + (j < self.N)
             if mult:
-                gap = self.cfg.b[j] - self.cfg.a[i]
-                total += mult * float(v) * eval_gauge(g, float(gap))
+                total += mult * float(v) * eval_gauge(g, (b[j] - a[i]) / q)
         return total
 
     def to_json(self) -> dict:
@@ -134,7 +127,7 @@ def stable_indicator(cfg: PointConfig, N: int | None = None,
 
 
 def _is_crossing(pi: TransportMatrix, k: int, i: int, j: int, l: int) -> bool:
-    a, b = pi.cfg.a, pi.cfg.b
+    a, b = pi.cfg.a_num, pi.cfg.b_num
     return (a[k] < a[i] < b[j] < b[l]
             and pi.get(k, j) > 0 and pi.get(i, l) > 0)
 
@@ -145,25 +138,30 @@ def find_crossing(pi: TransportMatrix) -> Crossing | None:
     b_j left to right over the window; a_i < b_j right to left; a_k further
     left, right to left; b_l further right, left to right.  The last two
     scans run over the whole finite support (the finite stand-in for the
-    limit steps).
+    limit steps).  Index lists replace cell probes; b_l does not depend on a_k.
     """
-    rows = sorted({i for (i, _), v in pi.entries.items() if v > 0})
-    cols = sorted({j for (_, j), v in pi.entries.items() if v > 0})
-    if not rows or not cols:
+    positive = sorted(cell for cell, v in pi.entries.items() if v > 0)
+    if not positive:
         return None
-    a, b = pi.cfg.a, pi.cfg.b
-    n_cols = max(max(cols) + 1, pi.N)
-    n_rows = max(max(rows) + 1, pi.N)
-    for j in range(n_cols):
-        for i in range(n_rows):
+    n_rows = max(positive[-1][0] + 1, pi.N)
+    row_cols: dict[int, list[int]] = defaultdict(list)     # l: pi(i, l) > 0
+    col_rows: dict[int, list[int]] = defaultdict(list)     # k: pi(k, j) != 0
+    for i, l in positive:
+        row_cols[i].append(l)
+    for k, j in sorted(pi.entries):
+        if k < n_rows and pi.entries[k, j] != 0:
+            col_rows[j].append(k)
+    a, b = pi.cfg.a_num, pi.cfg.b_num
+    for j, ks in sorted(col_rows.items()):
+        for i, ls in row_cols.items():
             if a[i] >= b[j]:
                 continue
-            for k in range(i + 1, n_rows):
-                if pi.get(k, j) == 0 or a[k] >= a[i]:
-                    continue
-                for l in range(j + 1, len(b)):
-                    if pi.get(i, l) > 0 and b[l] > b[j]:
-                        return Crossing(k=k, i=i, j=j, l=l)
+            l = next((l for l in ls if l > j and b[l] > b[j]), None)
+            if l is None:
+                continue
+            k = next((k for k in ks if k > i and a[k] < a[i]), None)
+            if k is not None:
+                return Crossing(k=k, i=i, j=j, l=l)
     return None
 
 
@@ -186,7 +184,7 @@ def repair_sweep(pi: TransportMatrix, max_steps: int | None = None) -> dict:
     Returns {"matrix", "steps", "converged", "trace"} where trace holds the
     matrix after every repair (for cost-monotonicity checks).
     """
-    n = max(len(pi.cfg.a), len(pi.cfg.b))
+    n = max(len(pi.cfg.a_num), len(pi.cfg.b_num))
     if max_steps is None:
         max_steps = 10 * n ** 4
     trace = [pi]
@@ -212,8 +210,8 @@ def inequality_check(pi: TransportMatrix, cfg: PointConfig | None = None,
     N = N if N is not None else pi.N
     pi.validate()
     match = stable_allocation(cfg)
-    rhs = 2.0 * sum(
-        eval_gauge(g, float(cfg.b[match.tau[i]] - cfg.a[i])) for i in range(N))
+    a, b, q = cfg.a_num, cfg.b_num, cfg.q
+    rhs = 2.0 * sum(eval_gauge(g, (b[match.tau[i]] - a[i]) / q) for i in range(N))
     return CostReport(lhs=pi.cost(g), rhs=rhs, gauge=g)
 
 
@@ -243,10 +241,10 @@ def permutation_oracle(cfg: PointConfig, g: Gauge, N: int | None = None,
     m = N if n_candidates is None else n_candidates
     if m > 10:
         raise SizeLimitError(f"oracle limited to <= 10 b-candidates, got {m}")
-    if m < N or m > len(cfg.b):
+    if m < N or m > len(cfg.b_num):
         raise ConfigError("b-candidate pool must cover the window")
-    a = np.array([float(x) for x in cfg.a[:N]])
-    b = np.array([float(x) for x in cfg.b[:m]])
+    a = np.array([x / cfg.q for x in cfg.a_num[:N]])
+    b = np.array([x / cfg.q for x in cfg.b_num[:m]])
     psi = np.full((N, m), np.inf)
     for i in range(N):
         for j in range(m):
@@ -272,15 +270,13 @@ def sample_feasible_matrix(cfg: PointConfig, N: int, seed: int,
     """
     pi = stable_indicator(cfg, N)
     rng = BitStream(seed, 0xFEA51B1E)
-    a, b = cfg.a, cfg.b
+    a, b = cfg.a_num, cfg.b_num
     for _ in range(n_perturbations):
         occupied = sorted((i, j) for (i, j), v in pi.entries.items() if v > 0)
         cands = []
         for (i, j), (k, l) in itertools.combinations(occupied, 2):
-            if i == k or j == l:
+            if i == k or j == l:        # sorted, so i < k from here on
                 continue
-            if i > k:
-                (i, j), (k, l) = (k, l), (i, j)
             if j > l:
                 continue
             # Anti-repair feasibility: both new cells must stay forward-looking.
@@ -311,32 +307,31 @@ def random_interleaved_config(seed: int, n_pairs: int,
     Returns (config, N).
     """
     rng = BitStream(seed, 0xC0F19)
-    values: set[Fraction] = set()
+    values: set[int] = set()        # numerators over 4
     while len(values) < 2 * n_pairs:
-        values.add(Fraction(int(rng.uniform_fraction() * value_range * 4), 4))
+        values.add(int(rng.uniform_fraction() * value_range * 4))
     vals = sorted(values)
-    labels = []
-    for v in vals:
-        labels.append((v, int(rng.uniform_fraction() * 2)))
+    labels = [(v, int(rng.uniform_fraction() * 2)) for v in vals]
     a_vals = [v for v, t in labels if t == 0]
     b_vals = [v for v, t in labels if t == 1]
     # Guarantee nonempty sides and right-padding so every a matches and the
     # f-function reaches its target.
     top = vals[-1]
     pad = len(a_vals) + 2
-    b_vals += [top + k for k in range(1, pad + 1)]
-    bottom = vals[0]
-    a_vals = sorted(a_vals, reverse=True) or [bottom - 1]
-    cfg = PointConfig(tuple(a_vals), tuple(sorted(b_vals)))
+    b_vals += [top + 4 * k for k in range(1, pad + 1)]
+    a_vals = sorted(a_vals, reverse=True) or [vals[0] - 4]
+    cfg = PointConfig.make([Fraction(x, 4) for x in a_vals],
+                           [Fraction(x, 4) for x in b_vals])
     N = compute_N(cfg)["N"]
     if N > len(a_vals):
         # The window must be covered by the a-truncation; pad below b_1 (this
         # leaves f on [b_1, a_1], hence N, unchanged) and widen the b-padding
         # so every added a still matches.
         extra = N - len(a_vals)
-        low = min(a_vals[-1], cfg.b[0])
-        a_vals += [low - k for k in range(1, extra + 1)]
-        b_vals += [b_vals[-1] + k for k in range(1, extra + 1)]
-        cfg = PointConfig(tuple(a_vals), tuple(sorted(b_vals)))
+        low = min(a_vals[-1], b_vals[0])
+        a_vals += [low - 4 * k for k in range(1, extra + 1)]
+        b_vals += [b_vals[-1] + 4 * k for k in range(1, extra + 1)]
+        cfg = PointConfig.make([Fraction(x, 4) for x in a_vals],
+                               [Fraction(x, 4) for x in b_vals])
         N = compute_N(cfg)["N"]
     return cfg, N

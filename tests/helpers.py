@@ -3,11 +3,14 @@
 ScriptedPath mimics the WalkPath interface but replays a fixed position
 sequence, so ledger and embedding behavior can be checked against hand
 counts.  step_first_hit is the step-by-step first-hit simulation that the
-word-skipping FirstHitEngine must reproduce exactly.
+word-skipping FirstHitEngine must reproduce exactly; bisect_compute_N and
+scan_find_crossing are the per-point and per-cell references for the merged
+compute_N sweep and the index-list find_crossing.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +18,9 @@ import numpy as np
 
 from shiftlab import experiments
 from shiftlab.embedding import draw_u_flag, first_balance
+from shiftlab.errors import ConfigError, TruncationError
 from shiftlab.rng import STREAM_FWD, STREAM_START, BitStream
+from shiftlab.transport import Crossing
 from shiftlab.walk import draw_start
 
 
@@ -100,3 +105,49 @@ def step_first_hit(engine, replica: int, h0: int, hmax: int,
         pos = int(pos_arr[-1])
         c = int(c_arr[-1])
         done += chunk
+
+
+def bisect_compute_N(cfg) -> dict:
+    """compute_N with a bisect per point of [b_1, a_1] and per b_n."""
+    if not cfg.a_num or not cfg.b_num:
+        raise ConfigError("need nonempty sequences")
+    a1, b1 = cfg.a_num[0], cfg.b_num[0]
+    if a1 < b1:
+        return {"N": 1, "M": 0}
+    pts = sorted(p for p in set(cfg.a_num) | set(cfg.b_num) if b1 <= p <= a1)
+    a_sorted = sorted(cfg.a_num)
+    b_sorted = list(cfg.b_num)
+    values = []
+    for x in pts:
+        fa = bisect.bisect_right(a_sorted, x) - bisect.bisect_left(a_sorted, b1)
+        fb = bisect.bisect_right(b_sorted, x) - bisect.bisect_left(b_sorted, b1)
+        values.append(fa - fb)
+    M = min(values)
+    # Smallest n with f(b_n) = M - 1; f decreases by unit jumps beyond a_1.
+    for n, b in enumerate(cfg.b_num, start=1):
+        fa = bisect.bisect_right(a_sorted, b) - bisect.bisect_left(a_sorted, b1)
+        if fa - n == M - 1:
+            return {"N": n, "M": M}
+    raise TruncationError("b-truncation too short to reach f(b_n) = M - 1")
+
+
+def scan_find_crossing(pi):
+    """find_crossing as the four nested loops over cells, probing pi.get."""
+    rows = sorted({i for (i, _), v in pi.entries.items() if v > 0})
+    cols = sorted({j for (_, j), v in pi.entries.items() if v > 0})
+    if not rows or not cols:
+        return None
+    a, b = pi.cfg.a_num, pi.cfg.b_num
+    n_cols = max(max(cols) + 1, pi.N)
+    n_rows = max(max(rows) + 1, pi.N)
+    for j in range(n_cols):
+        for i in range(n_rows):
+            if a[i] >= b[j]:
+                continue
+            for k in range(i + 1, n_rows):
+                if pi.get(k, j) == 0 or a[k] >= a[i]:
+                    continue
+                for l in range(j + 1, len(b)):
+                    if pi.get(i, l) > 0 and b[l] > b[j]:
+                        return Crossing(k=k, i=i, j=j, l=l)
+    return None

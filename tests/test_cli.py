@@ -183,3 +183,10 @@ def test_matching_on_non_orthogonal_pair_is_config_error(tmp_path, capsys):
         "nu": {"denominator": 2, "atoms": [[-1, 1], [1, 1]]}}))
     assert main(["--output-dir", str(tmp_path / "o"), "compare", cfg]) == EXIT_CONFIG
     assert "orthogonal" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("point", ["x", "inf", "1/0"])
+def test_malformed_point_is_config_error(tmp_path, capsys, point):
+    cfg = write_json(tmp_path, "cfg.json", {"a": [point, 1], "b": [2, 4, 5]})
+    assert main(["--output-dir", str(tmp_path / "o"), "allocate", cfg]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "config"

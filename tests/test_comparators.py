@@ -99,6 +99,16 @@ def test_random_rematch_deterministic_in_seed():
     assert a == b
 
 
+def test_rematch_from_given_stable_pairs_is_unchanged():
+    comp = Comparator("random_feasible_rematch", seed=5, n_swaps=16)
+    for led, exc in completed_excursions(delta01(), seed=4, n=4):
+        stable = lifo_matching(led, exc)
+        kept = list(stable)
+        assert random_rematch(led, exc, 5, 16, stable) == random_rematch(led, exc, 5, 16)
+        assert apply_comparator(led, exc, comp, stable) == apply_comparator(led, exc, comp)
+        assert stable == kept
+
+
 def test_matching_cost_hand_value():
     pairs = [(0, 1), (2, 5)]
     got = matching_cost(pairs, power(Fraction(1, 2)), Fraction(1, 4),

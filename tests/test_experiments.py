@@ -166,6 +166,19 @@ def test_cost_compare_no_violations(symmetric_pair):
         assert row["paired_diff_mean"] >= -1e-12
 
 
+def test_cost_compare_matches_each_path_once(monkeypatch, symmetric_pair):
+    from shiftlab import comparators
+    calls = []
+    kernel = comparators.match_slots
+    monkeypatch.setattr(comparators, "match_slots",
+                        lambda *args: calls.append(args) or kernel(*args))
+    cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=20,
+                   hf=1 << 12, max_horizon=1 << 15)
+    rep = run_cost_compare(cfg)
+    assert "random_feasible_rematch" in rep.data["comparators"]
+    assert len(calls) == rep.data["paths_used"] > 0
+
+
 def test_excursion_cost_nonnegative(symmetric_pair):
     cfg = make_cfg(symmetric_pair, "excursion_cost", seed=13, replicas=40,
                    hf=1 << 12, max_horizon=1 << 14)

@@ -1,16 +1,20 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import bisect_compute_N
 from shiftlab.errors import ConfigError, TruncationError
 from shiftlab.embedding import Excursion, compute_t_star, excursion_mass
+from shiftlab.gauges import default_gauges, eval_gauge
 from shiftlab.measures import DiscreteMeasure, split_measures
 from shiftlab.stable_alloc import (PointConfig, compute_N, naive_allocation,
                                    quantile_discretize, stable_allocation,
                                    tau_n_convergence_test)
-from shiftlab.transport import random_interleaved_config
+from shiftlab.transport import (inequality_check, random_interleaved_config,
+                                sample_feasible_matrix)
 from shiftlab.walk import WalkConfig, build_ledger, sample_walk
 
 
@@ -175,3 +179,84 @@ def test_convergence_fixture():
     # Saturation: distance within the lattice mesh once n exceeds the slot count.
     mesh = Fraction(exc.right - exc.left, 16)
     assert dists[1] <= mesh
+
+
+def _outcome(fn, cfg):
+    try:
+        return fn(cfg)
+    except (ConfigError, TruncationError) as exc:
+        return type(exc)
+
+
+_mixed = st.builds(Fraction, st.integers(-300, 300), st.sampled_from([1, 3, 4, 7]))
+
+
+@given(st.sets(_mixed, min_size=2, max_size=20), st.randoms(use_true_random=False),
+       st.integers(0, 1000))
+@settings(max_examples=120, deadline=None)
+def test_mixed_denominators_match_the_integer_scaled_config(values, rnd, seed):
+    values = sorted(values)
+    labels = [rnd.randint(0, 1) for _ in values]
+    a = sorted((v for v, t in zip(values, labels) if t == 0), reverse=True)
+    b = [v for v, t in zip(values, labels) if t == 1]
+    if not a:
+        return
+    b += [values[-1] + k for k in range(1, len(a) + 2)]
+    cfg = PointConfig.make(a, b)
+    assert cfg.q == math.lcm(*(x.denominator for x in a + b))
+    assert cfg.a == tuple(a) and cfg.b == tuple(b)
+    # The same points on the integer grid with three times the step.
+    scaled = PointConfig.make([3 * cfg.q * x for x in a], [3 * cfg.q * x for x in b])
+    assert scaled.q == 1 and scaled.a_num == tuple(3 * x for x in cfg.a_num)
+    match = stable_allocation(cfg)
+    assert stable_allocation(scaled).tau == match.tau
+    assert naive_allocation(cfg).tau == naive_allocation(scaled).tau == match.tau
+    horizon = compute_N(cfg)
+    assert compute_N(scaled) == horizon == bisect_compute_N(cfg)
+    N = horizon["N"]
+    if N > len(a):
+        return
+    pi = sample_feasible_matrix(cfg, N, seed)
+    assert sample_feasible_matrix(scaled, N, seed).entries == pi.entries
+    # Gauge arguments (b - a) / q are the correctly rounded floats of the
+    # Fraction gaps, so both sides agree bit for bit with Fraction arithmetic.
+    fa, fb = cfg.a, cfg.b
+    for g in default_gauges():
+        rep = inequality_check(pi, g=g)
+        lhs = sum(((i < N) + (j < N)) * float(v) * eval_gauge(g, float(fb[j] - fa[i]))
+                  for (i, j), v in pi.entries.items() if v != 0)
+        rhs = 2.0 * sum(eval_gauge(g, float(fb[match.tau[i]] - fa[i]))
+                        for i in range(N))
+        assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
+
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=30),
+       st.randoms(use_true_random=False), st.integers(0, 6),
+       st.sampled_from([1, 2, 6]))
+@settings(max_examples=300, deadline=None)
+def test_compute_n_sweep_equals_bisect_oracle_with_ties(values, rnd, pad, q):
+    side = {v: rnd.randint(0, 1) for v in values}    # a value stays on one side
+    a = sorted((v for v in values if side[v] == 0), reverse=True)
+    b = sorted(v for v in values if side[v] == 1)
+    if b:
+        b += [max(values) + k for k in range(1, pad + 1)]
+    cfg = PointConfig(tuple(a), tuple(b), q, allow_ties=True)
+    assert _outcome(compute_N, cfg) == _outcome(bisect_compute_N, cfg)
+
+
+@pytest.mark.parametrize("allow_ties", [False, True])
+def test_point_config_json_roundtrip_keeps_values(allow_ties):
+    a = [Fraction(7, 3), Fraction(1, 4), Fraction(1, 4) if allow_ties else 0, -2]
+    b = [Fraction(5, 2), Fraction(22, 7), 4]
+    cfg = PointConfig.make(a, b, allow_ties=allow_ties)
+    assert cfg.q == 84 and cfg.a == tuple(a) and cfg.b == tuple(b)
+    assert PointConfig.from_json(cfg.to_json()) == cfg
+    assert PointConfig.from_json({"a": ["7/3", 0.25], "b": ["2.5"]}).a == tuple(a[:2])
+
+
+@pytest.mark.parametrize("obj", [{"a": ["x"], "b": [1]}, {"a": ["inf"], "b": [1]},
+                                 {"a": ["1/0"], "b": [1]}, {"a": [None], "b": [1]},
+                                 {"a": 3, "b": [1]}, {"b": [1]}])
+def test_malformed_points_are_config_errors(obj):
+    with pytest.raises(ConfigError):
+        PointConfig.from_json(obj)
