@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, HorizonExceededError
+from .errors import ConfigError, HorizonExceededError, InvariantError
 from .gauges import Gauge, eval_gauge
 from .measures import MeasurePair
 from .rng import BitStream, STREAM_UFLAG
@@ -185,7 +185,8 @@ def decompose_excursions(ledger: LocalTimeLedger, up_to_level: Fraction,
     skip a level exactly), and rho(u) is the first forward hit of the level
     actually attained at sigma(u).  Forward down-moves are unit in exact
     mode, so that hit exists and tau*(sigma(u)) = rho(u) holds exactly;
-    u = 0 degenerates to [0, 0].
+    u = 0 degenerates to [0, 0].  The partition takes tau* from the
+    balancing kernel (``tau_star_map``), so it needs an orthogonal pair.
     """
     require_mode(ledger.pair, "exact")
     up_to_level = Fraction(up_to_level)
@@ -229,15 +230,17 @@ def decompose_excursions(ledger: LocalTimeLedger, up_to_level: Fraction,
     # Greedy partition of the outermost interval into excursions [a, tau*(a)].
     left, right = chain.sigma[-1], chain.rho[-1]
     excursions = []
-    charged = mu_charged_steps(ledger, left, right) if right > left else np.empty(0, int)
-    pos = 0
-    while pos < len(charged):
-        a = int(charged[pos])
-        exc = excursion_from(ledger, a)
-        if exc.right > right:
-            raise AssertionError("excursion escapes the sigma/rho window")
-        excursions.append(exc)
-        pos = int(np.searchsorted(charged, exc.right))
+    if right > left:
+        charged = mu_charged_steps(ledger, left, right)
+        tau, _ = tau_star_map(ledger, left, right)
+        pos = 0
+        while pos < len(charged):
+            a = int(charged[pos])
+            b = tau.get(a)                 # None: tau*(a) beyond the horizon
+            if b is None or b > right:
+                raise InvariantError("excursion escapes the sigma/rho window")
+            excursions.append(Excursion(a, b, excursion_mass(ledger, a, b)))
+            pos = int(np.searchsorted(charged, b))
     return chain, excursions
 
 

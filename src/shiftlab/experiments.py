@@ -1,10 +1,10 @@
 """Monte Carlo and ergodic verification experiments.
 
-The first-hit engine simulates the difference process C(n) replica by
-replica with geometric horizon doubling, skipping whole 64-step words far
-from the atoms, so heavy-tailed embedding times can be sampled up to 2^24
-steps without retaining whole paths.  Censored replicas (horizon policy
-exhausted) are reported, never dropped.
+Every experiment finds T* with the first-hit engine, which simulates the
+difference process C(n) replica by replica under the horizon policy,
+skipping whole 64-step words far from the atoms, so heavy-tailed embedding
+times can be sampled up to 2^24 steps without retaining whole paths.
+Censored replicas (horizon policy exhausted) are reported, never dropped.
 """
 
 from __future__ import annotations
@@ -21,18 +21,19 @@ from scipy import stats as sstats
 
 from .comparators import (Comparator, apply_comparator, check_matching,
                           lifo_matching, matching_cost)
-from .embedding import (Excursion, check_options, compute_t_star,
-                        draw_u_flag, excursion_mass, first_balance,
-                        match_slots, mu_charged_steps, require_mode,
-                        tau_star_map)
-from .errors import ConfigError, HorizonExceededError
+from .embedding import (Excursion, check_options, draw_u_flag,
+                        excursion_mass, first_balance, match_slots,
+                        mu_charged_steps, require_mode, tau_star_map)
+# perfbench/tracing.LAYERS patches compute_t_star in this namespace.
+from .embedding import compute_t_star  # noqa: F401
+from .errors import ConfigError, InvariantError
 from .gauges import Gauge, default_gauges, eval_gauge, gauges_from_json
 from .measures import MeasurePair, measure_from_spec, split_measures
 from .rng import BitStream, STREAM_FWD, STREAM_START
 from .stable_alloc import PointConfig
 from .transport import inequality_check, sample_feasible_matrix, stable_indicator
-from .walk import (LocalTimeLedger, WalkConfig, WalkPath, build_ledger,
-                   draw_start, inverse_local_time, sample_walk)
+from .walk import (WalkConfig, build_ledger, draw_start, inverse_local_time,
+                   sample_walk)
 
 EXPERIMENTS = ("embed_law", "unbiased", "cost_compare", "excursion_cost",
                "ergodic", "tail")
@@ -68,6 +69,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_options(self.mode, self.horizon_policy)
+        if self.replicas < 1:
+            raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
+        if self.max_horizon < 1:
+            raise ConfigError(f"max_horizon must be >= 1, got {self.max_horizon}")
+        if not self.lags or min(self.lags) < 1:
+            raise ConfigError(f"lags must be nonempty and >= 1, got {list(self.lags)}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
@@ -291,6 +298,18 @@ class FirstHitEngine:
         return (step, int(sites.ravel()[h])), pos_end, c_end
 
 
+def _t_star_finder(cfg: ExperimentConfig):
+    """rep -> run_replica output: T* under the one horizon contract.
+
+    Every experiment finds T* here.  ``horizon_fwd`` is the first block under
+    doubling, ``max_horizon`` caps both policies ("fixed" is one block to
+    it), and a replica whose T* lies beyond the cap is censored.
+    """
+    engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
+    return lambda rep: engine.run_replica(rep, cfg.walk.horizon_fwd,
+                                          cfg.max_horizon, cfg.horizon_policy)
+
+
 def _mean_se(xs: list[float]) -> tuple[float, float]:
     if not xs:
         return float("nan"), float("nan")
@@ -304,13 +323,12 @@ def _mean_se(xs: list[float]) -> tuple[float, float]:
 
 def run_embed_law(cfg: ExperimentConfig) -> StatReport:
     """Empirical law of the site at T* versus nu."""
-    engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
-    h0 = min(cfg.walk.horizon_fwd, cfg.max_horizon)
+    t_star = _t_star_finder(cfg)
     sites: dict[int, int] = {}
     censored = 0
     t_values: list[int] = []
     for rep in range(cfg.replicas):
-        out = engine.run_replica(rep, h0, cfg.max_horizon, cfg.horizon_policy)
+        out = t_star(rep)
         if out["censored"]:
             censored += 1
             continue
@@ -346,9 +364,13 @@ def run_embed_law(cfg: ExperimentConfig) -> StatReport:
     return StatReport("embed_law", cfg.digest(), data, {"law": rows})
 
 
-def run_unbiased_test(cfg: ExperimentConfig, lags=None) -> StatReport:
-    """Increment law of the shifted walk (B_{T*+t} - B_{T*})."""
-    lags = tuple(lags or cfg.lags)
+def run_unbiased_test(cfg: ExperimentConfig) -> StatReport:
+    """Increment law of the shifted walk (B_{T*+t} - B_{T*}).
+
+    Each completed replica's path is sampled to T* + max lag; censored
+    replicas are counted and left out.
+    """
+    lags = cfg.lags
     window = max(lags)
     per_lag_fwd = {k: [] for k in lags}
     per_lag_bwd = {k: [] for k in lags}
@@ -357,17 +379,15 @@ def run_unbiased_test(cfg: ExperimentConfig, lags=None) -> StatReport:
     step_count = 0
     censored = 0
     ctrl_stream = BitStream(cfg.walk.seed, 0xC117, 0)
+    t_star = _t_star_finder(cfg)
     for rep in range(cfg.replicas):
-        path = sample_walk(cfg.walk, replica=rep)
-        ledger = build_ledger(path, cfg.pair)
-        try:
-            res = compute_t_star(ledger, cfg.pair, mode="exact")
-        except HorizonExceededError:
+        out = t_star(rep)
+        if out["censored"]:
             censored += 1
             continue
-        t = res.t_star
-        if t + window > path.horizon_fwd:
-            path.extend_fwd(t + window)
+        t = out["t_star"]
+        path = sample_walk(cfg.walk, replica=rep)
+        path.extend_fwd(t + window)
         base = path.positions(t)
         plus_count += int(path.positions(t + 1) - base == 1)
         step_count += 1
@@ -404,28 +424,19 @@ def run_unbiased_test(cfg: ExperimentConfig, lags=None) -> StatReport:
 
 def _first_excursion(cfg: ExperimentConfig, rep: int,
                      slot_cap: int | None = None):
-    """Ledger and excursion [0, T*] for one replica, or None if censored."""
-    walk_cfg = cfg.walk
-    horizon = walk_cfg.horizon_fwd
-    path = sample_walk(walk_cfg, replica=rep)
-    while True:
-        ledger = build_ledger(path, cfg.pair)
-        try:
-            res = compute_t_star(ledger, cfg.pair, mode="exact")
-            break
-        except HorizonExceededError:
-            if cfg.horizon_policy != "doubling" or horizon >= cfg.max_horizon:
-                return None
-            # T* > horizon, so the excursion carries at least this mass.
-            if (slot_cap is not None
-                    and ledger.range_mass(ledger.Pmu, 0, ledger.hf) > slot_cap):
-                return None
-            horizon = min(2 * horizon, cfg.max_horizon)
-            path.extend_fwd(horizon)
-    if res.t_star == 0:
+    """Ledger and excursion [0, T*] for one replica, or None.
+
+    None when the replica is censored, when T* = 0 (U-flag 0), or when the
+    excursion carries more than ``slot_cap`` mu-slots.  The path is sampled
+    once, extended to T*, and gets one ledger.
+    """
+    t = _t_star_finder(cfg)(rep)["t_star"]
+    if not t:                              # censored (None) or T* = 0
         return None
-    exc = Excursion(left=0, right=res.t_star,
-                    mass=excursion_mass(ledger, 0, res.t_star))
+    path = sample_walk(cfg.walk, replica=rep)
+    path.extend_fwd(t)
+    ledger = build_ledger(path, cfg.pair)
+    exc = Excursion(left=0, right=t, mass=excursion_mass(ledger, 0, t))
     if slot_cap is not None and exc.mass * ledger.q > slot_cap:
         return None
     return ledger, exc
@@ -512,7 +523,8 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
         for g in cfg.gauges:
             rep0 = inequality_check(pi0, g=g, N=n)
             if abs(rep0.margin) > 1e-9 * max(1.0, rep0.rhs):
-                raise AssertionError("stable indicator not at equality")
+                raise InvariantError(
+                    f"stable indicator not at equality (margin {rep0.margin})")
         equality_checked += 1
         for mi in range(matrices_per_excursion):
             pi = sample_feasible_matrix(pcfg, n, seed=cfg.walk.seed * 1000 + rep * 10 + mi)
@@ -595,12 +607,11 @@ def run_ergodic(cfg: ExperimentConfig, r_levels: int | None = None,
         block_rows[g.label] = vals
 
     # Independent ensemble estimate of E psi(T*).
-    engine = FirstHitEngine(walk_cfg.seed, cfg.pair)
+    t_star = _t_star_finder(cfg)
     ens: dict[str, list[float]] = {g.label: [] for g in cfg.gauges}
     ens_censored = 0
     for rep in range(1, ensemble_replicas + 1):
-        out = engine.run_replica(rep, walk_cfg.horizon_fwd, cfg.max_horizon,
-                                 cfg.horizon_policy)
+        out = t_star(rep)
         if out["censored"]:
             ens_censored += 1
             continue
@@ -637,12 +648,11 @@ def run_ergodic(cfg: ExperimentConfig, r_levels: int | None = None,
 def run_tail(cfg: ExperimentConfig, n_boot: int = 100,
              checkpoints=(1000, 10000, 100000)) -> StatReport:
     """Censoring-aware survival of T* and the fitted tail exponent."""
-    engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
-    h0 = min(cfg.walk.horizon_fwd, cfg.max_horizon)
+    t_star = _t_star_finder(cfg)
     t_steps = np.empty(cfg.replicas, dtype=np.float64)
     cens = np.zeros(cfg.replicas, dtype=bool)
     for rep in range(cfg.replicas):
-        out = engine.run_replica(rep, h0, cfg.max_horizon, cfg.horizon_policy)
+        out = t_star(rep)
         if out["censored"]:
             t_steps[rep] = cfg.max_horizon
             cens[rep] = True

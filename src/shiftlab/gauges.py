@@ -34,9 +34,6 @@ class Gauge:
 
     kind: str
     param: Fraction | None = None
-    # psi(0)=0 already holds for every family; the flag records that the
-    # normalization was checked at construction time.
-    offset_removed: bool = True
 
     def __post_init__(self):
         if self.kind not in GAUGE_KINDS:

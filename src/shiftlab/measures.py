@@ -50,10 +50,6 @@ class DiscreteMeasure:
     def delta(cls, site: int) -> "DiscreteMeasure":
         return cls(((int(site), Fraction(1)),), 1)
 
-    @classmethod
-    def zero(cls, denominator: int = 1) -> "DiscreteMeasure":
-        return cls((), denominator)
-
     @property
     def total(self) -> Fraction:
         return sum((w for _, w in self.atoms), Fraction(0))
@@ -76,11 +72,6 @@ class DiscreteMeasure:
         if q % self.denominator != 0:
             raise ConfigError(f"cannot lift denominator {self.denominator} to {q}")
         return DiscreteMeasure(self.atoms, q)
-
-    def scaled(self, factor: Fraction) -> "DiscreteMeasure":
-        atoms = tuple((s, w * factor) for s, w in self.atoms)
-        q = lcm(1, *((w).denominator for _, w in atoms)) if atoms else 1
-        return DiscreteMeasure(atoms, q)
 
     def cumulative(self) -> tuple[tuple[int, Fraction], ...]:
         acc = Fraction(0)

@@ -26,7 +26,6 @@ STREAM_START = 0
 STREAM_FWD = 1
 STREAM_BWD = 2
 STREAM_UFLAG = 3
-STREAM_AUX = 4
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TruncationError
-from .embedding import compute_tau_star, mu_charged_steps, parenthesis_match
+from .errors import ConfigError, HorizonExceededError, TruncationError
+from .embedding import mu_charged_steps, parenthesis_match, tau_star_map
 from .walk import LocalTimeLedger
 
 
@@ -267,9 +267,15 @@ def tau_n_convergence_test(ledger: LocalTimeLedger, exc,
 
     Distances are in steps; the report also carries the g_n rounding error
     sup |a - g_n(a)| so both convergence claims can be checked on fixtures.
+    tau* comes from the balancing kernel (``tau_star_map``), so the pair
+    must be orthogonal.
     """
     charged = [int(s) for s in mu_charged_steps(ledger, exc.left, exc.right)]
-    tau_star = {s: compute_tau_star(ledger, s) for s in charged}
+    tau_star, unresolved = tau_star_map(ledger, exc.left, exc.right)
+    if unresolved:
+        raise HorizonExceededError(
+            f"tau*({unresolved[0]}) not reached within forward horizon",
+            horizon=ledger.hf)
     rows = []
     for n in n_list:
         disc = quantile_discretize(ledger, exc, n)

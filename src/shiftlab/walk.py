@@ -147,10 +147,6 @@ class WalkPath:
         """positions over signed steps -hb..hf as one array (index n + hb)."""
         return np.concatenate([self.pos_bwd[:0:-1], self.pos_fwd])
 
-    def increment(self, n: int) -> int:
-        """positions(n) - positions(n-1)."""
-        return self.positions(n) - self.positions(n - 1)
-
     def to_csv(self, fobj) -> None:
         fobj.write("step,position\n")
         for n in range(-self.horizon_bwd, self.horizon_fwd + 1):
@@ -243,11 +239,6 @@ class LocalTimeLedger:
         """C(-1): reference value so that D(n) = (C(n) - C(-1)) / q for n >= 0."""
         return int(self.X[self.idx(0)])
 
-    @property
-    def max_atom(self) -> Fraction:
-        weights = [w for _, w in self.pair.mu.atoms] + [w for _, w in self.pair.nu.atoms]
-        return max(weights) if weights else Fraction(0)
-
     def prefix_for(self, functional: Functional) -> np.ndarray:
         if functional == "mu":
             return self.Pmu
@@ -272,9 +263,10 @@ def inverse_local_time(ledger: LocalTimeLedger, functional: Functional,
     """Generalized inverse S^r of the chosen additive functional.
 
     For r > 0 returns the first step n >= 0 whose cumulated mass over [0, n]
-    reaches r (so the attained mass lies in [r, r + max_atom)).  For r = 0
-    returns the last step before the functional first increases.  Negative r
-    mirrors the construction in backward time.
+    reaches r (so the attained mass lies in [r, r + w), w the largest atom
+    weight of mu and nu).  For r = 0 returns the last step before the
+    functional first increases.  Negative r mirrors the construction in
+    backward time.
     """
     r = Fraction(r)
     prefix = ledger.prefix_for(functional)

@@ -3,9 +3,10 @@
 ScriptedPath mimics the WalkPath interface but replays a fixed position
 sequence, so ledger and embedding behavior can be checked against hand
 counts.  step_first_hit is the step-by-step first-hit simulation that the
-word-skipping FirstHitEngine must reproduce exactly; bisect_compute_N and
-scan_find_crossing are the per-point and per-cell references for the merged
-compute_N sweep and the index-list find_crossing.
+word-skipping FirstHitEngine must reproduce exactly; doubling_first_excursion
+is the ledger-rebuilding reference for experiments._first_excursion;
+bisect_compute_N and scan_find_crossing are the per-point and per-cell
+references for the merged compute_N sweep and the index-list find_crossing.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from fractions import Fraction
 import numpy as np
 
 from shiftlab import experiments
-from shiftlab.embedding import draw_u_flag, first_balance
-from shiftlab.errors import ConfigError, TruncationError
+from shiftlab.embedding import (Excursion, compute_t_star, draw_u_flag,
+                                excursion_mass, first_balance)
+from shiftlab.errors import ConfigError, HorizonExceededError, TruncationError
 from shiftlab.rng import STREAM_FWD, STREAM_START, BitStream
 from shiftlab.transport import Crossing
-from shiftlab.walk import draw_start
+from shiftlab.walk import build_ledger, draw_start, sample_walk
 
 
 @dataclass
@@ -105,6 +107,39 @@ def step_first_hit(engine, replica: int, h0: int, hmax: int,
         pos = int(pos_arr[-1])
         c = int(c_arr[-1])
         done += chunk
+
+
+def doubling_first_excursion(cfg, rep: int, slot_cap: int | None = None):
+    """experiments._first_excursion by ledger rebuilding under doubling.
+
+    Builds the whole ledger of the path at horizon_fwd and again after each
+    doubling until compute_t_star finds T*.  The horizon stops doubling once
+    it reaches max_horizon, so when horizon_fwd exceeds max_horizon the cap
+    is horizon_fwd; the engine caps at max_horizon instead.
+    """
+    horizon = cfg.walk.horizon_fwd
+    path = sample_walk(cfg.walk, replica=rep)
+    while True:
+        ledger = build_ledger(path, cfg.pair)
+        try:
+            res = compute_t_star(ledger, cfg.pair, mode="exact")
+            break
+        except HorizonExceededError:
+            if cfg.horizon_policy != "doubling" or horizon >= cfg.max_horizon:
+                return None
+            # T* > horizon, so the excursion carries at least this mass.
+            if (slot_cap is not None
+                    and ledger.range_mass(ledger.Pmu, 0, ledger.hf) > slot_cap):
+                return None
+            horizon = min(2 * horizon, cfg.max_horizon)
+            path.extend_fwd(horizon)
+    if res.t_star == 0:
+        return None
+    exc = Excursion(left=0, right=res.t_star,
+                    mass=excursion_mass(ledger, 0, res.t_star))
+    if slot_cap is not None and exc.mass * ledger.q > slot_cap:
+        return None
+    return ledger, exc
 
 
 def bisect_compute_N(cfg) -> dict:

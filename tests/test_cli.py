@@ -190,3 +190,33 @@ def test_malformed_point_is_config_error(tmp_path, capsys, point):
     cfg = write_json(tmp_path, "cfg.json", {"a": [point, 1], "b": [2, 4, 5]})
     assert main(["--output-dir", str(tmp_path / "o"), "allocate", cfg]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("tail", {"replicas": 0}),
+    ("embed", {"replicas": 0}),
+    ("unbiased", {"lags": [0, 4]}),
+    ("embed", {"max_horizon": 0}),
+    ("tail", {"max_horizon": -5}),
+])
+def test_out_of_range_counts_are_config_errors(tmp_path, capsys, command,
+                                               extra):
+    cfg = write_json(tmp_path, "cfg.json", walk_config(extra))
+    assert main(["--output-dir", str(tmp_path / "o"), command, cfg]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and ">= 1" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_excursion_cost_off_equality_is_invariant_error(tmp_path, capsys,
+                                                        monkeypatch):
+    import shiftlab.experiments as exp
+    from shiftlab.transport import CostReport
+
+    monkeypatch.setattr(exp, "inequality_check",
+                        lambda pi, g, N: CostReport(lhs=1.5, rhs=1.0, gauge=g))
+    cfg = write_json(tmp_path, "cfg.json", walk_config())
+    assert main(["--output-dir", str(tmp_path / "o"), "excursion-cost",
+                 cfg]) == EXIT_INVARIANT
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invariant" and "equality" in err["message"]

@@ -212,6 +212,38 @@ def test_decompose_excursions_chain_properties(symmetric_pair):
     assert covered == {int(s) for s in mu_charged_steps(led, left, right)}
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decompose_excursions_matches_the_rescan(symmetric_pair, seed):
+    cfg = WalkConfig(dx=Fraction(1), horizon_fwd=1 << 14, horizon_bwd=1 << 14,
+                     seed=seed, start_law=symmetric_pair.mu)
+    led = build_ledger(sample_walk(cfg), symmetric_pair)
+    for level in (4, 2, 1):
+        try:
+            chain, excs = decompose_excursions(led, Fraction(level))
+            break
+        except HorizonExceededError:
+            continue
+    else:
+        pytest.fail("no attainable level on this fixture")
+    # Each excursion is the per-step oracle's [a, tau*(a)], back to back.
+    assert excs and excs == [excursion_from(led, e.left) for e in excs]
+    charged = mu_charged_steps(led, chain.sigma[-1], chain.rho[-1]).tolist()
+    assert excs[0].left == charged[0]
+    for prev, nxt in zip(excs, excs[1:]):
+        assert nxt.left == min(s for s in charged if s >= prev.right)
+
+
+def test_decompose_excursions_needs_an_orthogonal_pair():
+    pair = split_measures(
+        DiscreteMeasure.from_atoms([(0, Fraction(1, 2)), (1, Fraction(1, 2))]),
+        DiscreteMeasure.from_atoms([(-1, Fraction(1, 2)), (1, Fraction(1, 2))]))
+    cfg = WalkConfig(dx=Fraction(1), horizon_fwd=4096, horizon_bwd=4096,
+                     seed=0, start_law=pair.mu)
+    led = build_ledger(sample_walk(cfg), pair)
+    with pytest.raises(ConfigError, match="orthogonal"):
+        decompose_excursions(led, Fraction(1, 2))
+
+
 def test_single_excursion_path():
     pair = delta01()
     led = build_ledger(ScriptedPath([0, 1]), pair)

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import step_first_hit
+from helpers import doubling_first_excursion, step_first_hit
 from shiftlab import experiments
 from shiftlab.embedding import compute_t_star
 from shiftlab.errors import ConfigError, HorizonExceededError
@@ -122,6 +123,19 @@ def test_first_excursion_slot_cap_keeps_the_mass_filter(symmetric_pair):
             assert capped[1] == full[1]
 
 
+def test_first_excursion_builds_one_ledger_per_path(monkeypatch,
+                                                    symmetric_pair):
+    built = []
+    real = experiments.build_ledger
+    monkeypatch.setattr(experiments, "build_ledger",
+                        lambda path, pair: built.append(path.replica)
+                        or real(path, pair))
+    cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=40,
+                   hf=16, max_horizon=1 << 14)
+    used = [rep for rep in range(40) if _first_excursion(cfg, rep) is not None]
+    assert built == used and len(used) > 20
+
+
 def test_embed_law_forced(delta_pair):
     rep = run_embed_law(make_cfg(delta_pair, "embed_law", replicas=40,
                                  max_horizon=1 << 20))
@@ -154,6 +168,33 @@ def test_unbiased_small_run(symmetric_pair):
     assert rep.data["sign_ok"]
     for row in rep.tables["lags"]:
         assert row["ks_pvalue_fwd"] > DEFAULT_THRESHOLDS["ks_alpha"]
+
+
+def test_unbiased_completes_replicas_past_the_first_block(delta_pair):
+    # T* in (horizon_fwd, max_horizon] is found under doubling, as in the
+    # other experiments, and only T* beyond max_horizon is censored.
+    cfg = make_cfg(delta_pair, "unbiased", seed=2, replicas=60, hf=64, hb=64,
+                   max_horizon=1 << 16, lags=(1, 4))
+    engine = FirstHitEngine(2, delta_pair)
+    outs = [engine.run_replica(rep, 64, 1 << 16) for rep in range(60)]
+    assert any(not o["censored"] and o["t_star"] > 64 for o in outs)
+    rep = run_unbiased_test(cfg)
+    censored = sum(o["censored"] for o in outs)
+    assert rep.data["censored"] == censored
+    assert rep.data["completed"] == 60 - censored
+    assert {row["n_fwd"] for row in rep.tables["lags"]} == {60 - censored}
+
+
+def test_unbiased_follows_the_config_mode():
+    pair = split_measures(
+        DiscreteMeasure.delta(0),
+        DiscreteMeasure.from_atoms([(1, Fraction(1, 3)), (2, Fraction(2, 3))]))
+    with pytest.raises(ConfigError):
+        run_unbiased_test(make_cfg(pair, "unbiased", replicas=20))
+    rep = run_unbiased_test(make_cfg(pair, "unbiased", replicas=20,
+                                     mode="crossing", lags=(1,)))
+    assert rep.data["completed"] + rep.data["censored"] == 20
+    assert rep.data["completed"] > 0
 
 
 def test_cost_compare_no_violations(symmetric_pair):
@@ -271,6 +312,47 @@ def test_engine_matches_step_oracle(pair, exact, seed, rep, h0, hmax, policy):
     engine = FirstHitEngine(seed, pair, mode)
     assert engine.run_replica(rep, h0, hmax, policy) == \
         step_first_hit(engine, rep, h0, hmax, policy)
+
+
+_FIXTURE_PAIRS = (
+    split_measures(DiscreteMeasure.delta(0), DiscreteMeasure.delta(1)),
+    split_measures(DiscreteMeasure.delta(0), DiscreteMeasure.from_atoms(
+        [(-1, Fraction(1, 2)), (1, Fraction(1, 2))])),
+)
+
+
+@given(st.one_of(st.sampled_from(_FIXTURE_PAIRS), measure_pairs()),
+       st.integers(0, 10**6), st.integers(0, 30),
+       st.sampled_from((1, 64, 1000)), st.sampled_from((777, 4096)),
+       st.sampled_from((None, 6)))
+@settings(max_examples=150, deadline=None)
+def test_first_excursion_matches_doubling_oracle(pair, seed, rep, hf, hmax,
+                                                 slot_cap):
+    assume(pair.exact_mode_ok and pair.rho > 0)
+    cfg = make_cfg(pair, "cost_compare", seed=seed, hf=hf, max_horizon=hmax)
+    got = _first_excursion(cfg, rep, slot_cap=slot_cap)
+    want = doubling_first_excursion(cfg, rep, slot_cap=slot_cap)
+    if want is not None and want[1].right > hmax:
+        # horizon_fwd > max_horizon: the oracle stops at horizon_fwd, the
+        # engine at max_horizon.
+        assert hf > hmax and got is None
+        return
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    (led, exc), (want_led, want_exc) = got, want
+    assert exc == want_exc and led.q == want_led.q
+    for x, y in zip(led.events(-4, exc.right), want_led.events(-4, exc.right)):
+        np.testing.assert_array_equal(x, y)
+
+
+def test_first_excursion_caps_at_max_horizon(symmetric_pair):
+    # horizon_fwd 1000 > max_horizon 777: the ledger-doubling path stopped at
+    # horizon_fwd and kept T* = 957; the one contract censors it.
+    cfg = make_cfg(symmetric_pair, "cost_compare", seed=1, hf=1000,
+                   max_horizon=777)
+    assert doubling_first_excursion(cfg, 6)[1].right == 957
+    assert _first_excursion(cfg, 6) is None
 
 
 def test_config_rejects_unknown_mode_and_policy(symmetric_pair):
