@@ -11,15 +11,13 @@ comparison class whose cost is provably never below the stable one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .embedding import Excursion, match_slots
+from .embedding import Excursion, Ledger, match_slots
 from .errors import ConfigError
 from .gauges import Gauge, eval_gauge
 from .rng import BitStream
-from .walk import LocalTimeLedger
 
 COMPARATOR_KINDS = ("stable", "fifo_rematch", "random_feasible_rematch")
 
@@ -35,35 +33,33 @@ class Comparator:
             raise ConfigError(f"unknown comparator kind {self.kind!r}")
 
 
-def extract_slots(ledger: LocalTimeLedger, exc: Excursion
+def extract_slots(ledger: Ledger, exc: Excursion
                   ) -> tuple[list[int], list[int]]:
     """(source_steps, target_steps) with multiplicity, chronological order."""
     steps, wmu, wnu = ledger.events(exc.left, exc.right)
     return np.repeat(steps, wmu).tolist(), np.repeat(steps, wnu).tolist()
 
 
-def lifo_matching(ledger: LocalTimeLedger, exc: Excursion) -> list[tuple[int, int]]:
+def lifo_matching(ledger: Ledger, exc: Excursion) -> list[tuple[int, int]]:
     """The stable matching; identical to tau* on the excursion's slots."""
     return match_slots(ledger, exc.left, exc.right)
 
 
-def fifo_matching(ledger: LocalTimeLedger, exc: Excursion) -> list[tuple[int, int]]:
+def fifo_matching(ledger: Ledger, exc: Excursion) -> list[tuple[int, int]]:
     """Each target slot takes the oldest waiting source slot."""
     sources, targets = extract_slots(ledger, exc)
     pairs: list[tuple[int, int]] = []
-    queue: list[int] = []
-    si = 0
-    for t in sorted(targets):
+    head = si = 0                  # the waiting queue is sources[head:si]
+    for t in targets:
         while si < len(sources) and sources[si] < t:
-            queue.append(sources[si])
             si += 1
-        if queue:
-            pairs.append((queue.pop(0), t))
-    pairs.sort()
+        if head < si:
+            pairs.append((sources[head], t))
+            head += 1
     return pairs
 
 
-def random_rematch(ledger: LocalTimeLedger, exc: Excursion, seed: int,
+def random_rematch(ledger: Ledger, exc: Excursion, seed: int,
                    n_swaps: int = 8, stable: list | None = None) -> list[tuple[int, int]]:
     """Random forward-preserving transpositions applied to the stable
     matching, passed as ``stable`` when the caller already holds it."""
@@ -73,8 +69,8 @@ def random_rematch(ledger: LocalTimeLedger, exc: Excursion, seed: int,
     rng = BitStream(seed, 0x5EAC, exc.left, exc.right)
     pairs = list(pairs)
     for _ in range(n_swaps):
-        i = min(int(rng.uniform_fraction() * len(pairs)), len(pairs) - 1)
-        j = min(int(rng.uniform_fraction() * len(pairs)), len(pairs) - 1)
+        i = rng.uniform_index(len(pairs))
+        j = rng.uniform_index(len(pairs))
         if i == j:
             continue
         (s1, t1), (s2, t2) = pairs[i], pairs[j]
@@ -84,7 +80,7 @@ def random_rematch(ledger: LocalTimeLedger, exc: Excursion, seed: int,
     return pairs
 
 
-def apply_comparator(ledger: LocalTimeLedger, exc: Excursion, comp: Comparator,
+def apply_comparator(ledger: Ledger, exc: Excursion, comp: Comparator,
                      stable: list | None = None) -> list[tuple[int, int]]:
     """The comparator's matching; ``stable`` as in ``random_rematch``."""
     if comp.kind == "stable":
@@ -94,14 +90,16 @@ def apply_comparator(ledger: LocalTimeLedger, exc: Excursion, comp: Comparator,
     return random_rematch(ledger, exc, comp.seed, comp.n_swaps, stable)
 
 
-def matching_cost(pairs: list[tuple[int, int]], g: Gauge, dt: Fraction,
-                  unit_mass: Fraction) -> float:
-    """Sum of unit_mass * psi((t - s) * dt) over matched slot pairs."""
+def matching_cost(pairs: list[tuple[int, int]], g: Gauge, dt: float,
+                  unit_mass: float) -> float:
+    """Sum of unit_mass * psi((t - s) * dt) over the pairs, left to right."""
     u, d = float(unit_mass), float(dt)
-    return sum(u * eval_gauge(g, (t - s) * d) for s, t in pairs)
+    gaps = [t - s for s, t in pairs]
+    term = {gap: u * eval_gauge(g, gap * d) for gap in set(gaps)}  # once per gap
+    return sum(map(term.__getitem__, gaps))
 
 
-def check_matching(ledger: LocalTimeLedger, exc: Excursion,
+def check_matching(ledger: Ledger, exc: Excursion,
                    pairs: list[tuple[int, int]]) -> None:
     """Forward-looking and balancing sanity for a comparator matching.
 

@@ -7,9 +7,9 @@ size 1/q) the balance events are hit exactly and every identity below holds
 with equality in rational arithmetic.
 
 tau* comes from one balancing kernel, ``parenthesis_match`` (LIFO matching
-of mu-slots against nu-slots); ``compute_tau_star`` and
-``cost_of_tau_star_rescan`` stay as per-step oracles.  T* has one
-first-balance rule and one U-flag draw, shared with the first-hit engine.
+of mu-slots against nu-slots); ``compute_tau_star`` is the per-step
+definition the tests hold it against.  T* has one first-balance rule and
+one U-flag draw, shared with the first-hit engine.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .errors import ConfigError, HorizonExceededError, InvariantError
 from .gauges import Gauge, eval_gauge
 from .measures import MeasurePair
 from .rng import BitStream, STREAM_UFLAG
-from .walk import LocalTimeLedger
+from .walk import EventLedger, LocalTimeLedger
 
 Mode = str  # "exact" | "crossing"
+Ledger = LocalTimeLedger | EventLedger   # both serve ``events(left, right)``
 
 
 @dataclass(frozen=True)
@@ -159,16 +160,10 @@ def mu_charged_steps(ledger: LocalTimeLedger, left: int, right: int) -> np.ndarr
     return rel + left
 
 
-def excursion_mass(ledger: LocalTimeLedger, left: int, right: int) -> Fraction:
+def excursion_mass(ledger: Ledger, left: int, right: int) -> Fraction:
     """mu-mass of visits at steps in [left, right)."""
-    return Fraction(
-        int(ledger.Pmu[ledger.idx(right)] - ledger.Pmu[ledger.idx(left)]),
-        ledger.q)
-
-
-def excursion_from(ledger: LocalTimeLedger, a: int) -> Excursion:
-    right = compute_tau_star(ledger, a)
-    return Excursion(left=a, right=right, mass=excursion_mass(ledger, a, right))
+    steps, wmu, _ = ledger.events(left, right)
+    return Fraction(int(wmu[steps < right].sum()), ledger.q)
 
 
 def decompose_excursions(ledger: LocalTimeLedger, up_to_level: Fraction,
@@ -261,7 +256,7 @@ def parenthesis_match(keys, opens, closes) -> tuple[list, list]:
     return pairs, stack
 
 
-def _match_ledger(ledger: LocalTimeLedger, left: int, right: int
+def _match_ledger(ledger: Ledger, left: int, right: int
                   ) -> tuple[list[tuple[int, int]], list[int]]:
     """The kernel over the mass-carrying steps in [left, right] (exact mode).
 
@@ -297,18 +292,6 @@ def cost_of_tau_star(ledger: LocalTimeLedger, exc: Excursion, g: Gauge) -> float
     return total
 
 
-def cost_of_tau_star_rescan(ledger: LocalTimeLedger, exc: Excursion,
-                            g: Gauge) -> float:
-    """Independent oracle: recompute tau* per charged step by direct scan."""
-    dt = float(ledger.path.cfg.dt)
-    total = 0.0
-    for s in mu_charged_steps(ledger, exc.left, exc.right):
-        w = float(ledger.wmu[ledger.idx(int(s))]) / ledger.q
-        t = compute_tau_star(ledger, int(s))
-        total += w * eval_gauge(g, (t - int(s)) * dt)
-    return total
-
-
 def tau_star_map(ledger: LocalTimeLedger, left: int, right: int
                  ) -> tuple[dict[int, int], list[int]]:
     """tau* for every mu-charged step in [left, right), in one forward pass.
@@ -326,7 +309,7 @@ def tau_star_map(ledger: LocalTimeLedger, left: int, right: int
     return tau, sorted(s for s in still_open if s < right)
 
 
-def match_slots(ledger: LocalTimeLedger, left: int, right: int) -> list[tuple[int, int]]:
+def match_slots(ledger: Ledger, left: int, right: int) -> list[tuple[int, int]]:
     """Sorted (source_step, target_step) slot pairs of the kernel on [left, right].
 
     Every mu-charged step contributes mu(x)*q open slots, every nu-charged

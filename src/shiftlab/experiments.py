@@ -32,8 +32,8 @@ from .measures import MeasurePair, measure_from_spec, split_measures
 from .rng import BitStream, STREAM_FWD, STREAM_START
 from .stable_alloc import PointConfig
 from .transport import inequality_check, sample_feasible_matrix, stable_indicator
-from .walk import (WalkConfig, build_ledger, draw_start, inverse_local_time,
-                   sample_walk)
+from .walk import (EventLedger, WalkConfig, build_ledger, draw_start,
+                   inverse_local_time, sample_walk, site_weights)
 
 EXPERIMENTS = ("embed_law", "unbiased", "cost_compare", "excursion_cost",
                "ergodic", "tail")
@@ -200,11 +200,12 @@ class FirstHitEngine:
     it starts above the balance level, so the first balance is an atom
     visit.  The engine reads the replica's forward stream as 64-step words
     and spends single steps only near the atoms: a word whose start lies
-    more than 64 sites outside the atoms' hull is skipped whole, the other
-    words split into bytes, and only bytes whose range meets the hull
-    become steps.  The path is the stream's, step for step, so the result
-    equals a step-by-step simulation of the same stream whatever the block
-    sizes; horizon doubling continues the stream where it stopped.
+    more than 64 sites outside the hull of the atoms of mu and nu is
+    skipped whole, the other words split into bytes, and only bytes whose
+    range meets the hull become steps, so every atom visit is one of them.
+    The path is the stream's, step for step, so the result equals a
+    step-by-step simulation of the same stream whatever the block sizes;
+    horizon doubling continues the stream where it stopped.
     """
 
     def __init__(self, seed: int, pair: MeasurePair, mode: str = "exact"):
@@ -212,33 +213,43 @@ class FirstHitEngine:
         self.seed = seed
         self.pair = pair
         self.mode = mode
-        q = pair.denominator
-        self.wdiff = {s: int(w * q) for s, w in pair.mu.atoms}
-        for s, w in pair.nu.atoms:
-            self.wdiff[s] = self.wdiff.get(s, 0) - int(w * q)
-        self.wdiff = {s: w for s, w in self.wdiff.items() if w != 0}
-        self._lo = min(self.wdiff, default=0)
-        self._hi = max(self.wdiff, default=0)
-        # Weight by site over [lo - 8, hi + 8]: every step of a kept byte
-        # lies within 7 sites of the hull.
-        self._wtab = np.zeros(self._hi - self._lo + 17, dtype=np.int64)
-        for s, w in self.wdiff.items():
-            self._wtab[s - self._lo + 8] = w
+        sites = [s for m in (pair.mu, pair.nu) for s, _ in m.atoms]
+        self._lo, self._hi = min(sites), max(sites)
+        # Weight difference and atom flag by site over [lo - 8, hi + 8]:
+        # every step of a kept byte lies within 7 sites of the hull.
+        grid = np.arange(self._lo - 8, self._hi + 9)
+        wmu, wnu = (site_weights(grid, m, pair.denominator)
+                    for m in (pair.mu, pair.nu))
+        self._wtab = wmu - wnu
+        self._atom = wmu + wnu > 0
+        self.wdiff = {int(s): int(w) for s, w in zip(grid, self._wtab) if w}
 
     def run_replica(self, replica: int, h0: int, hmax: int,
-                    policy: str = "doubling") -> dict:
+                    policy: str = "doubling", events: bool = False) -> dict:
         """Returns {"t_star", "site", "censored", "horizon", "u_flag"}.
 
         ``horizon`` is the end of the policy block holding T*, or the last
-        block's end when the replica is censored at hmax.
+        block's end when the replica is censored at hmax.  With ``events``
+        the dict also holds "events": the (steps, sites) arrays of the atom
+        visits on [0, T*], step 0 included, or None when censored.
         """
         if policy == "doubling" and h0 < 1 <= hmax:
             raise ConfigError(f"horizon doubling needs h0 >= 1, got {h0}")
         start_stream = BitStream(self.seed, replica, STREAM_START)
         start = draw_start(self.pair.mu, start_stream)
-        if draw_u_flag(self.pair, self.seed, replica, start) == 0:
-            return {"t_star": 0, "site": start, "censored": False,
-                    "horizon": 0, "u_flag": 0}
+        visits = [([0], [start])]          # step 0: the start, a mu-atom
+        out = {"t_star": 0, "site": start, "censored": False,
+               "horizon": 0, "u_flag": 0}
+        if draw_u_flag(self.pair, self.seed, replica, start) == 1:
+            out = self._first_hit(replica, start, h0, hmax, policy,
+                                  visits if events else None)
+        if events:
+            out["events"] = None if out["censored"] else tuple(
+                map(np.concatenate, zip(*visits)))
+        return out
+
+    def _first_hit(self, replica, start, h0, hmax, policy, visits):
+        """run_replica after a U-flag of 1: the scan from ``start``."""
         stream = BitStream(self.seed, replica, STREAM_FWD)
         pos = start
         c = self.wdiff.get(start, 0)       # C(0); reference C(-1) = 0
@@ -250,7 +261,8 @@ class FirstHitEngine:
             # found there belongs to a later block, or past hmax to none.
             if hit is None and scanned < horizon:
                 n_words = -(-(horizon - scanned) // 64)
-                found, pos, c = self._scan(stream.take_words(n_words), pos, c)
+                found, pos, c = self._scan(stream.take_words(n_words), pos, c,
+                                           visits, scanned)
                 if found is not None:
                     hit = (scanned + found[0] + 1, found[1])
                 scanned += 64 * n_words
@@ -260,10 +272,13 @@ class FirstHitEngine:
         return {"t_star": None, "site": None, "censored": True,
                 "horizon": horizon, "u_flag": 1}
 
-    def _scan(self, words: np.ndarray, pos: int, c: int):
+    def _scan(self, words: np.ndarray, pos: int, c: int,
+              visits: list | None, offset: int):
         """First balance in the steps of ``words``, walked from (pos, c).
 
-        Returns ((step index, site) or None, end position, end C).
+        Returns ((step index, site) or None, end position, end C).  When
+        ``visits`` is a list, appends the (step, site) arrays of the atom
+        visits up to the balance, steps counted from ``offset``.
         """
         disp = np.bitwise_count(words).astype(np.int64)
         disp *= 2
@@ -287,18 +302,25 @@ class FirstHitEngine:
             return None, pos_end, c
         sites = _BYTE_PATH[byts.ravel()[keep]]
         sites += bstart.ravel()[keep, None]
-        c_arr = np.cumsum(self._wtab[sites.ravel() - (self._lo - 8)])
+        sites = sites.ravel()
+        c_arr = np.cumsum(self._wtab[sites - (self._lo - 8)])
         c_arr += c
         c_end = int(c_arr[-1])
         h = first_balance(c_arr, 0, self.mode)
+        if visits is not None:
+            end = None if h is None else h + 1
+            k = np.flatnonzero(self._atom[sites[:end] - (self._lo - 8)])
+            byte = keep[k // 8]
+            visits.append((near[byte // 8] * 64 + byte % 8 * 8 + k % 8
+                           + (offset + 1), sites[k]))
         if h is None:
             return None, pos_end, c_end
         byte = keep[h // 8]
         step = int(near[byte // 8]) * 64 + int(byte % 8) * 8 + h % 8
-        return (step, int(sites.ravel()[h])), pos_end, c_end
+        return (step, int(sites[h])), pos_end, c_end
 
 
-def _t_star_finder(cfg: ExperimentConfig):
+def _t_star_finder(cfg: ExperimentConfig, events: bool = False):
     """rep -> run_replica output: T* under the one horizon contract.
 
     Every experiment finds T* here.  ``horizon_fwd`` is the first block under
@@ -307,7 +329,8 @@ def _t_star_finder(cfg: ExperimentConfig):
     """
     engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
     return lambda rep: engine.run_replica(rep, cfg.walk.horizon_fwd,
-                                          cfg.max_horizon, cfg.horizon_policy)
+                                          cfg.max_horizon, cfg.horizon_policy,
+                                          events)
 
 
 def _mean_se(xs: list[float]) -> tuple[float, float]:
@@ -423,19 +446,19 @@ def run_unbiased_test(cfg: ExperimentConfig) -> StatReport:
 
 
 def _first_excursion(cfg: ExperimentConfig, rep: int,
-                     slot_cap: int | None = None):
-    """Ledger and excursion [0, T*] for one replica, or None.
+                     slot_cap: int | None = None, find=None):
+    """Event ledger and excursion [0, T*] for one replica, or None.
 
     None when the replica is censored, when T* = 0 (U-flag 0), or when the
-    excursion carries more than ``slot_cap`` mu-slots.  The path is sampled
-    once, extended to T*, and gets one ledger.
+    excursion carries more than ``slot_cap`` mu-slots.  The ledger holds the
+    atom visits the first-hit scan saw; ``find`` is the run's
+    ``_t_star_finder(cfg, events=True)``, built here when not given.
     """
-    t = _t_star_finder(cfg)(rep)["t_star"]
+    out = (find or _t_star_finder(cfg, events=True))(rep)
+    t = out["t_star"]
     if not t:                              # censored (None) or T* = 0
         return None
-    path = sample_walk(cfg.walk, replica=rep)
-    path.extend_fwd(t)
-    ledger = build_ledger(path, cfg.pair)
+    ledger = EventLedger(*out["events"], cfg.pair)
     exc = Excursion(left=0, right=t, mass=excursion_mass(ledger, 0, t))
     if slot_cap is not None and exc.mass * ledger.q > slot_cap:
         return None
@@ -451,23 +474,26 @@ def run_cost_compare(cfg: ExperimentConfig, comparators=None) -> StatReport:
     violations = 0
     skipped = 0
     used = 0
+    find = _t_star_finder(cfg, events=True)
+    dt = float(cfg.walk.dt)
     for rep in range(cfg.replicas):
-        got = _first_excursion(cfg, rep)
+        got = _first_excursion(cfg, rep, find=find)
         if got is None:
             skipped += 1
             continue
         ledger, exc = got
         used += 1
-        unit = Fraction(1, ledger.q)
+        unit = 1 / ledger.q
         mass = float(exc.mass)
         stable_pairs = lifo_matching(ledger, exc)
-        c_stable = [matching_cost(stable_pairs, g, cfg.walk.dt, unit)
+        c_stable = [matching_cost(stable_pairs, g, dt, unit)
                     for g in cfg.gauges]
         for comp in comparators:
             pairs = apply_comparator(ledger, exc, comp, stable_pairs)
             check_matching(ledger, exc, pairs)
-            for g, c_stable_g in zip(cfg.gauges, c_stable):
-                c_comp = matching_cost(pairs, g, cfg.walk.dt, unit)
+            costs = c_stable if comp.kind == "stable" else [
+                matching_cost(pairs, g, dt, unit) for g in cfg.gauges]
+            for g, c_stable_g, c_comp in zip(cfg.gauges, c_stable, costs):
                 if c_comp < c_stable_g - tol:
                     violations += 1
                 key = (comp.kind, g.label)
@@ -502,8 +528,9 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
     skipped = 0
     equality_checked = 0
     rows = []
+    find = _t_star_finder(cfg, events=True)
     for rep in range(cfg.replicas):
-        got = _first_excursion(cfg, rep, slot_cap=slot_cap)
+        got = _first_excursion(cfg, rep, slot_cap, find)
         if got is None:
             skipped += 1
             continue

@@ -46,6 +46,8 @@ class Gauge:
                 raise ConfigError("capped gauge needs a positive cap")
         elif self.param is not None:
             raise ConfigError(f"gauge {self.kind!r} takes no parameter")
+        # eval_gauge reads the parameter as a float, converted once here.
+        object.__setattr__(self, "_p", float(self.param or 0))
 
     def __call__(self, t: float) -> float:
         return eval_gauge(self, t)
@@ -104,11 +106,11 @@ def eval_gauge(g: Gauge, t) -> float:
     if t == 0.0:
         return 0.0
     if g.kind == "power":
-        return t ** float(g.param)
+        return t ** g._p
     if g.kind == "log1p":
         return math.log1p(t)
     if g.kind == "capped":
-        return min(t, float(g.param))
+        return min(t, g._p)
     return t / (1.0 + t)
 
 

@@ -7,10 +7,10 @@ auxiliary draws all get their own stream id and can therefore run in any
 order, or in parallel, without coordination.
 
 One stream serves one consumer kind: bits (``take_bits``/``take_steps``),
-raw words (``take_words``) or uniforms (``uniform_fraction``/
-``uniform_floats``).  The bit kind buffers unread bits and the others read
-the raw words directly, so mixing kinds would make the output depend on how
-requests are chunked; asking a stream for a second kind raises.
+raw words (``take_words``) or uniforms (``uniform_*``).  The bit kind
+buffers unread bits and the others read the raw words directly, so mixing
+kinds would make the output depend on how requests are chunked; asking a
+stream for a second kind raises.
 """
 
 from __future__ import annotations
@@ -43,23 +43,25 @@ class BitStream:
     """A reproducible stream of bits / signed steps / uniform words.
 
     The stream is a pure function of (seed, *ids); chunk boundaries do not
-    affect the output.
+    affect the output.  The Philox generator is built on the first draw, so
+    a stream that is never read costs no construction.
     """
 
     def __init__(self, seed: int, *ids: int):
         self.seed = int(seed) & _MASK64
         self.ids = tuple(int(i) for i in ids)
-        self._bg = np.random.Philox(key=[self.seed, _mix(self.ids)])
+        self._bg: np.random.Philox | None = None
         self._bits = np.empty(0, dtype=np.uint8)
         self._kind: str | None = None
 
     def _claim(self, kind: str) -> None:
-        """Bind the stream to ``kind``; callers check ``_kind`` first."""
+        """First draw: bind the stream to ``kind`` and build its generator."""
         if self._kind is not None:
             raise InvariantError(
                 f"stream {(self.seed, *self.ids)} serves {self._kind} draws; "
                 f"it cannot also serve {kind} draws")
         self._kind = kind
+        self._bg = np.random.Philox(key=[self.seed, _mix(self.ids)])
 
     def take_bits(self, n: int) -> np.ndarray:
         """Return the next n bits as a uint8 array of 0/1."""
@@ -98,6 +100,12 @@ class BitStream:
             self._claim("uniforms")
         word = int(self._bg.random_raw(1)[0])
         return Fraction(word, 1 << 64)
+
+    def uniform_index(self, n: int) -> int:
+        """int(uniform_fraction() * n), the same floor, without the Fraction."""
+        if self._kind != "uniforms":
+            self._claim("uniforms")
+        return (int(self._bg.random_raw(1)[0]) * n) >> 64
 
     def uniform_floats(self, n: int) -> np.ndarray:
         if self._kind != "uniforms":

@@ -284,11 +284,10 @@ def sample_feasible_matrix(cfg: PointConfig, N: int, seed: int,
                 cands.append((i, j, k, l))
         if not cands:
             continue
-        pick = int(rng.uniform_fraction() * len(cands))
-        i, j, k, l = cands[min(pick, len(cands) - 1)]
+        i, j, k, l = cands[rng.uniform_index(len(cands))]
         avail = min(pi.get(i, j), pi.get(k, l))
         # Random rational delta in (0, avail] with a small denominator.
-        num = int(rng.uniform_fraction() * 8) + 1
+        num = rng.uniform_index(8) + 1
         delta = avail * Fraction(num, 8)
         if delta == 0:
             continue
@@ -309,9 +308,9 @@ def random_interleaved_config(seed: int, n_pairs: int,
     rng = BitStream(seed, 0xC0F19)
     values: set[int] = set()        # numerators over 4
     while len(values) < 2 * n_pairs:
-        values.add(int(rng.uniform_fraction() * value_range * 4))
+        values.add(rng.uniform_index(4 * value_range))
     vals = sorted(values)
-    labels = [(v, int(rng.uniform_fraction() * 2)) for v in vals]
+    labels = [(v, rng.uniform_index(2)) for v in vals]
     a_vals = [v for v, t in labels if t == 0]
     b_vals = [v for v, t in labels if t == 1]
     # Guarantee nonempty sides and right-padding so every a matches and the

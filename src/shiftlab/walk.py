@@ -63,6 +63,8 @@ class WalkConfig:
 
 def draw_start(law: DiscreteMeasure, stream: BitStream) -> int:
     """Inverse-CDF draw from an atomic law, exact in rational arithmetic."""
+    if len(law.atoms) == 1:                # no draw: the stream stays unread
+        return law.atoms[0][0]
     u = stream.uniform_fraction()
     for site, acc in law.cumulative():
         if u < acc:
@@ -161,6 +163,14 @@ def sample_walk(cfg: WalkConfig, replica: int = 0) -> WalkPath:
 Functional = Literal["mu", "nu", "mu+nu"]
 
 
+def site_weights(pos: np.ndarray, m: DiscreteMeasure, q: int) -> np.ndarray:
+    """Weight numerator over q of ``m`` at each position of ``pos``."""
+    w = np.zeros(len(pos), dtype=np.int64)
+    for site, x in m.atoms:
+        w[pos == site] = int(x * q)
+    return w
+
+
 class LocalTimeLedger:
     """Per-site visit counts and the functionals L^mu, L^nu, D = L^mu - L^nu.
 
@@ -174,20 +184,12 @@ class LocalTimeLedger:
         self.q = pair.denominator
         self.hb = path.horizon_bwd
         self.hf = path.horizon_fwd
-        pos = path.full_positions()
-        self.pos_all = pos
-        m = len(pos)
-        wmu = np.zeros(m, dtype=np.int64)
-        wnu = np.zeros(m, dtype=np.int64)
-        for site, w in pair.mu.atoms:
-            wmu[pos == site] = int(w * self.q)
-        for site, w in pair.nu.atoms:
-            wnu[pos == site] = int(w * self.q)
-        self.wmu = wmu
-        self.wnu = wnu
+        self.pos_all = path.full_positions()
+        self.wmu = site_weights(self.pos_all, pair.mu, self.q)
+        self.wnu = site_weights(self.pos_all, pair.nu, self.q)
         # Exclusive prefix sums: mass over steps [s, t] = P[idx(t)+1] - P[idx(s)].
-        self.Pmu = np.concatenate([[0], np.cumsum(wmu, dtype=np.int64)])
-        self.Pnu = np.concatenate([[0], np.cumsum(wnu, dtype=np.int64)])
+        self.Pmu = np.concatenate([[0], np.cumsum(self.wmu, dtype=np.int64)])
+        self.Pnu = np.concatenate([[0], np.cumsum(self.wnu, dtype=np.int64)])
         self.X = self.Pmu - self.Pnu
 
     def idx(self, n: int) -> int:
@@ -256,6 +258,30 @@ class LocalTimeLedger:
 
 def build_ledger(path: WalkPath, pair: MeasurePair) -> LocalTimeLedger:
     return LocalTimeLedger(path, pair)
+
+
+class EventLedger:
+    """The mass-carrying steps of a path on [0, steps[-1]], nothing else.
+
+    Built from atom visits: steps increasing from 0 and their sites.
+    ``events`` has the contract of ``LocalTimeLedger.events``, so slot
+    matchings and excursion masses run on either ledger at O(events) cost.
+    """
+
+    def __init__(self, steps: np.ndarray, sites: np.ndarray, pair: MeasurePair):
+        self.steps, self.pair, self.q = steps, pair, pair.denominator
+        self.wmu = site_weights(sites, pair.mu, self.q)
+        self.wnu = site_weights(sites, pair.nu, self.q)
+
+    def events(self, left: int, right: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(steps, wmu, wnu) of the steps in [left, right] that carry mass."""
+        end = int(self.steps[-1])
+        if left < 0 or right > end:
+            raise HorizonExceededError(
+                f"steps [{left}, {right}] outside [0, {end}]", horizon=end)
+        lo, hi = np.searchsorted(self.steps, (left, right + 1))
+        return self.steps[lo:hi], self.wmu[lo:hi], self.wnu[lo:hi]
 
 
 def inverse_local_time(ledger: LocalTimeLedger, functional: Functional,

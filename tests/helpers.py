@@ -3,10 +3,15 @@
 ScriptedPath mimics the WalkPath interface but replays a fixed position
 sequence, so ledger and embedding behavior can be checked against hand
 counts.  step_first_hit is the step-by-step first-hit simulation that the
-word-skipping FirstHitEngine must reproduce exactly; doubling_first_excursion
-is the ledger-rebuilding reference for experiments._first_excursion;
-bisect_compute_N and scan_find_crossing are the per-point and per-cell
-references for the merged compute_N sweep and the index-list find_crossing.
+word-skipping FirstHitEngine must reproduce exactly; dense_first_excursion
+(one dense path and ledger) and doubling_first_excursion (a ledger rebuilt
+at each doubling) are references for the event-ledger
+experiments._first_excursion; excursion_from and cost_of_tau_star_rescan
+take tau* from the per-step compute_tau_star instead of the kernel;
+queue_fifo_matching is the list-queue reference for
+comparators.fifo_matching; bisect_compute_N and
+scan_find_crossing are the per-point and per-cell references for the merged
+compute_N sweep and the index-list find_crossing.
 """
 
 from __future__ import annotations
@@ -18,9 +23,12 @@ from fractions import Fraction
 import numpy as np
 
 from shiftlab import experiments
-from shiftlab.embedding import (Excursion, compute_t_star, draw_u_flag,
-                                excursion_mass, first_balance)
+from shiftlab.comparators import extract_slots
+from shiftlab.embedding import (Excursion, compute_t_star, compute_tau_star,
+                                draw_u_flag, excursion_mass, first_balance,
+                                mu_charged_steps)
 from shiftlab.errors import ConfigError, HorizonExceededError, TruncationError
+from shiftlab.gauges import eval_gauge
 from shiftlab.rng import STREAM_FWD, STREAM_START, BitStream
 from shiftlab.transport import Crossing
 from shiftlab.walk import build_ledger, draw_start, sample_walk
@@ -107,6 +115,57 @@ def step_first_hit(engine, replica: int, h0: int, hmax: int,
         pos = int(pos_arr[-1])
         c = int(c_arr[-1])
         done += chunk
+
+
+def dense_first_excursion(cfg, rep: int, slot_cap: int | None = None):
+    """experiments._first_excursion on the dense path and ledger.
+
+    T* comes from the engine; the path is sampled once, extended to T*, and
+    gets one LocalTimeLedger.
+    """
+    t = experiments._t_star_finder(cfg)(rep)["t_star"]
+    if not t:                              # censored (None) or T* = 0
+        return None
+    path = sample_walk(cfg.walk, replica=rep)
+    path.extend_fwd(t)
+    ledger = build_ledger(path, cfg.pair)
+    exc = Excursion(left=0, right=t, mass=excursion_mass(ledger, 0, t))
+    if slot_cap is not None and exc.mass * ledger.q > slot_cap:
+        return None
+    return ledger, exc
+
+
+def excursion_from(ledger, a: int) -> Excursion:
+    """The excursion [a, tau*(a)], tau* by the per-step scan."""
+    right = compute_tau_star(ledger, a)
+    return Excursion(left=a, right=right, mass=excursion_mass(ledger, a, right))
+
+
+def cost_of_tau_star_rescan(ledger, exc, g) -> float:
+    """embedding.cost_of_tau_star with tau* recomputed per charged step."""
+    dt = float(ledger.path.cfg.dt)
+    total = 0.0
+    for s in mu_charged_steps(ledger, exc.left, exc.right):
+        w = float(ledger.wmu[ledger.idx(int(s))]) / ledger.q
+        t = compute_tau_star(ledger, int(s))
+        total += w * eval_gauge(g, (t - int(s)) * dt)
+    return total
+
+
+def queue_fifo_matching(ledger, exc) -> list[tuple[int, int]]:
+    """comparators.fifo_matching with an explicit list queue (pop(0))."""
+    sources, targets = extract_slots(ledger, exc)
+    pairs: list[tuple[int, int]] = []
+    queue: list[int] = []
+    si = 0
+    for t in sorted(targets):
+        while si < len(sources) and sources[si] < t:
+            queue.append(sources[si])
+            si += 1
+        if queue:
+            pairs.append((queue.pop(0), t))
+    pairs.sort()
+    return pairs
 
 
 def doubling_first_excursion(cfg, rep: int, slot_cap: int | None = None):

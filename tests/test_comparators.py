@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ScriptedPath
 
@@ -10,7 +12,7 @@ from shiftlab.comparators import (COMPARATOR_KINDS, Comparator,
                                   matching_cost, random_rematch)
 from shiftlab.embedding import (Excursion, compute_t_star, excursion_mass)
 from shiftlab.errors import ConfigError, HorizonExceededError
-from shiftlab.gauges import default_gauges, power
+from shiftlab.gauges import default_gauges, eval_gauge, power
 from shiftlab.measures import DiscreteMeasure, split_measures
 from shiftlab.walk import WalkConfig, build_ledger, sample_walk
 
@@ -124,3 +126,18 @@ def test_check_matching_rejects_bad_pairs():
         check_matching(led, exc, [(0, 1)])              # misses a slot
     with pytest.raises(ConfigError):
         check_matching(led, exc, [(1, 0), (2, 3)])      # backward pair
+
+
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 5000)),
+                max_size=60),
+       st.sampled_from(default_gauges()), st.sampled_from((1, 2, 3, 7)),
+       st.fractions(Fraction(1, 64), 4))
+@settings(max_examples=200, deadline=None)
+def test_matching_cost_is_the_left_to_right_sum(raw, g, q, dx):
+    # One psi evaluation per distinct gap, the same floats summed in pair
+    # order: bit-identical to the per-pair sum.
+    pairs = [(s, s + gap) for s, gap in raw]
+    u, d = 1 / q, float(dx * dx)
+    want = sum(u * eval_gauge(g, (t - s) * d) for s, t in pairs)
+    assert matching_cost(pairs, g, dx * dx, Fraction(1, q)) == want
+    assert matching_cost(pairs, g, d, u) == want

@@ -2,14 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ScriptedPath
+from helpers import ScriptedPath, cost_of_tau_star_rescan, excursion_from
 
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.gauges import capped, default_gauges, power
 from shiftlab.measures import DiscreteMeasure, split_measures
 from shiftlab.embedding import (Excursion, compute_t_star, compute_tau_star,
-                                cost_of_tau_star, cost_of_tau_star_rescan,
-                                decompose_excursions, excursion_from,
+                                cost_of_tau_star, decompose_excursions,
                                 excursion_mass, match_slots, mu_charged_steps,
                                 tau_star_map)
 from shiftlab.walk import WalkConfig, build_ledger, sample_walk

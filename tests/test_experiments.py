@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import doubling_first_excursion, step_first_hit
-from shiftlab import experiments
+from shiftlab import experiments, walk
 from shiftlab.embedding import compute_t_star
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.experiments import (DEFAULT_THRESHOLDS, ExperimentConfig,
@@ -125,15 +125,27 @@ def test_first_excursion_slot_cap_keeps_the_mass_filter(symmetric_pair):
 
 def test_first_excursion_builds_one_ledger_per_path(monkeypatch,
                                                     symmetric_pair):
-    built = []
-    real = experiments.build_ledger
-    monkeypatch.setattr(experiments, "build_ledger",
-                        lambda path, pair: built.append(path.replica)
-                        or real(path, pair))
+    # One event ledger per used path, from the engine's atom visits; no
+    # WalkPath and no LocalTimeLedger is built, however it would be reached.
+    built, dense = [], []
+    real = experiments.EventLedger
+    monkeypatch.setattr(experiments, "EventLedger",
+                        lambda steps, sites, pair: built.append(int(steps[-1]))
+                        or real(steps, sites, pair))
+    for owner, attr in ((experiments, "sample_walk"),
+                        (experiments, "build_ledger"),
+                        (walk.WalkPath, "__init__"),
+                        (walk.LocalTimeLedger, "__init__")):
+        monkeypatch.setattr(owner, attr,
+                            lambda *args, attr=attr, **kw: dense.append(attr))
     cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=40,
                    hf=16, max_horizon=1 << 14)
-    used = [rep for rep in range(40) if _first_excursion(cfg, rep) is not None]
+    got = [_first_excursion(cfg, rep) for rep in range(40)]
+    used = [exc.right for _, exc in filter(None, got)]
     assert built == used and len(used) > 20
+    assert run_cost_compare(cfg).data["paths_used"] == len(used)
+    assert run_excursion_cost(cfg, matrices_per_excursion=1).data["checks"] > 0
+    assert dense == []
 
 
 def test_embed_law_forced(delta_pair):
@@ -342,7 +354,8 @@ def test_first_excursion_matches_doubling_oracle(pair, seed, rep, hf, hmax,
         return
     (led, exc), (want_led, want_exc) = got, want
     assert exc == want_exc and led.q == want_led.q
-    for x, y in zip(led.events(-4, exc.right), want_led.events(-4, exc.right)):
+    # The event ledger holds [0, T*] = [0, exc.right].
+    for x, y in zip(led.events(0, exc.right), want_led.events(0, exc.right)):
         np.testing.assert_array_equal(x, y)
 
 

@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ScriptedPath
+from helpers import ScriptedPath, cost_of_tau_star_rescan, excursion_from
 
 from shiftlab.embedding import (Excursion, compute_tau_star, cost_of_tau_star,
-                                cost_of_tau_star_rescan, excursion_from,
                                 excursion_mass, match_slots, mu_charged_steps,
                                 parenthesis_match, tau_star_map)
 from shiftlab.errors import ConfigError, HorizonExceededError

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from shiftlab.errors import InvariantError
+from shiftlab.measures import DiscreteMeasure
 from shiftlab.rng import (BitStream, STREAM_BWD, STREAM_FWD, STREAM_START,
-                          stream)
+                          _mix, stream)
+from shiftlab.walk import draw_start
 
 
 def test_chunking_invariance():
@@ -81,3 +85,37 @@ def test_stream_helper():
     a = stream(3, 1, STREAM_FWD).take_bits(64)
     b = BitStream(3, 1, STREAM_FWD).take_bits(64)
     assert np.array_equal(a, b)
+
+
+@given(hst.integers(0, 2**64 - 1), hst.integers(0, 2**20),
+       hst.lists(hst.integers(1, 2**80), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_uniform_index_is_the_floor_of_uniform_fraction(seed, rep, sizes):
+    st_index, twin = BitStream(seed, rep, 0x5EAC), BitStream(seed, rep, 0x5EAC)
+    for n in sizes:
+        assert st_index.uniform_index(n) == int(twin.uniform_fraction() * n)
+
+
+
+def test_uniform_index_claims_the_uniform_kind():
+    draws = BitStream(7, 0, STREAM_START)
+    draws.uniform_index(3)
+    draws.uniform_fraction()
+    with pytest.raises(InvariantError):
+        draws.take_words(1)
+
+
+def test_lazy_stream_gives_the_eager_words():
+    # The generator is built on the first draw, from the same key.
+    for seed, ids in ((11, (0, STREAM_FWD)), (2**64 + 5, (3, 0x5EAC, -1))):
+        eager = np.random.Philox(key=[seed & (2**64 - 1), _mix(ids)])
+        lazy = BitStream(seed, *ids)
+        assert lazy._bg is None
+        assert np.array_equal(lazy.take_words(40), eager.random_raw(40))
+        assert lazy.take_words(3).tolist() == eager.random_raw(3).tolist()
+
+
+def test_one_atom_start_reads_no_stream():
+    start = BitStream(3, 0, STREAM_START)
+    assert draw_start(DiscreteMeasure.delta(4), start) == 4
+    assert start._bg is None and start._kind is None

@@ -195,3 +195,14 @@ def test_interleaved_configs_are_pinned():
         cfg, N = random_interleaved_config(seed, 1 + seed % 25)
         rows.append(([str(x) for x in cfg.a], [str(x) for x in cfg.b], N))
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "8246e70e516eefa1"
+
+
+def test_feasible_matrices_are_pinned():
+    # sample_feasible_matrix draws its cell and its mass fraction from one
+    # uniform stream; a change of draw arithmetic must not move an entry.
+    h = hashlib.sha256()
+    for seed in range(60):
+        cfg, N = random_interleaved_config(seed, 1 + seed % 6)
+        pi = sample_feasible_matrix(cfg, N, seed=seed)
+        h.update(repr(sorted(pi.entries.items())).encode())
+    assert h.hexdigest()[:16] == "9dc94c7419bc70b2"
