@@ -113,11 +113,11 @@ def _gauges(obj: dict):
 
 
 def _matrix(obj: dict, cfg: PointConfig) -> TransportMatrix:
-    n_window = int(obj["N"]) if "N" in obj else compute_N(cfg)["N"]
-    if "matrix" in obj:
-        return TransportMatrix.from_json(cfg, {"N": n_window,
-                                               "entries": obj["matrix"]})
-    return stable_indicator(cfg, n_window)
+    """The config's matrix, or the stable indicator, on the window N."""
+    pi = TransportMatrix.from_json(cfg, {
+        "N": obj["N"] if "N" in obj else compute_N(cfg)["N"],
+        "entries": obj.get("matrix", [])})
+    return pi if "matrix" in obj else stable_indicator(cfg, pi.N)
 
 
 def _cmd_repair(args, obj: dict, out_dir: Path) -> int:
@@ -169,9 +169,10 @@ _EXPERIMENT_RUNNERS = {
 
 def _cmd_experiment(name: str, obj: dict, out_dir: Path) -> int:
     experiment, runner = _EXPERIMENT_RUNNERS[name]
-    obj = dict(obj)
-    obj.setdefault("experiment", experiment)
-    cfg = ExperimentConfig.from_json(obj)
+    if obj.get("experiment", experiment) != experiment:
+        raise ConfigError(f"config names experiment {obj['experiment']!r}, "
+                          f"but '{name}' runs {experiment!r}")
+    cfg = ExperimentConfig.from_json({**obj, "experiment": experiment})
     report = runner(cfg)
     _write_report(report, out_dir)
     return EXIT_OK

@@ -31,10 +31,14 @@ class Comparator:
     def __post_init__(self):
         if self.kind not in COMPARATOR_KINDS:
             raise ConfigError(f"unknown comparator kind {self.kind!r}")
+        if self.n_swaps < 0:
+            raise ConfigError(f"n_swaps must be >= 0, got {self.n_swaps}")
 
 
-def extract_slots(ledger: Ledger, exc: Excursion
-                  ) -> tuple[list[int], list[int]]:
+Slots = tuple[list[int], list[int]]       # (source steps, target steps)
+
+
+def extract_slots(ledger: Ledger, exc: Excursion) -> Slots:
     """(source_steps, target_steps) with multiplicity, chronological order."""
     steps, wmu, wnu = ledger.events(exc.left, exc.right)
     return np.repeat(steps, wmu).tolist(), np.repeat(steps, wnu).tolist()
@@ -45,9 +49,9 @@ def lifo_matching(ledger: Ledger, exc: Excursion) -> list[tuple[int, int]]:
     return match_slots(ledger, exc.left, exc.right)
 
 
-def fifo_matching(ledger: Ledger, exc: Excursion) -> list[tuple[int, int]]:
+def fifo_matching(slots: Slots) -> list[tuple[int, int]]:
     """Each target slot takes the oldest waiting source slot."""
-    sources, targets = extract_slots(ledger, exc)
+    sources, targets = slots
     pairs: list[tuple[int, int]] = []
     head = si = 0                  # the waiting queue is sources[head:si]
     for t in targets:
@@ -59,15 +63,13 @@ def fifo_matching(ledger: Ledger, exc: Excursion) -> list[tuple[int, int]]:
     return pairs
 
 
-def random_rematch(ledger: Ledger, exc: Excursion, seed: int,
-                   n_swaps: int = 8, stable: list | None = None) -> list[tuple[int, int]]:
-    """Random forward-preserving transpositions applied to the stable
-    matching, passed as ``stable`` when the caller already holds it."""
-    pairs = lifo_matching(ledger, exc) if stable is None else stable
-    if len(pairs) < 2:
-        return pairs
+def random_rematch(stable: list[tuple[int, int]], exc: Excursion, seed: int,
+                   n_swaps: int = 8) -> list[tuple[int, int]]:
+    """Random forward-preserving transpositions applied to the stable pairs."""
+    if len(stable) < 2:
+        return stable
     rng = BitStream(seed, 0x5EAC, exc.left, exc.right)
-    pairs = list(pairs)
+    pairs = list(stable)
     for _ in range(n_swaps):
         i = rng.uniform_index(len(pairs))
         j = rng.uniform_index(len(pairs))
@@ -80,14 +82,14 @@ def random_rematch(ledger: Ledger, exc: Excursion, seed: int,
     return pairs
 
 
-def apply_comparator(ledger: Ledger, exc: Excursion, comp: Comparator,
-                     stable: list | None = None) -> list[tuple[int, int]]:
-    """The comparator's matching; ``stable`` as in ``random_rematch``."""
+def apply_comparator(comp: Comparator, exc: Excursion, slots: Slots,
+                     stable: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The comparator's matching of the excursion's slots."""
     if comp.kind == "stable":
-        return lifo_matching(ledger, exc) if stable is None else stable
+        return stable
     if comp.kind == "fifo_rematch":
-        return fifo_matching(ledger, exc)
-    return random_rematch(ledger, exc, comp.seed, comp.n_swaps, stable)
+        return fifo_matching(slots)
+    return random_rematch(stable, exc, comp.seed, comp.n_swaps)
 
 
 def matching_cost(pairs: list[tuple[int, int]], g: Gauge, dt: float,
@@ -96,23 +98,24 @@ def matching_cost(pairs: list[tuple[int, int]], g: Gauge, dt: float,
     u, d = float(unit_mass), float(dt)
     gaps = [t - s for s, t in pairs]
     term = {gap: u * eval_gauge(g, gap * d) for gap in set(gaps)}  # once per gap
-    return sum(map(term.__getitem__, gaps))
+    total = 0.0
+    for gap in gaps:             # not sum(): Python 3.12 compensates it
+        total += term[gap]
+    return total
 
 
-def check_matching(ledger: Ledger, exc: Excursion,
-                   pairs: list[tuple[int, int]]) -> None:
+def check_matching(slots: Slots, pairs: list[tuple[int, int]]) -> None:
     """Forward-looking and balancing sanity for a comparator matching.
 
     Balancing means the matched source/target steps reproduce the slot
-    multisets of the excursion exactly (a bijection of unit-mass slots).
+    multisets of the excursion exactly (a bijection of unit-mass slots),
+    so every pair also lies inside the excursion.
     """
-    sources, targets = extract_slots(ledger, exc)
+    sources, targets = slots
     if sorted(s for s, _ in pairs) != sources:
         raise ConfigError("matching does not cover the mu-slots exactly")
-    if sorted(t for _, t in pairs) != sorted(targets):
+    if sorted(t for _, t in pairs) != targets:
         raise ConfigError("matching does not cover the nu-slots exactly")
     for s, t in pairs:
         if not (t > s):
             raise ConfigError(f"pair ({s}, {t}) is not forward-looking")
-        if not (exc.left <= s <= exc.right and exc.left <= t <= exc.right):
-            raise ConfigError(f"pair ({s}, {t}) leaves the excursion")

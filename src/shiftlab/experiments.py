@@ -20,12 +20,12 @@ import numpy as np
 from scipy import stats as sstats
 
 from .comparators import (Comparator, apply_comparator, check_matching,
-                          lifo_matching, matching_cost)
+                          extract_slots, lifo_matching, matching_cost)
 from .embedding import (Excursion, check_options, draw_u_flag,
-                        excursion_mass, first_balance, match_slots,
-                        mu_charged_steps, require_mode, tau_star_map)
-# perfbench/tracing.LAYERS patches compute_t_star in this namespace.
-from .embedding import compute_t_star  # noqa: F401
+                        excursion_mass, first_balance, mu_charged_steps,
+                        require_mode, tau_star_map)
+# perfbench/tracing.LAYERS patches these in this namespace.
+from .embedding import compute_t_star, match_slots  # noqa: F401
 from .errors import ConfigError, InvariantError
 from .gauges import Gauge, default_gauges, eval_gauge, gauges_from_json
 from .measures import MeasurePair, measure_from_spec, split_measures
@@ -41,7 +41,6 @@ EXPERIMENTS = ("embed_law", "unbiased", "cost_compare", "excursion_cost",
 DEFAULT_THRESHOLDS = {
     "sigma": 3.0,
     "ks_alpha": 0.01,
-    "rel_gap": 0.10,
     "margin_tol": 1e-10,
     "censor_flag": 0.20,
 }
@@ -75,43 +74,46 @@ class ExperimentConfig:
             raise ConfigError(f"max_horizon must be >= 1, got {self.max_horizon}")
         if not self.lags or min(self.lags) < 1:
             raise ConfigError(f"lags must be nonempty and >= 1, got {list(self.lags)}")
+        if self.r_levels < 1:
+            raise ConfigError(f"r_levels must be >= 1, got {self.r_levels}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        try:
-            mu = measure_from_spec(obj["mu"])
-            nu = measure_from_spec(obj["nu"])
-        except KeyError as exc:
-            raise ConfigError("config must define 'mu' and 'nu'") from exc
-        pair = split_measures(mu, nu)
-        if "walk" not in obj:
-            raise ConfigError("config must define 'walk'")
+        for key in ("mu", "nu", "walk"):
+            if key not in obj:
+                raise ConfigError(f"config must define {key!r}")
+        mu = measure_from_spec(obj["mu"])
+        pair = split_measures(mu, measure_from_spec(obj["nu"]))
         walk = WalkConfig.from_json(obj["walk"], start_law=mu)
-        gauges = gauges_from_json(obj["gauges"]) if obj.get("gauges") else default_gauges()
-        thresholds = dict(DEFAULT_THRESHOLDS)
-        thresholds.update(obj.get("thresholds", {}))
         experiment = obj.get("experiment", "embed_law")
         if experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {experiment!r}")
-        comps = []
-        for c in obj.get("comparators", []):
-            comps.append(Comparator(c["kind"], seed=int(c.get("seed", 0)),
-                                    n_swaps=int(c.get("n_swaps", 8))))
         kwargs = {}
-        if comps:
-            kwargs["comparators"] = tuple(comps)
-        if "lags" in obj:
-            kwargs["lags"] = tuple(int(x) for x in obj["lags"])
-        if "r_levels" in obj:
-            kwargs["r_levels"] = int(obj["r_levels"])
-        return cls(
-            walk=walk, pair=pair, gauges=gauges,
-            replicas=int(obj.get("replicas", 1000)),
-            experiment=experiment,
-            mode=obj.get("mode", "exact"),
-            horizon_policy=obj.get("horizon_policy", "doubling"),
-            max_horizon=int(obj.get("max_horizon", 1 << 20)),
-            thresholds=thresholds, **kwargs)
+        try:
+            if obj.get("comparators"):
+                kwargs["comparators"] = tuple(
+                    Comparator(c["kind"], seed=int(c.get("seed", 0)),
+                               n_swaps=int(c.get("n_swaps", 8)))
+                    for c in obj["comparators"])
+            if "lags" in obj:
+                kwargs["lags"] = tuple(int(x) for x in obj["lags"])
+            if "r_levels" in obj:
+                kwargs["r_levels"] = int(obj["r_levels"])
+            extra = dict(obj.get("thresholds", {}))
+            return cls(
+                walk=walk, pair=pair,
+                gauges=(gauges_from_json(obj["gauges"]) if obj.get("gauges")
+                        else default_gauges()),
+                replicas=int(obj.get("replicas", 1000)),
+                experiment=experiment,
+                mode=obj.get("mode", "exact"),
+                horizon_policy=obj.get("horizon_policy", "doubling"),
+                max_horizon=int(obj.get("max_horizon", 1 << 20)),
+                thresholds={**DEFAULT_THRESHOLDS,
+                            **{k: float(v) for k, v in extra.items()}},
+                **kwargs)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed experiment config: {exc!r}") from exc
 
     def digest(self) -> str:
         payload = {
@@ -465,9 +467,8 @@ def _first_excursion(cfg: ExperimentConfig, rep: int,
     return ledger, exc
 
 
-def run_cost_compare(cfg: ExperimentConfig, comparators=None) -> StatReport:
+def run_cost_compare(cfg: ExperimentConfig) -> StatReport:
     """Pathwise excursion-cost dominance of tau* over comparator rematchings."""
-    comparators = tuple(comparators or cfg.comparators)
     tol = cfg.thresholds["margin_tol"]
     per: dict[tuple[str, str], list[float]] = {}
     diffs: dict[tuple[str, str], list[float]] = {}
@@ -485,12 +486,12 @@ def run_cost_compare(cfg: ExperimentConfig, comparators=None) -> StatReport:
         used += 1
         unit = 1 / ledger.q
         mass = float(exc.mass)
-        stable_pairs = lifo_matching(ledger, exc)
-        c_stable = [matching_cost(stable_pairs, g, dt, unit)
-                    for g in cfg.gauges]
-        for comp in comparators:
-            pairs = apply_comparator(ledger, exc, comp, stable_pairs)
-            check_matching(ledger, exc, pairs)
+        slots = extract_slots(ledger, exc)
+        stable = lifo_matching(ledger, exc)
+        c_stable = [matching_cost(stable, g, dt, unit) for g in cfg.gauges]
+        for comp in cfg.comparators:
+            pairs = apply_comparator(comp, exc, slots, stable)
+            check_matching(slots, pairs)
             costs = c_stable if comp.kind == "stable" else [
                 matching_cost(pairs, g, dt, unit) for g in cfg.gauges]
             for g, c_stable_g, c_comp in zip(cfg.gauges, c_stable, costs):
@@ -509,7 +510,7 @@ def run_cost_compare(cfg: ExperimentConfig, comparators=None) -> StatReport:
     data = {
         "replicas": cfg.replicas, "paths_used": used, "paths_skipped": skipped,
         "pathwise_violations": violations,
-        "comparators": [c.kind for c in comparators],
+        "comparators": [c.kind for c in cfg.comparators],
         "seed": cfg.walk.seed,
     }
     return StatReport("cost_compare", cfg.digest(), data, {"costs": rows})
@@ -522,6 +523,7 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
         raise ConfigError(
             "excursion-cost checks need an orthogonal pair (distinct source "
             "and target steps)")
+    require_mode(cfg.pair, "exact")        # unit nu-slots: T* balances
     tol = cfg.thresholds["margin_tol"]
     min_margin = math.inf
     checked = 0
@@ -529,26 +531,24 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
     equality_checked = 0
     rows = []
     find = _t_star_finder(cfg, events=True)
+    dt = cfg.walk.dt
     for rep in range(cfg.replicas):
         got = _first_excursion(cfg, rep, slot_cap, find)
         if got is None:
             skipped += 1
             continue
-        ledger, exc = got
-        pairs = match_slots(ledger, exc.left, exc.right)
-        dt_f = cfg.walk.dt
-        sources = sorted((s for s, _ in pairs), reverse=True)
-        targets = sorted(t for _, t in pairs)
-        if not sources:
-            skipped += 1
-            continue
-        pcfg = PointConfig.make([s * dt_f for s in sources],
-                                [t * dt_f for t in targets], allow_ties=True)
+        # The excursion balances at T*, so its slots are exactly the stable
+        # matching's.  Step s is the point s * dt, an integer numerator over
+        # dt's denominator; the a-sequence descends.
+        sources, targets = extract_slots(*got)
+        pcfg = PointConfig(tuple(s * dt.numerator for s in reversed(sources)),
+                           tuple(t * dt.numerator for t in targets),
+                           dt.denominator, allow_ties=True)
         n = len(sources)
         # Stable indicator: exact equality of both sides.
         pi0 = stable_indicator(pcfg, n)
         for g in cfg.gauges:
-            rep0 = inequality_check(pi0, g=g, N=n)
+            rep0 = inequality_check(pi0, g)
             if abs(rep0.margin) > 1e-9 * max(1.0, rep0.rhs):
                 raise InvariantError(
                     f"stable indicator not at equality (margin {rep0.margin})")
@@ -556,7 +556,7 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
         for mi in range(matrices_per_excursion):
             pi = sample_feasible_matrix(pcfg, n, seed=cfg.walk.seed * 1000 + rep * 10 + mi)
             for g in cfg.gauges:
-                crep = inequality_check(pi, g=g, N=n)
+                crep = inequality_check(pi, g)
                 checked += 1
                 if crep.margin < min_margin:
                     min_margin = crep.margin
@@ -574,10 +574,8 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
                       {"margins": rows[:2000]})
 
 
-def run_ergodic(cfg: ExperimentConfig, r_levels: int | None = None,
-                ensemble_replicas: int = 1000) -> StatReport:
+def run_ergodic(cfg: ExperimentConfig, ensemble_replicas: int = 1000) -> StatReport:
     """Time-averaged tau* cost along one long path versus half the ensemble mean."""
-    r_levels = r_levels or cfg.r_levels
     walk_cfg = cfg.walk
     path = sample_walk(walk_cfg, replica=0)
     ledger = build_ledger(path, cfg.pair)
@@ -594,7 +592,7 @@ def run_ergodic(cfg: ExperimentConfig, r_levels: int | None = None,
     r_max = Fraction(int(0.8 * min(total_fwd, total_bwd)), q)
     if r_max <= 0:
         raise ConfigError("path too short for an ergodic run")
-    r_grid = [r_max / (2 ** k) for k in reversed(range(r_levels))]
+    r_grid = [r_max / (2 ** k) for k in reversed(range(cfg.r_levels))]
 
     def window_average(lo: int, hi: int, r: Fraction, g: Gauge) -> tuple[float, int]:
         """(1/r) sum of mu(x_s) psi((tau*(s) - s) dt) over charged s in [lo, hi)."""

@@ -69,11 +69,14 @@ class Gauge:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ConfigError(f"not a gauge object: {obj!r}")
         param = obj.get("param")
-        if param is not None:
+        try:
             if isinstance(param, (list, tuple)):
-                param = Fraction(int(param[0]), int(param[1]))
-            else:
+                num, den = param
+                param = Fraction(int(num), int(den))
+            elif param is not None:
                 param = Fraction(param).limit_denominator(10**9)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ConfigError(f"malformed gauge parameter: {obj!r}") from exc
         return cls(kind=obj["kind"], param=param)
 
 

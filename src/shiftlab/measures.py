@@ -175,12 +175,15 @@ def measure_from_spec(obj) -> DiscreteMeasure:
         return DiscreteMeasure.from_json(obj)
     if isinstance(obj, Sequence):
         atoms = []
-        for entry in obj:
-            if len(entry) == 2:
-                site, w = entry
-                atoms.append((site, Fraction(w)))
-            else:
-                site, num, den = entry
-                atoms.append((site, Fraction(int(num), int(den))))
-        return DiscreteMeasure.from_atoms(atoms)
+        try:
+            for entry in obj:
+                if len(entry) == 2:
+                    site, w = entry
+                    atoms.append((site, Fraction(w)))
+                else:
+                    site, num, den = entry
+                    atoms.append((site, Fraction(int(num), int(den))))
+            return DiscreteMeasure.from_atoms(atoms)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ConfigError(f"malformed measure shorthand: {obj!r}") from exc
     raise ConfigError(f"cannot parse measure from {obj!r}")

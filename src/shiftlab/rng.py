@@ -106,14 +106,3 @@ class BitStream:
         if self._kind != "uniforms":
             self._claim("uniforms")
         return (int(self._bg.random_raw(1)[0]) * n) >> 64
-
-    def uniform_floats(self, n: int) -> np.ndarray:
-        if self._kind != "uniforms":
-            self._claim("uniforms")
-        words = self._bg.random_raw(n)
-        return words / float(1 << 64)
-
-
-def stream(seed: int, replica: int, role: int) -> BitStream:
-    """The canonical (seed, replica, role) stream."""
-    return BitStream(seed, replica, role)

@@ -87,9 +87,15 @@ class TransportMatrix:
         try:
             entries = {(int(i), int(j)): Fraction(int(p), int(q))
                        for i, j, p, q in obj["entries"]}
-            return cls(cfg, int(obj["N"]), entries)
-        except (KeyError, TypeError, ValueError) as exc:
+            N = int(obj["N"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"malformed transport matrix: {obj!r}") from exc
+        n_a, n_b = len(cfg.a_num), len(cfg.b_num)
+        if not 1 <= N <= min(n_a, n_b):
+            raise ConfigError(f"window N must be in [1, {min(n_a, n_b)}], got {N}")
+        if any(not (0 <= i < n_a and 0 <= j < n_b) for i, j in entries):
+            raise ConfigError(f"matrix entry outside the {n_a} x {n_b} points")
+        return cls(cfg, N, entries)
 
 
 @dataclass(frozen=True)
@@ -115,13 +121,11 @@ class CostReport:
                 "gauge": self.gauge.to_json()}
 
 
-def stable_indicator(cfg: PointConfig, N: int | None = None,
+def stable_indicator(cfg: PointConfig, N: int,
                      match: StableMatch | None = None) -> TransportMatrix:
     """The indicator matrix of the stable allocation, rows restricted to the window."""
     if match is None:
         match = stable_allocation(cfg)
-    if N is None:
-        N = compute_N(cfg)["N"]
     entries = {(i, match.tau[i]): Fraction(1) for i in range(N)}
     return TransportMatrix(cfg, N, entries)
 
@@ -201,18 +205,16 @@ def repair_sweep(pi: TransportMatrix, max_steps: int | None = None) -> dict:
     return {"matrix": cur, "steps": steps, "converged": False, "trace": trace}
 
 
-def inequality_check(pi: TransportMatrix, cfg: PointConfig | None = None,
-                     g: Gauge | None = None, N: int | None = None) -> CostReport:
+def inequality_check(pi: TransportMatrix, g: Gauge) -> CostReport:
     """Both sides of the window inequality: pi-cost >= 2 sum psi(tau(a_i) - a_i)."""
-    if g is None:
-        raise ConfigError("a gauge is required")
-    cfg = cfg or pi.cfg
-    N = N if N is not None else pi.N
     pi.validate()
-    match = stable_allocation(cfg)
+    cfg = pi.cfg
+    tau = stable_allocation(cfg).tau
     a, b, q = cfg.a_num, cfg.b_num, cfg.q
-    rhs = 2.0 * sum(eval_gauge(g, (b[match.tau[i]] - a[i]) / q) for i in range(N))
-    return CostReport(lhs=pi.cost(g), rhs=rhs, gauge=g)
+    total = 0.0
+    for i in range(pi.N):        # not sum(): Python 3.12 compensates it
+        total += eval_gauge(g, (b[tau[i]] - a[i]) / q)
+    return CostReport(lhs=pi.cost(g), rhs=2.0 * total, gauge=g)
 
 
 _PERMS_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -319,8 +321,7 @@ def random_interleaved_config(seed: int, n_pairs: int,
     pad = len(a_vals) + 2
     b_vals += [top + 4 * k for k in range(1, pad + 1)]
     a_vals = sorted(a_vals, reverse=True) or [vals[0] - 4]
-    cfg = PointConfig.make([Fraction(x, 4) for x in a_vals],
-                           [Fraction(x, 4) for x in b_vals])
+    cfg = PointConfig(tuple(a_vals), tuple(b_vals), 4)
     N = compute_N(cfg)["N"]
     if N > len(a_vals):
         # The window must be covered by the a-truncation; pad below b_1 (this
@@ -330,7 +331,6 @@ def random_interleaved_config(seed: int, n_pairs: int,
         low = min(a_vals[-1], b_vals[0])
         a_vals += [low - 4 * k for k in range(1, extra + 1)]
         b_vals += [b_vals[-1] + 4 * k for k in range(1, extra + 1)]
-        cfg = PointConfig.make([Fraction(x, 4) for x in a_vals],
-                               [Fraction(x, 4) for x in b_vals])
+        cfg = PointConfig(tuple(a_vals), tuple(b_vals), 4)
         N = compute_N(cfg)["N"]
     return cfg, N

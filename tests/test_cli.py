@@ -208,15 +208,55 @@ def test_out_of_range_counts_are_config_errors(tmp_path, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
+def test_excursion_cost_needs_unit_nu_atoms_in_either_mode(tmp_path, capsys):
+    # A nu-atom of weight 2/3 closes two slots at once, so T* can overshoot
+    # the balance and the excursion's slots would not match up.
+    cfg = write_json(tmp_path, "cfg.json", walk_config({
+        "mu": [[0, 1, 1]], "nu": [[-1, 1, 3], [1, 2, 3]], "mode": "crossing"}))
+    assert main(["--output-dir", str(tmp_path / "o"), "excursion-cost",
+                 cfg]) == EXIT_CONFIG
+    assert "exact mode" in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_excursion_cost_off_equality_is_invariant_error(tmp_path, capsys,
                                                         monkeypatch):
     import shiftlab.experiments as exp
     from shiftlab.transport import CostReport
 
     monkeypatch.setattr(exp, "inequality_check",
-                        lambda pi, g, N: CostReport(lhs=1.5, rhs=1.0, gauge=g))
+                        lambda pi, g: CostReport(lhs=1.5, rhs=1.0, gauge=g))
     cfg = write_json(tmp_path, "cfg.json", walk_config())
     assert main(["--output-dir", str(tmp_path / "o"), "excursion-cost",
                  cfg]) == EXIT_INVARIANT
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invariant" and "equality" in err["message"]
+
+
+_POINTS = {"a": [5, 4], "b": [6, 7]}
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("compare", walk_config({"gauges": [{"kind": "power", "param": [1, 0]}]})),
+    ("compare", walk_config({"gauges": [{"kind": "power", "param": "abc"}]})),
+    ("compare", walk_config({"comparators": [{"seed": 3}]})),
+    ("compare", walk_config({"comparators": [
+        {"kind": "random_feasible_rematch", "n_swaps": -3}]})),
+    ("embed", walk_config({"replicas": "abc"})),
+    ("embed", walk_config({"mu": [[0, "x", 1]]})),
+    ("unbiased", walk_config({"lags": 4})),
+    ("embed", walk_config({"thresholds": [1]})),
+    ("ergodic", walk_config({"r_levels": 0})),
+    ("tail", walk_config({"experiment": "embed_law"})),
+    ("inequality", {**_POINTS, "N": 2, "matrix": [[0, 0, 1, 0], [1, 1, 1, 1]]}),
+    ("inequality", {**_POINTS, "N": 2, "matrix": [[0, 0, 1, 1], [1, 5, 1, 1]]}),
+    ("repair", {**_POINTS, "N": "x"}),
+], ids=["gauge-param-zero-den", "gauge-param-text", "comparator-no-kind",
+        "negative-n-swaps", "replicas-text", "measure-text-weight",
+        "lags-not-a-list", "thresholds-not-an-object", "r-levels-zero",
+        "experiment-mismatch", "matrix-zero-den", "matrix-index-past-points",
+        "window-text"])
+def test_malformed_inputs_are_config_errors(tmp_path, capsys, command, obj):
+    cfg = write_json(tmp_path, "cfg.json", obj)
+    assert main(["--output-dir", str(tmp_path / "o"), command, cfg]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "o").exists()

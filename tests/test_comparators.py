@@ -50,10 +50,10 @@ def test_slots_hand_fixture():
     pair = delta01()
     led = build_ledger(ScriptedPath([0, 1, 0, 1]), pair)
     exc = Excursion(0, 3, excursion_mass(led, 0, 3))
-    sources, targets = extract_slots(led, exc)
+    sources, targets = slots = extract_slots(led, exc)
     assert sources == [0, 2] and targets == [1, 3]
     assert lifo_matching(led, exc) == [(0, 1), (2, 3)]
-    assert fifo_matching(led, exc) == [(0, 1), (2, 3)]
+    assert fifo_matching(slots) == [(0, 1), (2, 3)]
 
 
 def test_fifo_differs_on_nested_fixture():
@@ -62,11 +62,12 @@ def test_fifo_differs_on_nested_fixture():
     pair = delta01()
     led = build_ledger(ScriptedPath([0, 1, 0, 1, 0, 1]), pair)
     exc = Excursion(0, 5, excursion_mass(led, 0, 5))
+    slots = extract_slots(led, exc)
     lifo = lifo_matching(led, exc)
-    fifo = fifo_matching(led, exc)
+    fifo = fifo_matching(slots)
     assert sorted(s for s, _ in lifo) == sorted(s for s, _ in fifo)
-    check_matching(led, exc, lifo)
-    check_matching(led, exc, fifo)
+    check_matching(slots, lifo)
+    check_matching(slots, fifo)
 
 
 def test_all_comparators_are_feasible_and_dominated():
@@ -80,11 +81,12 @@ def test_all_comparators_are_feasible_and_dominated():
     for led, exc in completed_excursions(pair, seed=6, n=12):
         unit = Fraction(1, led.q)
         dt = led.path.cfg.dt
+        slots = extract_slots(led, exc)
         stable_pairs = lifo_matching(led, exc)
-        check_matching(led, exc, stable_pairs)
+        check_matching(slots, stable_pairs)
         for comp in comps:
-            pairs = apply_comparator(led, exc, comp)
-            check_matching(led, exc, pairs)
+            pairs = apply_comparator(comp, exc, slots, stable_pairs)
+            check_matching(slots, pairs)
             for g in default_gauges():
                 base = matching_cost(stable_pairs, g, dt, unit)
                 alt = matching_cost(pairs, g, dt, unit)
@@ -96,18 +98,21 @@ def test_all_comparators_are_feasible_and_dominated():
 def test_random_rematch_deterministic_in_seed():
     pair = delta01()
     led, exc = completed_excursions(pair, seed=4, n=1)[0]
-    a = random_rematch(led, exc, seed=5, n_swaps=16)
-    b = random_rematch(led, exc, seed=5, n_swaps=16)
+    a = random_rematch(lifo_matching(led, exc), exc, seed=5, n_swaps=16)
+    b = random_rematch(lifo_matching(led, exc), exc, seed=5, n_swaps=16)
     assert a == b
 
 
 def test_rematch_from_given_stable_pairs_is_unchanged():
+    # The rematch permutes a copy: the caller's stable pairs stay as they are
+    # and still serve the "stable" comparator.
     comp = Comparator("random_feasible_rematch", seed=5, n_swaps=16)
     for led, exc in completed_excursions(delta01(), seed=4, n=4):
-        stable = lifo_matching(led, exc)
+        slots, stable = extract_slots(led, exc), lifo_matching(led, exc)
         kept = list(stable)
-        assert random_rematch(led, exc, 5, 16, stable) == random_rematch(led, exc, 5, 16)
-        assert apply_comparator(led, exc, comp, stable) == apply_comparator(led, exc, comp)
+        assert (apply_comparator(comp, exc, slots, stable)
+                == random_rematch(kept, exc, 5, 16))
+        assert apply_comparator(Comparator("stable"), exc, slots, stable) is stable
         assert stable == kept
 
 
@@ -118,14 +123,26 @@ def test_matching_cost_hand_value():
     assert got == pytest.approx(0.5 * (0.25 ** 0.5) + 0.5 * (0.75 ** 0.5))
 
 
+def test_matching_cost_sums_left_to_right_on_every_python():
+    # 1e16 + 1 rounds back to 1e16, twice; a compensated sum (the builtin
+    # sum() from Python 3.12 on) would give 1e16 + 2.
+    pairs = [(0, 10**16), (0, 1), (1, 2)]
+    assert matching_cost(pairs, power(1), 1, 1) == 1e16
+
+
 def test_check_matching_rejects_bad_pairs():
     pair = delta01()
     led = build_ledger(ScriptedPath([0, 1, 0, 1]), pair)
     exc = Excursion(0, 3, excursion_mass(led, 0, 3))
+    slots = extract_slots(led, exc)
     with pytest.raises(ConfigError):
-        check_matching(led, exc, [(0, 1)])              # misses a slot
+        check_matching(slots, [(0, 1)])                 # misses a slot
     with pytest.raises(ConfigError):
-        check_matching(led, exc, [(1, 0), (2, 3)])      # backward pair
+        check_matching(slots, [(1, 0), (2, 3)])         # backward pair
+    with pytest.raises(ConfigError, match="nu-slots"):
+        check_matching(slots, [(0, 1), (2, 5)])         # step 5 is no nu-slot
+    with pytest.raises(ConfigError, match="forward"):
+        check_matching(slots, [(2, 1), (0, 3)])         # all slots, one backward
 
 
 @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 5000)),

@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 from helpers import ScriptedPath, dense_first_excursion, queue_fifo_matching
 from test_experiments import _FIXTURE_PAIRS, make_cfg, measure_pairs
 
-from shiftlab import cli, experiments
+from shiftlab import cli, comparators, embedding, experiments
 from shiftlab.comparators import extract_slots, fifo_matching
 from shiftlab.embedding import Excursion, excursion_mass, match_slots
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.experiments import (FirstHitEngine, _first_excursion,
-                                  run_cost_compare)
+                                  run_cost_compare, run_excursion_cost)
 from shiftlab.gauges import default_gauges
 from shiftlab.measures import DiscreteMeasure, split_measures
 from shiftlab.walk import EventLedger, WalkConfig, build_ledger, sample_walk
@@ -133,6 +133,35 @@ def test_cost_compare_costs_each_matching_once_per_gauge(monkeypatch,
     assert len(calls) == 12 * rep.data["paths_used"] > 0
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_compare_extracts_the_slots_once_per_path(monkeypatch, symmetric_pair):
+    # fifo_matching and check_matching read the one slot list.
+    slots = _count_calls(monkeypatch, experiments, "extract_slots")
+    cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=20,
+                   hf=1 << 12, max_horizon=1 << 15)
+    used = run_cost_compare(cfg).data["paths_used"]
+    assert len(slots) == used > 0
+
+
+def test_excursion_cost_builds_its_points_from_the_slots(monkeypatch,
+                                                         symmetric_pair):
+    slots = _count_calls(monkeypatch, experiments, "extract_slots")
+    kernels = [_count_calls(monkeypatch, module, "match_slots")
+               for module in (experiments, comparators, embedding)]
+    cfg = make_cfg(symmetric_pair, "excursion_cost", seed=13, replicas=20,
+                   hf=64, max_horizon=1 << 12)
+    used = run_excursion_cost(cfg, matrices_per_excursion=1).data["excursions_used"]
+    assert len(slots) == used > 0
+    assert not any(kernels)
+
+
 @given(measure_pairs(), st.lists(st.sampled_from((-1, 1)), min_size=1,
                                  max_size=120), st.data())
 @settings(max_examples=120, deadline=None)
@@ -143,7 +172,7 @@ def test_fifo_matching_equals_the_queue_oracle(pair, steps, data):
     left = data.draw(st.integers(0, len(steps)))
     right = data.draw(st.integers(left, len(steps)))
     exc = Excursion(left, right, excursion_mass(led, left, right))
-    assert fifo_matching(led, exc) == queue_fifo_matching(led, exc)
+    assert fifo_matching(extract_slots(led, exc)) == queue_fifo_matching(led, exc)
 
 
 # sha256 of report.json and the tables, taken before compare and
@@ -169,12 +198,60 @@ _GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_GOLDEN))
-def test_report_bytes_are_pinned(tmp_path, command):
-    cfg, digests = _GOLDEN[command]
+def _assert_pinned(tmp_path, command, cfg, digests):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert cli.main(["--output-dir", str(out), command, str(path)]) == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in digests} == digests
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN))
+def test_report_bytes_are_pinned(tmp_path, command):
+    _assert_pinned(tmp_path, command, *_GOLDEN[command])
+
+
+# The pins above use dx = 1 and one slot per mu-visit.  These add a
+# multi-slot mu (two slots at 0, one at 5, so mu- and nu-visits interleave
+# within an excursion) and dx = 1/3 and 2/7, where dt = dx^2 is not an
+# integer and excursion-cost's points are numerators over its denominator;
+# taken before compare and excursion-cost read one slot list per excursion.
+_MU_MULTI = [[0, 2, 3], [5, 1, 3]]
+_NU_THREE = [[-1, 1, 3], [1, 1, 3], [2, 1, 3]]
+_GOLDEN_SLOTS = {
+    "compare-multi-slot": ("compare", {
+        "mu": _MU_MULTI, "nu": _NU_THREE, "replicas": 60, "max_horizon": 1 << 13,
+        "walk": {"horizon_fwd": 256, "horizon_bwd": 4, "seed": 4000001}},
+        {"report.json": "1935d7588b0ad650bcc1f19689cbc255"
+                        "92e3839fde6683d68336c5fadc9cc643",
+         "tables/costs.csv": "2dab4520cab3857afdb044e3fecf9e93"
+                             "e8c08be06ef9ac89c749bfb1fd3d4940"}),
+    "compare-dx-1/3": ("compare", {
+        "mu": _MU, "nu": _NU_SYMMETRIC, "replicas": 60, "max_horizon": 1 << 13,
+        "walk": {"dx": "1/3", "horizon_fwd": 256, "horizon_bwd": 4,
+                 "seed": 4000002}},
+        {"report.json": "31c52d39bc3ede7230309fcadbea6751"
+                        "c01402332e13722447bdfddaf4ae69ec",
+         "tables/costs.csv": "e9e48c51abfd0cdb4822d2a3765b0faa"
+                             "7e6c73a689c521994dc920fe430d9b4b"}),
+    "excursion-cost-dx-2/7": ("excursion-cost", {
+        "mu": _MU, "nu": _NU_SYMMETRIC, "replicas": 40, "max_horizon": 1 << 12,
+        "walk": {"dx": "2/7", "horizon_fwd": 64, "horizon_bwd": 4, "seed": 17}},
+        {"report.json": "4fb8c3f1b7cdf0d26990b602d19df09a"
+                        "393d0bc43b9dd4b26eff66da6622cdd4",
+         "tables/margins.csv": "74723f4046f0a0b1f468f2b5af4b3b99"
+                               "99527672be5dbb15a19f8ec94c79ef7a"}),
+    "excursion-cost-multi-slot-dx-1/3": ("excursion-cost", {
+        "mu": _MU_MULTI, "nu": _NU_THREE, "replicas": 40, "max_horizon": 1 << 12,
+        "walk": {"dx": "1/3", "horizon_fwd": 64, "horizon_bwd": 4, "seed": 19}},
+        {"report.json": "479282d3a8a69eb5880bd517db6fb855"
+                        "d232ddca1cfb0e1d52cd21e7b5c2ce69",
+         "tables/margins.csv": "18d701012b8b7d6a23850fd8a0fc0603"
+                               "7dd82204169968cf2b652b11e2b9c2f0"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_SLOTS))
+def test_report_bytes_are_pinned_off_the_unit_grid(tmp_path, name):
+    _assert_pinned(tmp_path, *_GOLDEN_SLOTS[name])

@@ -6,7 +6,7 @@ from hypothesis import strategies as hst
 from shiftlab.errors import InvariantError
 from shiftlab.measures import DiscreteMeasure
 from shiftlab.rng import (BitStream, STREAM_BWD, STREAM_FWD, STREAM_START,
-                          _mix, stream)
+                          _mix)
 from shiftlab.walk import draw_start
 
 
@@ -31,13 +31,13 @@ _DRAWS = {
     "steps": lambda st: st.take_steps(3),
     "words": lambda st: st.take_words(3),
     "fraction": lambda st: st.uniform_fraction(),
-    "floats": lambda st: st.uniform_floats(3),
+    "index": lambda st: st.uniform_index(3),
 }
 
 
 @pytest.mark.parametrize("first, second", [
-    ("bits", "words"), ("steps", "floats"), ("words", "fraction"),
-    ("floats", "bits"), ("fraction", "words")])
+    ("bits", "words"), ("steps", "index"), ("words", "fraction"),
+    ("index", "bits"), ("fraction", "words")])
 def test_one_consumer_kind_per_stream(first, second):
     st = BitStream(4, 1, STREAM_FWD)
     _DRAWS[first](st)
@@ -72,19 +72,6 @@ def test_uniform_fraction_range_and_determinism():
     assert u1 == u2
     assert 0 <= u1 < 1
     assert u1.denominator <= 1 << 64
-
-
-def test_uniform_floats():
-    xs = BitStream(2, 0, 7).uniform_floats(1000)
-    assert xs.shape == (1000,)
-    assert ((0 <= xs) & (xs < 1)).all()
-    assert 0.4 < xs.mean() < 0.6
-
-
-def test_stream_helper():
-    a = stream(3, 1, STREAM_FWD).take_bits(64)
-    b = BitStream(3, 1, STREAM_FWD).take_bits(64)
-    assert np.array_equal(a, b)
 
 
 @given(hst.integers(0, 2**64 - 1), hst.integers(0, 2**20),

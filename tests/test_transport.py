@@ -187,6 +187,13 @@ def test_find_crossing_equals_cell_scan_on_arbitrary_cells(seed, n_pairs, cells,
     assert find_crossing(pi) == scan_find_crossing(pi)
 
 
+def test_inequality_rhs_sums_left_to_right_on_every_python():
+    # Stable gaps 10^16, 1, 1 in window order: 1e16 + 1 rounds back to 1e16,
+    # twice; a compensated sum (builtin sum() from Python 3.12 on) would not.
+    cfg = PointConfig((4, 2, 0), (1, 3, 4 + 10**16))
+    assert inequality_check(stable_indicator(cfg, 3), power(1)).rhs == 2e16
+
+
 def test_interleaved_configs_are_pinned():
     # The generated instances feed acceptance criteria 1-4 and the benchmark;
     # a change of number representation must not move a single point.
