@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import Excursion, Ledger, match_slots
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .gauges import Gauge, eval_gauge
 from .rng import BitStream
 
@@ -113,9 +113,9 @@ def check_matching(slots: Slots, pairs: list[tuple[int, int]]) -> None:
     """
     sources, targets = slots
     if sorted(s for s, _ in pairs) != sources:
-        raise ConfigError("matching does not cover the mu-slots exactly")
+        raise InvariantError("matching does not cover the mu-slots exactly")
     if sorted(t for _, t in pairs) != targets:
-        raise ConfigError("matching does not cover the nu-slots exactly")
+        raise InvariantError("matching does not cover the nu-slots exactly")
     for s, t in pairs:
         if not (t > s):
-            raise ConfigError(f"pair ({s}, {t}) is not forward-looking")
+            raise InvariantError(f"pair ({s}, {t}) is not forward-looking")

@@ -68,6 +68,7 @@ class ExcursionChain:
 
 MODES = ("exact", "crossing")
 HORIZON_POLICIES = ("fixed", "doubling")
+_MAX_LEVELS = 64              # size cap of decompose_excursions' level grid
 
 
 def check_options(mode: Mode, policy: str = "doubling") -> None:
@@ -166,12 +167,11 @@ def excursion_mass(ledger: Ledger, left: int, right: int) -> Fraction:
     return Fraction(int(wmu[steps < right].sum()), ledger.q)
 
 
-def decompose_excursions(ledger: LocalTimeLedger, up_to_level: Fraction,
-                         max_levels: int = 64):
+def decompose_excursions(ledger: LocalTimeLedger, up_to_level: Fraction):
     """rho(u)/sigma(u) for a grid of levels plus the excursion partition.
 
     The level grid is the attainable multiples of 1/q up to ``up_to_level``
-    (thinned to at most ``max_levels`` entries).  The partition lists the
+    (thinned to at most ``_MAX_LEVELS`` entries).  The partition lists the
     maximal excursions [a, tau*(a)] covering all mu-charged steps of
     [sigma(u_max), rho(u_max)], scanned left to right.
 
@@ -195,8 +195,8 @@ def decompose_excursions(ledger: LocalTimeLedger, up_to_level: Fraction,
 
     units = int(up_to_level * q)
     ks = list(range(0, units + 1))
-    if len(ks) > max_levels:
-        stride = -(-len(ks) // max_levels)
+    if len(ks) > _MAX_LEVELS:
+        stride = -(-len(ks) // _MAX_LEVELS)
         ks = ks[::stride]
         if ks[-1] != units:
             ks.append(units)

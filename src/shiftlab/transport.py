@@ -4,17 +4,18 @@ A feasible matrix sends unit mass from each a_i (i <= N) forward to the b's,
 with every b_j (j <= N) receiving unit mass.  Four points a_k < a_i < b_j < b_l
 carrying transversal mass form a crossing; repairing it moves the overlap to
 the uncrossed pairs and, by concavity of the gauge, never increases cost.
-Points are integer numerators over q and masses exact rationals; floats
-appear only at gauge evaluation, a gap (b - a) / q being one int division.
+Points are integer numerators over q and masses integer numerators over
+mass_q; floats appear only at gauge evaluation and cost, where a gap
+(b - a) / q and a mass v / mass_q are one int division each.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,73 +30,87 @@ class TransportMatrix:
     """Sparse nonnegative rational matrix over a PointConfig window.
 
     Row/column indices are 0-based into the a- and b-points; the constraint window
-    is rows i < N and columns j < N.
+    is rows i < N and columns j < N.  Masses are integer numerators over one
+    denominator ``mass_q``, kept in lowest terms, so equal matrices have equal
+    ``entries``.
     """
 
     cfg: PointConfig
     N: int
-    entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    mass_q: int = 1
 
-    def copy(self) -> "TransportMatrix":
-        return TransportMatrix(self.cfg, self.N, dict(self.entries))
+    def get(self, i: int, j: int) -> int:
+        return self.entries.get((i, j), 0)
 
-    def get(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
-
-    def set(self, i: int, j: int, v: Fraction) -> None:
-        if v == 0:
-            self.entries.pop((i, j), None)
-        else:
-            self.entries[(i, j)] = v
+    def moved(self, i: int, j: int, k: int, l: int, delta: int,
+              scale: int = 1) -> "TransportMatrix":
+        """Masses over mass_q * scale with delta added at (i, j), (k, l) and
+        taken from (k, j), (i, l); a new matrix in lowest terms."""
+        e = {c: v * scale for c, v in self.entries.items()}
+        for cell, d in (((i, j), delta), ((k, l), delta),
+                        ((k, j), -delta), ((i, l), -delta)):
+            e[cell] = e.get(cell, 0) + d
+            if not e[cell]:
+                del e[cell]
+        q = self.mass_q * scale
+        g = math.gcd(q, *e.values())
+        if g > 1:
+            e = {c: v // g for c, v in e.items()}
+        return TransportMatrix(self.cfg, self.N, e, q // g)
 
     def validate(self) -> None:
         """Raise FeasibilityError listing every violated constraint."""
-        a, b = self.cfg.a_num, self.cfg.b_num
+        a, b, q = self.cfg.a_num, self.cfg.b_num, self.mass_q
         bad = []
-        rows, cols = defaultdict(Fraction), defaultdict(Fraction)
+        rows, cols = defaultdict(int), defaultdict(int)
         for (i, j), v in self.entries.items():
             if v < 0:
-                bad.append(("nonnegative", (i, j), v))
+                bad.append(("nonnegative", (i, j), Fraction(v, q)))
             if a[i] > b[j]:
-                bad.append(("forward_looking", (i, j), v))
+                bad.append(("forward_looking", (i, j), Fraction(v, q)))
             rows[i] += v
             cols[j] += v
         for kind, sums in (("row_sum", rows), ("col_sum", cols)):
-            bad += [(kind, i, sums[i] - 1) for i in range(self.N) if sums[i] != 1]
+            bad += [(kind, i, Fraction(sums[i] - q, q))
+                    for i in range(self.N) if sums[i] != q]
         if bad:
             raise FeasibilityError(f"{len(bad)} constraint violations", bad)
 
     def cost(self, g: Gauge) -> float:
         """Window cost with the double-count convention (pairs i,j < N twice)."""
-        a, b, q = self.cfg.a_num, self.cfg.b_num, self.cfg.q
+        a, b, q, mq = self.cfg.a_num, self.cfg.b_num, self.cfg.q, self.mass_q
         total = 0.0
         for (i, j), v in self.entries.items():
             if v == 0:
                 continue
             mult = (i < self.N) + (j < self.N)
             if mult:
-                total += mult * float(v) * eval_gauge(g, (b[j] - a[i]) / q)
+                total += mult * (v / mq) * eval_gauge(g, (b[j] - a[i]) / q)
         return total
 
     def to_json(self) -> dict:
-        trips = sorted(
-            [[i, j, v.numerator, v.denominator] for (i, j), v in self.entries.items()])
+        fr = {c: Fraction(v, self.mass_q) for c, v in self.entries.items()}
+        trips = sorted([i, j, f.numerator, f.denominator] for (i, j), f in fr.items())
         return {"N": self.N, "entries": trips}
 
     @classmethod
     def from_json(cls, cfg: PointConfig, obj: dict) -> "TransportMatrix":
         try:
-            entries = {(int(i), int(j)): Fraction(int(p), int(q))
-                       for i, j, p, q in obj["entries"]}
+            masses = {(int(i), int(j)): Fraction(int(p), int(q))
+                      for i, j, p, q in obj["entries"]}
             N = int(obj["N"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"malformed transport matrix: {obj!r}") from exc
         n_a, n_b = len(cfg.a_num), len(cfg.b_num)
         if not 1 <= N <= min(n_a, n_b):
             raise ConfigError(f"window N must be in [1, {min(n_a, n_b)}], got {N}")
-        if any(not (0 <= i < n_a and 0 <= j < n_b) for i, j in entries):
+        if any(not (0 <= i < n_a and 0 <= j < n_b) for i, j in masses):
             raise ConfigError(f"matrix entry outside the {n_a} x {n_b} points")
-        return cls(cfg, N, entries)
+        # The lcm of reduced denominators leaves the numerators in lowest terms.
+        mass_q = math.lcm(*(f.denominator for f in masses.values()))
+        return cls(cfg, N, {c: f.numerator * (mass_q // f.denominator)
+                            for c, f in masses.items()}, mass_q)
 
 
 @dataclass(frozen=True)
@@ -126,7 +141,7 @@ def stable_indicator(cfg: PointConfig, N: int,
     """The indicator matrix of the stable allocation, rows restricted to the window."""
     if match is None:
         match = stable_allocation(cfg)
-    entries = {(i, match.tau[i]): Fraction(1) for i in range(N)}
+    entries = {(i, match.tau[i]): 1 for i in range(N)}
     return TransportMatrix(cfg, N, entries)
 
 
@@ -173,13 +188,7 @@ def repair_crossing(pi: TransportMatrix, c: Crossing) -> TransportMatrix:
     """Move delta = min(pi_kj, pi_il) to the uncrossed pairs (i,j) and (k,l)."""
     if not _is_crossing(pi, c.k, c.i, c.j, c.l):
         raise ConfigError(f"{c} is not a crossing of this matrix")
-    out = pi.copy()
-    delta = min(pi.get(c.k, c.j), pi.get(c.i, c.l))
-    out.set(c.k, c.j, pi.get(c.k, c.j) - delta)
-    out.set(c.i, c.l, pi.get(c.i, c.l) - delta)
-    out.set(c.i, c.j, pi.get(c.i, c.j) + delta)
-    out.set(c.k, c.l, pi.get(c.k, c.l) + delta)
-    return out
+    return pi.moved(c.i, c.j, c.k, c.l, min(pi.get(c.k, c.j), pi.get(c.i, c.l)))
 
 
 def repair_sweep(pi: TransportMatrix, max_steps: int | None = None) -> dict:
@@ -217,43 +226,37 @@ def inequality_check(pi: TransportMatrix, g: Gauge) -> CostReport:
     return CostReport(lhs=pi.cost(g), rhs=2.0 * total, gauge=g)
 
 
-_PERMS_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_PERMS_CACHE: dict[int, np.ndarray] = {}
 
 
-def _perms(m: int, n: int) -> np.ndarray:
-    if (m, n) not in _PERMS_CACHE:
-        _PERMS_CACHE[m, n] = np.array(
-            list(itertools.permutations(range(m), n)), dtype=np.int64)
-    return _PERMS_CACHE[m, n]
+def _perms(n: int) -> np.ndarray:
+    if n not in _PERMS_CACHE:
+        _PERMS_CACHE[n] = np.array(list(itertools.permutations(range(n))),
+                                   dtype=np.int64)
+    return _PERMS_CACHE[n]
 
 
-def permutation_oracle(cfg: PointConfig, g: Gauge, N: int | None = None,
-                       n_candidates: int | None = None) -> dict:
+def permutation_oracle(cfg: PointConfig, g: Gauge, N: int | None = None) -> dict:
     """Exhaustive minimum over feasible window matchings (N <= 8).
 
-    Default enumeration is over the square window (bijections of the N a's
-    onto the N leftmost b's, the paper's constraint set with the identity
-    tail); passing n_candidates > N widens the b-pool to injective
-    forward-looking maps.
+    Enumerates the bijections of the N a's onto the N leftmost b's: the
+    paper's constraint set with the identity tail.
     """
     if N is None:
         N = compute_N(cfg)["N"]
     if N > 8:
         raise SizeLimitError(f"oracle limited to N <= 8, got {N}")
-    m = N if n_candidates is None else n_candidates
-    if m > 10:
-        raise SizeLimitError(f"oracle limited to <= 10 b-candidates, got {m}")
-    if m < N or m > len(cfg.b_num):
-        raise ConfigError("b-candidate pool must cover the window")
+    if N > len(cfg.b_num):
+        raise ConfigError("b-points must cover the window")
     a = np.array([x / cfg.q for x in cfg.a_num[:N]])
-    b = np.array([x / cfg.q for x in cfg.b_num[:m]])
-    psi = np.full((N, m), np.inf)
+    b = np.array([x / cfg.q for x in cfg.b_num[:N]])
+    psi = np.full((N, N), np.inf)
     for i in range(N):
-        for j in range(m):
+        for j in range(N):
             gap = b[j] - a[i]
             if gap > 0:
                 psi[i, j] = eval_gauge(g, gap)
-    sigmas = _perms(m, N)
+    sigmas = _perms(N)
     costs = psi[np.arange(N)[None, :], sigmas].sum(axis=1)
     best = int(np.argmin(costs))
     if not np.isfinite(costs[best]):
@@ -287,22 +290,17 @@ def sample_feasible_matrix(cfg: PointConfig, N: int, seed: int,
         if not cands:
             continue
         i, j, k, l = cands[rng.uniform_index(len(cands))]
-        avail = min(pi.get(i, j), pi.get(k, l))
-        # Random rational delta in (0, avail] with a small denominator.
+        # Random delta in (0, avail]: num/8 of it, over eight times mass_q.
         num = rng.uniform_index(8) + 1
-        delta = avail * Fraction(num, 8)
-        if delta == 0:
-            continue
-        pi.set(i, j, pi.get(i, j) - delta)
-        pi.set(k, l, pi.get(k, l) - delta)
-        pi.set(k, j, pi.get(k, j) + delta)
-        pi.set(i, l, pi.get(i, l) + delta)
+        pi = pi.moved(i, j, k, l, -min(pi.get(i, j), pi.get(k, l)) * num, scale=8)
     pi.validate()
     return pi
 
 
-def random_interleaved_config(seed: int, n_pairs: int,
-                              value_range: int = 1000) -> tuple[PointConfig, int]:
+_VALUE_RANGE = 1000        # points are multiples of 1/4 in [0, _VALUE_RANGE)
+
+
+def random_interleaved_config(seed: int, n_pairs: int) -> tuple[PointConfig, int]:
     """A random disjoint interleaved instance with enough padding for compute_N.
 
     Returns (config, N).
@@ -310,7 +308,7 @@ def random_interleaved_config(seed: int, n_pairs: int,
     rng = BitStream(seed, 0xC0F19)
     values: set[int] = set()        # numerators over 4
     while len(values) < 2 * n_pairs:
-        values.add(rng.uniform_index(4 * value_range))
+        values.add(rng.uniform_index(4 * _VALUE_RANGE))
     vals = sorted(values)
     labels = [(v, rng.uniform_index(2)) for v in vals]
     a_vals = [v for v, t in labels if t == 0]

@@ -11,12 +11,15 @@ take tau* from the per-step compute_tau_star instead of the kernel;
 queue_fifo_matching is the list-queue reference for
 comparators.fifo_matching; bisect_compute_N and
 scan_find_crossing are the per-point and per-cell references for the merged
-compute_N sweep and the index-list find_crossing.
+compute_N sweep and the index-list find_crossing; FractionMatrix with
+fraction_sample_feasible_matrix and fraction_repair_trace are the
+Fraction-mass references for the integer masses of TransportMatrix.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +33,7 @@ from shiftlab.embedding import (Excursion, compute_t_star, compute_tau_star,
 from shiftlab.errors import ConfigError, HorizonExceededError, TruncationError
 from shiftlab.gauges import eval_gauge
 from shiftlab.rng import STREAM_FWD, STREAM_START, BitStream
+from shiftlab.stable_alloc import stable_allocation
 from shiftlab.transport import Crossing
 from shiftlab.walk import build_ledger, draw_start, sample_walk
 
@@ -245,3 +249,71 @@ def scan_find_crossing(pi):
                     if pi.get(i, l) > 0 and b[l] > b[j]:
                         return Crossing(k=k, i=i, j=j, l=l)
     return None
+
+
+@dataclass
+class FractionMatrix:
+    """TransportMatrix with Fraction masses, mutated in place by set."""
+
+    cfg: object
+    N: int
+    entries: dict
+
+    def get(self, i: int, j: int) -> Fraction:
+        return self.entries.get((i, j), Fraction(0))
+
+    def set(self, i: int, j: int, v: Fraction) -> None:
+        if v == 0:
+            self.entries.pop((i, j), None)
+        else:
+            self.entries[(i, j)] = v
+
+    def cost(self, g) -> float:
+        a, b, q = self.cfg.a_num, self.cfg.b_num, self.cfg.q
+        total = 0.0
+        for (i, j), v in self.entries.items():
+            if v == 0:
+                continue
+            mult = (i < self.N) + (j < self.N)
+            if mult:
+                total += mult * float(v) * eval_gauge(g, (b[j] - a[i]) / q)
+        return total
+
+
+def fraction_sample_feasible_matrix(cfg, N: int, seed: int,
+                                    n_perturbations: int = 12) -> FractionMatrix:
+    """transport.sample_feasible_matrix with delta = avail * Fraction(num, 8)."""
+    tau = stable_allocation(cfg).tau
+    pi = FractionMatrix(cfg, N, {(i, tau[i]): Fraction(1) for i in range(N)})
+    rng = BitStream(seed, 0xFEA51B1E)
+    a, b = cfg.a_num, cfg.b_num
+    for _ in range(n_perturbations):
+        occupied = sorted((i, j) for (i, j), v in pi.entries.items() if v > 0)
+        cands = [(i, j, k, l)
+                 for (i, j), (k, l) in itertools.combinations(occupied, 2)
+                 if i != k and j < l and a[k] < b[j] and a[i] < b[l]
+                 and a[k] < a[i] and b[j] < b[l]]
+        if not cands:
+            continue
+        i, j, k, l = cands[rng.uniform_index(len(cands))]
+        delta = min(pi.get(i, j), pi.get(k, l)) * Fraction(rng.uniform_index(8) + 1, 8)
+        pi.set(i, j, pi.get(i, j) - delta)
+        pi.set(k, l, pi.get(k, l) - delta)
+        pi.set(k, j, pi.get(k, j) + delta)
+        pi.set(i, l, pi.get(i, l) + delta)
+    return pi
+
+
+def fraction_repair_trace(pi: FractionMatrix) -> list[FractionMatrix]:
+    """transport.repair_sweep's trace on Fraction masses, crossings by scan."""
+    trace = [pi]
+    while (c := scan_find_crossing(trace[-1])) is not None:
+        cur = trace[-1]
+        out = FractionMatrix(cur.cfg, cur.N, dict(cur.entries))
+        delta = min(cur.get(c.k, c.j), cur.get(c.i, c.l))
+        out.set(c.k, c.j, cur.get(c.k, c.j) - delta)
+        out.set(c.i, c.l, cur.get(c.i, c.l) - delta)
+        out.set(c.i, c.j, cur.get(c.i, c.j) + delta)
+        out.set(c.k, c.l, cur.get(c.k, c.l) + delta)
+        trace.append(out)
+    return trace

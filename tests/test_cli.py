@@ -232,6 +232,22 @@ def test_excursion_cost_off_equality_is_invariant_error(tmp_path, capsys,
     assert err["error"] == "invariant" and "equality" in err["message"]
 
 
+def test_compare_with_a_broken_comparator_is_invariant_error(tmp_path, capsys,
+                                                             monkeypatch):
+    # A matching the program built itself that misses a slot is a bug, not
+    # bad input.
+    from shiftlab import comparators
+
+    fifo = comparators.fifo_matching
+    monkeypatch.setattr(comparators, "fifo_matching",
+                        lambda slots: fifo(slots)[:-1])
+    cfg = write_json(tmp_path, "cfg.json", walk_config())
+    assert main(["--output-dir", str(tmp_path / "o"), "compare",
+                 cfg]) == EXIT_INVARIANT
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invariant" and "slots" in err["message"]
+
+
 _POINTS = {"a": [5, 4], "b": [6, 7]}
 
 

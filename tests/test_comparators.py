@@ -11,7 +11,7 @@ from shiftlab.comparators import (COMPARATOR_KINDS, Comparator,
                                   extract_slots, fifo_matching, lifo_matching,
                                   matching_cost, random_rematch)
 from shiftlab.embedding import (Excursion, compute_t_star, excursion_mass)
-from shiftlab.errors import ConfigError, HorizonExceededError
+from shiftlab.errors import ConfigError, HorizonExceededError, InvariantError
 from shiftlab.gauges import default_gauges, eval_gauge, power
 from shiftlab.measures import DiscreteMeasure, split_measures
 from shiftlab.walk import WalkConfig, build_ledger, sample_walk
@@ -135,13 +135,13 @@ def test_check_matching_rejects_bad_pairs():
     led = build_ledger(ScriptedPath([0, 1, 0, 1]), pair)
     exc = Excursion(0, 3, excursion_mass(led, 0, 3))
     slots = extract_slots(led, exc)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvariantError):
         check_matching(slots, [(0, 1)])                 # misses a slot
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvariantError):
         check_matching(slots, [(1, 0), (2, 3)])         # backward pair
-    with pytest.raises(ConfigError, match="nu-slots"):
+    with pytest.raises(InvariantError, match="nu-slots"):
         check_matching(slots, [(0, 1), (2, 5)])         # step 5 is no nu-slot
-    with pytest.raises(ConfigError, match="forward"):
+    with pytest.raises(InvariantError, match="forward"):
         check_matching(slots, [(2, 1), (0, 3)])         # all slots, one backward
 
 

@@ -241,6 +241,27 @@ def test_excursion_cost_nonnegative(symmetric_pair):
     assert rep.data["min_margin"] >= -DEFAULT_THRESHOLDS["margin_tol"]
 
 
+def test_excursion_cost_checks_each_window_once(monkeypatch, symmetric_pair):
+    # Per excursion: one stable allocation for the indicator, one per gauge
+    # for its rhs and one per sampled matrix; the sampler's validate is the
+    # only one its matrices get.
+    from shiftlab import transport
+    calls = {"stable_allocation": 0, "validate": 0}
+    alloc, validate = transport.stable_allocation, transport.TransportMatrix.validate
+
+    def count(name, fn):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+
+    monkeypatch.setattr(transport, "stable_allocation", count("stable_allocation", alloc))
+    monkeypatch.setattr(transport.TransportMatrix, "validate", count("validate", validate))
+    cfg = make_cfg(symmetric_pair, "excursion_cost", seed=13, replicas=40,
+                   hf=1 << 12, max_horizon=1 << 14)
+    data = run_excursion_cost(cfg, matrices_per_excursion=3).data
+    n, n_g = data["excursions_used"], len(cfg.gauges)
+    assert n > 5 and data["checks"] == n * 3 * n_g
+    assert calls == {"stable_allocation": n * (1 + n_g + 3), "validate": n * (n_g + 3)}
+
+
 def test_excursion_cost_requires_orthogonal():
     mu = DiscreteMeasure.delta(0)
     pair = split_measures(mu, mu)

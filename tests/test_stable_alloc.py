@@ -223,7 +223,8 @@ def test_mixed_denominators_match_the_integer_scaled_config(values, rnd, seed):
     fa, fb = cfg.a, cfg.b
     for g in default_gauges():
         rep = inequality_check(pi, g=g)
-        lhs = sum(((i < N) + (j < N)) * float(v) * eval_gauge(g, float(fb[j] - fa[i]))
+        lhs = sum(((i < N) + (j < N)) * float(Fraction(v, pi.mass_q))
+                  * eval_gauge(g, float(fb[j] - fa[i]))
                   for (i, j), v in pi.entries.items() if v != 0)
         rhs = 2.0 * sum(eval_gauge(g, float(fb[match.tau[i]] - fa[i]))
                         for i in range(N))

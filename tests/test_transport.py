@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import scan_find_crossing
+from helpers import (FractionMatrix, fraction_repair_trace,
+                     fraction_sample_feasible_matrix, scan_find_crossing)
 
 from shiftlab.errors import ConfigError, FeasibilityError, SizeLimitError
 from shiftlab.gauges import capped, default_gauges, log1p, power, rational
@@ -24,7 +25,7 @@ def nested_cfg():
 
 def crossed_matrix():
     cfg = nested_cfg()
-    return TransportMatrix(cfg, 2, {(0, 1): Fraction(1), (1, 0): Fraction(1)})
+    return TransportMatrix(cfg, 2, {(0, 1): 1, (1, 0): 1})
 
 
 def test_stable_indicator_margin_is_zero():
@@ -89,8 +90,7 @@ def test_sweep_budget_exhaustion():
 
 def test_validate_reports_all_violations():
     cfg = nested_cfg()
-    pi = TransportMatrix(cfg, 2, {(0, 0): Fraction(1, 2),
-                                  (1, 0): Fraction(-1, 4)})
+    pi = TransportMatrix(cfg, 2, {(0, 0): 2, (1, 0): -1}, mass_q=4)
     with pytest.raises(FeasibilityError) as err:
         pi.validate()
     kinds = {v[0] for v in err.value.violations}
@@ -100,8 +100,8 @@ def test_validate_reports_all_violations():
 
 def test_validate_rejects_backward_mass():
     cfg = PointConfig.make([3, 1], [2, 4])
-    pi = TransportMatrix(cfg, 2, {(0, 0): Fraction(1),   # 3 -> 2 goes backward
-                                  (1, 1): Fraction(1)})
+    pi = TransportMatrix(cfg, 2, {(0, 0): 1,   # 3 -> 2 goes backward
+                                  (1, 1): 1})
     with pytest.raises(FeasibilityError) as err:
         pi.validate()
     assert any(v[0] == "forward_looking" for v in err.value.violations)
@@ -174,8 +174,7 @@ def test_find_crossing_equals_cell_scan_along_repair_traces(seed, n_pairs, n_per
 
 @given(st.integers(0, 10**6), st.integers(1, 6),
        st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 40)),
-                       st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 3),
-                                        Fraction(1)]), max_size=25),
+                       st.sampled_from([-3, 0, 1, 3]), max_size=25),
        st.integers(1, 40))
 @settings(max_examples=200, deadline=None)
 def test_find_crossing_equals_cell_scan_on_arbitrary_cells(seed, n_pairs, cells, n):
@@ -183,7 +182,7 @@ def test_find_crossing_equals_cell_scan_on_arbitrary_cells(seed, n_pairs, cells,
     cfg, _ = random_interleaved_config(seed, n_pairs)
     na, nb = len(cfg.a_num), len(cfg.b_num)
     entries = {(i % na, j % nb): v for (i, j), v in cells.items()}
-    pi = TransportMatrix(cfg, 1 + n % min(na, nb), entries)
+    pi = TransportMatrix(cfg, 1 + n % min(na, nb), entries, mass_q=3)
     assert find_crossing(pi) == scan_find_crossing(pi)
 
 
@@ -211,5 +210,37 @@ def test_feasible_matrices_are_pinned():
     for seed in range(60):
         cfg, N = random_interleaved_config(seed, 1 + seed % 6)
         pi = sample_feasible_matrix(cfg, N, seed=seed)
-        h.update(repr(sorted(pi.entries.items())).encode())
+        masses = {c: Fraction(v, pi.mass_q) for c, v in pi.entries.items()}
+        h.update(repr(sorted(masses.items())).encode())
     assert h.hexdigest()[:16] == "9dc94c7419bc70b2"
+
+
+@given(st.integers(0, 10**6), st.integers(1, 6), st.integers(0, 16))
+@settings(max_examples=60, deadline=None)
+def test_integer_masses_equal_the_fraction_oracle(seed, n_pairs, n_pert):
+    # Sampling and every repair step give the Fraction reference's masses,
+    # in lowest terms, and its cost bit for bit (same values, same order).
+    cfg, N = random_interleaved_config(seed, n_pairs)
+    pi = sample_feasible_matrix(cfg, N, seed=seed + 1, n_perturbations=n_pert)
+    ref = fraction_sample_feasible_matrix(cfg, N, seed + 1, n_pert)
+    trace, ref_trace = repair_sweep(pi)["trace"], fraction_repair_trace(ref)
+    assert len(trace) == len(ref_trace)
+    for m, r in zip(trace, ref_trace):
+        assert {c: Fraction(v, m.mass_q) for c, v in m.entries.items()} == r.entries
+        assert math.gcd(m.mass_q, *m.entries.values()) == 1
+        for g in default_gauges():
+            assert m.cost(g) == r.cost(g)
+
+
+def test_matrix_json_masses_share_the_lcm_denominator():
+    obj = {"N": 2, "entries": [[1, 1, 2, 4], [0, 0, 1, 3], [1, 0, 5, 6],
+                               [0, 1, 3, 4]]}
+    pi = TransportMatrix.from_json(nested_cfg(), obj)
+    assert pi.mass_q == 12            # lcm of 3, 4, 6 and 2 (2/4 reduced)
+    assert pi.entries == {(1, 1): 6, (0, 0): 4, (1, 0): 10, (0, 1): 9}
+    assert pi.to_json() == {"N": 2, "entries": [[0, 0, 1, 3], [0, 1, 3, 4],
+                                                [1, 0, 5, 6], [1, 1, 1, 2]]}
+    ref = FractionMatrix(pi.cfg, 2, {(i, j): Fraction(p, q)
+                                     for i, j, p, q in obj["entries"]})
+    for g in default_gauges():
+        assert pi.cost(g) == ref.cost(g)
