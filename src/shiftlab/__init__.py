@@ -7,7 +7,7 @@ ergodic verification experiments.
 from .errors import (ConfigError, FeasibilityError, HorizonExceededError,
                      ShiftLabError, SizeLimitError, TruncationError)
 from .gauges import Gauge, capped, default_gauges, eval_gauge, log1p, power, rational
-from .measures import DiscreteMeasure, MeasurePair, pair_from_json, split_measures
+from .measures import DiscreteMeasure, MeasurePair, split_measures
 from .walk import LocalTimeLedger, WalkConfig, WalkPath, build_ledger, sample_walk
 from .embedding import (EmbeddingResult, Excursion, compute_t_star,
                         compute_tau_star, cost_of_tau_star, decompose_excursions)
@@ -27,7 +27,7 @@ __all__ = [
     "ConfigError", "FeasibilityError", "HorizonExceededError", "ShiftLabError",
     "SizeLimitError", "TruncationError",
     "Gauge", "capped", "default_gauges", "eval_gauge", "log1p", "power", "rational",
-    "DiscreteMeasure", "MeasurePair", "pair_from_json", "split_measures",
+    "DiscreteMeasure", "MeasurePair", "split_measures",
     "LocalTimeLedger", "WalkConfig", "WalkPath", "build_ledger", "sample_walk",
     "EmbeddingResult", "Excursion", "compute_t_star", "compute_tau_star",
     "cost_of_tau_star", "decompose_excursions",

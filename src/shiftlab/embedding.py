@@ -55,9 +55,6 @@ class Excursion:
     right: int
     mass: Fraction
 
-    def to_csv_row(self) -> str:
-        return f"{self.left},{self.right},{self.mass}"
-
 
 @dataclass(frozen=True)
 class ExcursionChain:
@@ -154,11 +151,10 @@ def compute_tau_star(ledger: LocalTimeLedger, s: int) -> int:
     return s + 1 + int(hits[0])
 
 
-def mu_charged_steps(ledger: LocalTimeLedger, left: int, right: int) -> np.ndarray:
+def mu_charged_steps(ledger: Ledger, left: int, right: int) -> np.ndarray:
     """Signed steps in [left, right) carrying mu mass."""
-    lo, hi = ledger.idx(left), ledger.idx(right)
-    rel = np.flatnonzero(ledger.wmu[lo:hi] > 0)
-    return rel + left
+    steps, wmu, _ = ledger.events(left, right)
+    return steps[(wmu > 0) & (steps < right)]
 
 
 def excursion_mass(ledger: Ledger, left: int, right: int) -> Fraction:
@@ -292,7 +288,7 @@ def cost_of_tau_star(ledger: LocalTimeLedger, exc: Excursion, g: Gauge) -> float
     return total
 
 
-def tau_star_map(ledger: LocalTimeLedger, left: int, right: int
+def tau_star_map(ledger: Ledger, left: int, right: int
                  ) -> tuple[dict[int, int], list[int]]:
     """tau* for every mu-charged step in [left, right), in one forward pass.
 
@@ -301,7 +297,7 @@ def tau_star_map(ledger: LocalTimeLedger, left: int, right: int
     earlier ones) but are not reported.  Returns (tau, unresolved) where
     unresolved lists the charged steps whose tau* exceeds the horizon.
     """
-    ledger.idx(right)                      # raises outside the ledger range
+    ledger.events(right, right)            # raises outside the ledger range
     pairs, unmatched = _match_ledger(ledger, left, ledger.hf)
     still_open = set(unmatched)
     tau = {s: t for s, t in dict(pairs).items()

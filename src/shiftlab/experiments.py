@@ -5,6 +5,9 @@ difference process C(n) replica by replica under the horizon policy,
 skipping whole 64-step words far from the atoms, so heavy-tailed embedding
 times can be sampled up to 2^24 steps without retaining whole paths.
 Censored replicas (horizon policy exhausted) are reported, never dropped.
+The same scan yields atom visits: compare and excursion-cost read each
+excursion from them, and ergodic its long two-sided path, as event ledgers;
+no experiment builds a dense ledger.
 """
 
 from __future__ import annotations
@@ -22,18 +25,19 @@ from scipy import stats as sstats
 from .comparators import (Comparator, apply_comparator, check_matching,
                           extract_slots, lifo_matching, matching_cost)
 from .embedding import (Excursion, check_options, draw_u_flag,
-                        excursion_mass, first_balance, mu_charged_steps,
-                        require_mode, tau_star_map)
+                        excursion_mass, first_balance, require_mode,
+                        tau_star_map)
 # perfbench/tracing.LAYERS patches these in this namespace.
 from .embedding import compute_t_star, match_slots  # noqa: F401
+from .walk import build_ledger  # noqa: F401
 from .errors import ConfigError, InvariantError
 from .gauges import Gauge, default_gauges, eval_gauge, gauges_from_json
 from .measures import MeasurePair, measure_from_spec, split_measures
-from .rng import BitStream, STREAM_FWD, STREAM_START
+from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 from .stable_alloc import PointConfig
 from .transport import inequality_check, sample_feasible_matrix, stable_indicator
-from .walk import (EventLedger, WalkConfig, build_ledger, draw_start,
-                   inverse_local_time, sample_walk, site_weights)
+from .walk import (EventLedger, WalkConfig, draw_start, inverse_local_time,
+                   sample_walk, site_weights)
 
 EXPERIMENTS = ("embed_law", "unbiased", "cost_compare", "excursion_cost",
                "ergodic", "tail")
@@ -282,6 +286,29 @@ class FirstHitEngine:
         ``visits`` is a list, appends the (step, site) arrays of the atom
         visits up to the balance, steps counted from ``offset``.
         """
+        pos_end, sites, near, keep = self._near(words, pos)
+        if sites.size == 0:
+            return None, pos_end, c
+        c_arr = np.cumsum(self._wtab[sites - (self._lo - 8)])
+        c_arr += c
+        c_end = int(c_arr[-1])
+        h = first_balance(c_arr, 0, self.mode)
+        if visits is not None:
+            end = None if h is None else h + 1
+            visits.append(self._visits(sites[:end], near, keep, offset))
+        if h is None:
+            return None, pos_end, c_end
+        byte = keep[h // 8]
+        step = int(near[byte // 8]) * 64 + int(byte % 8) * 8 + h % 8
+        return (step, int(sites[h])), pos_end, c_end
+
+    def _near(self, words: np.ndarray, pos: int):
+        """The sites of ``words``, walked from ``pos``, near the atoms' hull.
+
+        Returns (end position, sites, near, keep): the sites after the 8
+        steps of each byte that may meet the hull, which are bytes ``keep``
+        of words ``near``; sites is empty when no byte may.
+        """
         disp = np.bitwise_count(words).astype(np.int64)
         disp *= 2
         disp -= 64
@@ -291,7 +318,7 @@ class FirstHitEngine:
         starts = ends - disp
         near = np.flatnonzero((starts >= self._lo - 64) & (starts <= self._hi + 64))
         if near.size == 0:
-            return None, pos_end, c
+            return pos_end, near, near, near
         # Bytes of the near words, in stream order, and their start sites.
         byts = words[near].astype(">u8").view(np.uint8).reshape(-1, 8)
         bdisp = _BYTE_DISP[byts]
@@ -301,25 +328,26 @@ class FirstHitEngine:
         keep = np.flatnonzero((bstart + _BYTE_MIN[byts] <= self._hi)
                               & (bstart + _BYTE_MAX[byts] >= self._lo))
         if keep.size == 0:
-            return None, pos_end, c
+            return pos_end, keep, near, keep
         sites = _BYTE_PATH[byts.ravel()[keep]]
         sites += bstart.ravel()[keep, None]
-        sites = sites.ravel()
-        c_arr = np.cumsum(self._wtab[sites - (self._lo - 8)])
-        c_arr += c
-        c_end = int(c_arr[-1])
-        h = first_balance(c_arr, 0, self.mode)
-        if visits is not None:
-            end = None if h is None else h + 1
-            k = np.flatnonzero(self._atom[sites[:end] - (self._lo - 8)])
-            byte = keep[k // 8]
-            visits.append((near[byte // 8] * 64 + byte % 8 * 8 + k % 8
-                           + (offset + 1), sites[k]))
-        if h is None:
-            return None, pos_end, c_end
-        byte = keep[h // 8]
-        step = int(near[byte // 8]) * 64 + int(byte % 8) * 8 + h % 8
-        return (step, int(sites[h])), pos_end, c_end
+        return pos_end, sites.ravel(), near, keep
+
+    def _visits(self, sites, near, keep, offset: int):
+        """(steps, sites) of the atom visits among ``_near``'s sites."""
+        k = np.flatnonzero(self._atom[sites - (self._lo - 8)])
+        byte = keep[k // 8]
+        return near[byte // 8] * 64 + byte % 8 * 8 + k % 8 + (offset + 1), sites[k]
+
+    def path_visits(self, replica: int, role: int, start: int, n: int):
+        """(steps, sites) of the atom visits at steps 1..n of a walk.
+
+        The walk starts at ``start`` and reads stream ``role`` of
+        ``replica`` the way ``WalkPath`` does.
+        """
+        words = BitStream(self.seed, replica, role).take_words(-(-n // 64))
+        steps, sites = self._visits(*self._near(words, start)[1:], 0)
+        return steps[steps <= n], sites[steps <= n]
 
 
 def _t_star_finder(cfg: ExperimentConfig, events: bool = False):
@@ -574,21 +602,35 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
                       {"margins": rows[:2000]})
 
 
+def _long_path(cfg: ExperimentConfig) -> EventLedger:
+    """Replica 0's path on [-horizon_bwd, horizon_fwd] as one event ledger.
+
+    It starts at a mu-atom drawn as the engine draws it; the first-hit scan
+    reads both streams the way ``WalkPath`` does and keeps the atom visits.
+    """
+    walk = cfg.walk
+    engine = FirstHitEngine(walk.seed, cfg.pair, cfg.mode)
+    start = draw_start(cfg.pair.mu, BitStream(walk.seed, 0, STREAM_START))
+    fwd, fwd_sites = engine.path_visits(0, STREAM_FWD, start, walk.horizon_fwd)
+    bwd, bwd_sites = engine.path_visits(0, STREAM_BWD, start, walk.horizon_bwd)
+    return EventLedger(np.concatenate([-bwd[::-1], [0], fwd]),
+                       np.concatenate([bwd_sites[::-1], [start], fwd_sites]),
+                       cfg.pair, walk.horizon_bwd, walk.horizon_fwd)
+
+
 def run_ergodic(cfg: ExperimentConfig, ensemble_replicas: int = 1000) -> StatReport:
     """Time-averaged tau* cost along one long path versus half the ensemble mean."""
-    walk_cfg = cfg.walk
-    path = sample_walk(walk_cfg, replica=0)
-    ledger = build_ledger(path, cfg.pair)
+    ledger = _long_path(cfg)
     q = ledger.q
-    dt = float(walk_cfg.dt)
-
-    tau_map, unresolved = tau_star_map(ledger, -ledger.hb, ledger.hf)
-    unresolved = set(unresolved)
+    dt = float(cfg.walk.dt)
+    # Charged steps missing from the map have tau* past the forward horizon.
+    tau_map, _ = tau_star_map(ledger, -ledger.hb, ledger.hf)
 
     # Largest two-sided mass level attainable with tau* defined inside the
     # forward horizon: cap r at 80% of each side's mass.
-    total_fwd = int(ledger.prefix_for("mu+nu")[-1] - ledger.prefix_for("mu+nu")[ledger.idx(0)])
-    total_bwd = int(ledger.prefix_for("mu+nu")[ledger.idx(0) + 1])
+    total_fwd, total_bwd = (int((wmu + wnu).sum()) for _, wmu, wnu in
+                            (ledger.events(0, ledger.hf),
+                             ledger.events(-ledger.hb, 0)))
     r_max = Fraction(int(0.8 * min(total_fwd, total_bwd)), q)
     if r_max <= 0:
         raise ConfigError("path too short for an ergodic run")
@@ -598,12 +640,12 @@ def run_ergodic(cfg: ExperimentConfig, ensemble_replicas: int = 1000) -> StatRep
         """(1/r) sum of mu(x_s) psi((tau*(s) - s) dt) over charged s in [lo, hi)."""
         total = 0.0
         unmatched = 0
-        for s in mu_charged_steps(ledger, lo, hi).tolist():
-            w = float(ledger.wmu[ledger.idx(s)]) / q
-            if s in unresolved:
+        steps, wmu, _ = ledger.events(lo, hi - 1)
+        for s, w in zip(steps[wmu > 0].tolist(), wmu[wmu > 0].tolist()):
+            if s not in tau_map:
                 unmatched += 1
                 continue
-            total += w * eval_gauge(g, (tau_map[s] - s) * dt)
+            total += float(w) / q * eval_gauge(g, (tau_map[s] - s) * dt)
         return total / float(r), unmatched
 
     rows = []
@@ -665,7 +707,7 @@ def run_ergodic(cfg: ExperimentConfig, ensemble_replicas: int = 1000) -> StatRep
         "ensemble_replicas": ensemble_replicas,
         "ensemble_censored": ens_censored,
         "summary": summary,
-        "seed": walk_cfg.seed,
+        "seed": cfg.walk.seed,
     }
     return StatReport("ergodic", cfg.digest(), data, {"averages": rows})
 

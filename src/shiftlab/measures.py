@@ -162,13 +162,6 @@ def split_measures(mu: DiscreteMeasure, nu: DiscreteMeasure) -> MeasurePair:
         rho=mu_t.total, orthogonal=(common.total == 0), denominator=q)
 
 
-def pair_from_json(obj: dict) -> MeasurePair:
-    if not isinstance(obj, dict) or "mu" not in obj or "nu" not in obj:
-        raise ConfigError("expected an object with 'mu' and 'nu' measures")
-    return split_measures(DiscreteMeasure.from_json(obj["mu"]),
-                          DiscreteMeasure.from_json(obj["nu"]))
-
-
 def measure_from_spec(obj) -> DiscreteMeasure:
     """Accept either the JSON schema or a shorthand list [[site, num, den], ...]."""
     if isinstance(obj, dict):

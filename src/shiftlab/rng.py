@@ -61,7 +61,11 @@ class BitStream:
                 f"stream {(self.seed, *self.ids)} serves {self._kind} draws; "
                 f"it cannot also serve {kind} draws")
         self._kind = kind
-        self._bg = np.random.Philox(key=[self.seed, _mix(self.ids)])
+        # numpy's key for this list: float64 if one value is >= 2^63, 2^64 -> 0.
+        key = [self.seed, _mix(self.ids)]
+        if (key[0] >> 63) != (key[1] >> 63):
+            key = [int(float(x)) & _MASK64 for x in key]
+        self._bg = np.random.Philox(key=np.array(key, dtype=np.uint64))
 
     def take_bits(self, n: int) -> np.ndarray:
         """Return the next n bits as a uint8 array of 0/1."""

@@ -8,7 +8,9 @@ numerators over the pair's common denominator q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Literal
 
@@ -22,8 +24,6 @@ from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 def _parse_fraction(x) -> Fraction:
     if isinstance(x, (list, tuple)):
         return Fraction(int(x[0]), int(x[1]))
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 
@@ -38,6 +38,8 @@ class WalkConfig:
     def __post_init__(self):
         if self.dx <= 0:
             raise ConfigError("dx must be positive")
+        if not 0 <= self.seed < 1 << 63:
+            raise ConfigError(f"seed must lie in [0, 2^63), got {self.seed}")
         if self.horizon_fwd < 1 or self.horizon_bwd < 1:
             raise ConfigError("horizons must be >= 1")
         if not self.start_law.is_probability:
@@ -75,22 +77,19 @@ def draw_start(law: DiscreteMeasure, stream: BitStream) -> int:
 class WalkPath:
     """Two independent one-sided walks glued at step 0.
 
-    positions(n) for n in [-horizon_bwd, horizon_fwd].  Both directions can
-    be extended on demand; the underlying counter-based streams make the
+    positions(n) for n in [-horizon_bwd, horizon_fwd].  The forward walk can
+    be extended on demand; the underlying counter-based stream makes the
     extension agree with what a longer initial horizon would have produced.
     """
 
     def __init__(self, cfg: WalkConfig, replica: int = 0):
         self.cfg = cfg
         self.replica = replica
-        self._start_stream = BitStream(cfg.seed, replica, STREAM_START)
-        self.start = draw_start(cfg.start_law, self._start_stream)
+        self.start = draw_start(cfg.start_law,
+                                BitStream(cfg.seed, replica, STREAM_START))
         self._fwd_stream = BitStream(cfg.seed, replica, STREAM_FWD)
-        self._bwd_stream = BitStream(cfg.seed, replica, STREAM_BWD)
         self.fwd = self._fwd_stream.take_steps(cfg.horizon_fwd)
-        self.bwd = self._bwd_stream.take_steps(cfg.horizon_bwd)
-        self._pos_fwd: np.ndarray | None = None
-        self._pos_bwd: np.ndarray | None = None
+        self.bwd = BitStream(cfg.seed, replica, STREAM_BWD).take_steps(cfg.horizon_bwd)
 
     @property
     def horizon_fwd(self) -> int:
@@ -104,35 +103,19 @@ class WalkPath:
         if new_horizon > len(self.fwd):
             extra = self._fwd_stream.take_steps(new_horizon - len(self.fwd))
             self.fwd = np.concatenate([self.fwd, extra])
-            self._pos_fwd = None
+            self.__dict__.pop("pos_fwd", None)
 
-    def extend_bwd(self, new_horizon: int) -> None:
-        if new_horizon > len(self.bwd):
-            extra = self._bwd_stream.take_steps(new_horizon - len(self.bwd))
-            self.bwd = np.concatenate([self.bwd, extra])
-            self._pos_bwd = None
-
-    @property
+    @cached_property
     def pos_fwd(self) -> np.ndarray:
         """positions(0..horizon_fwd) as int64."""
-        if self._pos_fwd is None or len(self._pos_fwd) != len(self.fwd) + 1:
-            out = np.empty(len(self.fwd) + 1, dtype=np.int64)
-            out[0] = self.start
-            np.cumsum(self.fwd, out=out[1:], dtype=np.int64)
-            out[1:] += self.start
-            self._pos_fwd = out
-        return self._pos_fwd
+        return np.concatenate([[self.start],
+                               self.start + np.cumsum(self.fwd, dtype=np.int64)])
 
-    @property
+    @cached_property
     def pos_bwd(self) -> np.ndarray:
         """positions(0, -1, ..., -horizon_bwd) as int64."""
-        if self._pos_bwd is None or len(self._pos_bwd) != len(self.bwd) + 1:
-            out = np.empty(len(self.bwd) + 1, dtype=np.int64)
-            out[0] = self.start
-            np.cumsum(self.bwd, out=out[1:], dtype=np.int64)
-            out[1:] += self.start
-            self._pos_bwd = out
-        return self._pos_bwd
+        return np.concatenate([[self.start],
+                               self.start + np.cumsum(self.bwd, dtype=np.int64)])
 
     def positions(self, n: int) -> int:
         if n >= 0:
@@ -219,9 +202,7 @@ class LocalTimeLedger:
         return int(np.count_nonzero(seg == x))
 
     def _functional(self, prefix: np.ndarray, n: int) -> Fraction:
-        if n >= 0:
-            return Fraction(self.range_mass(prefix, 0, n), self.q)
-        return Fraction(self.range_mass(prefix, n, 0), self.q)
+        return Fraction(self.range_mass(prefix, min(n, 0), max(n, 0)), self.q)
 
     def Lmu(self, n: int) -> Fraction:
         return self._functional(self.Pmu, n)
@@ -237,19 +218,6 @@ class LocalTimeLedger:
     def C(self, t: int) -> int:
         return int(self.X[self.idx(t) + 1])
 
-    def C_base(self) -> int:
-        """C(-1): reference value so that D(n) = (C(n) - C(-1)) / q for n >= 0."""
-        return int(self.X[self.idx(0)])
-
-    def prefix_for(self, functional: Functional) -> np.ndarray:
-        if functional == "mu":
-            return self.Pmu
-        if functional == "nu":
-            return self.Pnu
-        if functional == "mu+nu":
-            return self.Pmu + self.Pnu
-        raise ConfigError(f"unknown functional {functional!r}")
-
     def to_csv(self, fobj) -> None:
         fobj.write("step,Lmu,Lnu,D\n")
         for n in range(-self.hb, self.hf + 1):
@@ -261,60 +229,56 @@ def build_ledger(path: WalkPath, pair: MeasurePair) -> LocalTimeLedger:
 
 
 class EventLedger:
-    """The mass-carrying steps of a path on [0, steps[-1]], nothing else.
+    """The mass-carrying steps of a path on [-hb, hf], nothing else.
 
-    Built from atom visits: steps increasing from 0 and their sites.
-    ``events`` has the contract of ``LocalTimeLedger.events``, so slot
-    matchings and excursion masses run on either ledger at O(events) cost.
+    Built from atom visits: increasing signed steps and their sites, on
+    [0, steps[-1]] by default.  ``events`` has the contract of
+    ``LocalTimeLedger.events``, so the ledger functions run on either one.
     """
 
-    def __init__(self, steps: np.ndarray, sites: np.ndarray, pair: MeasurePair):
+    def __init__(self, steps: np.ndarray, sites: np.ndarray, pair: MeasurePair,
+                 hb: int = 0, hf: int | None = None):
         self.steps, self.pair, self.q = steps, pair, pair.denominator
+        self.hb, self.hf = hb, int(steps[-1]) if hf is None else hf
         self.wmu = site_weights(sites, pair.mu, self.q)
         self.wnu = site_weights(sites, pair.nu, self.q)
 
     def events(self, left: int, right: int
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(steps, wmu, wnu) of the steps in [left, right] that carry mass."""
-        end = int(self.steps[-1])
-        if left < 0 or right > end:
+        if left < -self.hb or right > self.hf:
             raise HorizonExceededError(
-                f"steps [{left}, {right}] outside [0, {end}]", horizon=end)
+                f"steps [{left}, {right}] outside [{-self.hb}, {self.hf}]",
+                horizon=self.hf)
         lo, hi = np.searchsorted(self.steps, (left, right + 1))
         return self.steps[lo:hi], self.wmu[lo:hi], self.wnu[lo:hi]
 
 
-def inverse_local_time(ledger: LocalTimeLedger, functional: Functional,
-                       r: Fraction | int) -> int:
+def inverse_local_time(ledger: LocalTimeLedger | EventLedger,
+                       functional: Functional, r: Fraction | int) -> int:
     """Generalized inverse S^r of the chosen additive functional.
 
     For r > 0 returns the first step n >= 0 whose cumulated mass over [0, n]
     reaches r (so the attained mass lies in [r, r + w), w the largest atom
     weight of mu and nu).  For r = 0 returns the last step before the
     functional first increases.  Negative r mirrors the construction in
-    backward time.
+    backward time.  Runs on the ``events`` of either ledger.
     """
     r = Fraction(r)
-    prefix = ledger.prefix_for(functional)
-    i0 = ledger.idx(0)
-    if r >= 0:
-        cum = prefix[i0 + 1:] - prefix[i0]          # mass over [0, n]
-        if r == 0:
-            above = np.flatnonzero(cum >= 1)
-            return int(above[0]) - 1 if above.size else ledger.hf
-        threshold = -((-r * ledger.q).__floor__())  # ceil(r * q)
-        hit = np.searchsorted(cum, threshold, side="left")
-        if hit >= len(cum) or cum[-1] < threshold:
-            raise HorizonExceededError(
-                "local-time level not attained within forward horizon",
-                horizon=ledger.hf, attained=Fraction(int(cum[-1]), ledger.q))
-        return int(hit)
-    # r < 0: cumulated mass over [n, 0] as n decreases.
-    cumb = prefix[i0 + 1] - prefix[i0::-1]          # index k -> mass over [-k, 0]
-    threshold = -((r * ledger.q).__floor__())       # ceil(|r| * q)
-    hits = np.flatnonzero(cumb >= threshold)
-    if hits.size == 0:
+    side, horizon = ("forward", ledger.hf) if r >= 0 else ("backward", ledger.hb)
+    steps, wmu, wnu = (ledger.events(0, horizon) if r >= 0 else
+                       (a[::-1] for a in ledger.events(-horizon, 0)))
+    weights = {"mu": wmu, "nu": wnu, "mu+nu": wmu + wnu}
+    if functional not in weights:
+        raise ConfigError(f"unknown functional {functional!r}")
+    cum = np.cumsum(weights[functional])
+    # r = 0 looks for the first step that carries mass.
+    hit = np.searchsorted(cum, max(math.ceil(abs(r) * ledger.q), 1))
+    if r == 0:
+        return int(steps[hit]) - 1 if hit < len(cum) else ledger.hf
+    if hit == len(cum):
         raise HorizonExceededError(
-            "local-time level not attained within backward horizon",
-            horizon=ledger.hb, attained=Fraction(int(cumb[-1]), ledger.q))
-    return -int(hits[0])
+            f"local-time level not attained within {side} horizon",
+            horizon=horizon,
+            attained=Fraction(int(weights[functional].sum()), ledger.q))
+    return int(steps[hit])

@@ -88,7 +88,7 @@ def test_minimality_and_support_invariants(symmetric_pair):
             continue
         checked += 1
         assert res.site in symmetric_pair.nu.support
-        base = led.C_base()
+        base = led.C(-1)
         for n in range(1, res.t_star):
             assert led.C(n) > base  # D(n) > 0 strictly before t*
         # Consistency: t* equals tau*(0) when 0 is mu-charged.
@@ -249,8 +249,3 @@ def test_single_excursion_path():
     exc = excursion_from(led, 0)
     assert (exc.left, exc.right) == (0, 1)
     assert exc.mass == 1
-
-
-def test_excursion_csv_row():
-    exc = Excursion(0, 5, Fraction(3, 2))
-    assert exc.to_csv_row() == "0,5,3/2"

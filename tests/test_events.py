@@ -1,13 +1,15 @@
-"""The event layer behind compare and excursion-cost.
+"""The event layer behind compare, excursion-cost and ergodic.
 
-The first-hit engine reports the atom visits it sees on [0, T*]; these
-tests hold them against the dense path and ledger, check the event
-ledger's range contract and its use by the matchings, pin the cost layer's
-call count and the linear FIFO matching, and pin the report bytes of
-``compare`` and ``excursion-cost`` on fixed configs.
+The first-hit engine reports the atom visits it sees on [0, T*], and its
+scan builds ergodic's two-sided path; these tests hold both against the
+dense path and ledger, check the event ledger's range contract and its use
+by the matchings and the inverse local time, pin the cost layer's call
+count and the linear FIFO matching, and pin the report bytes of the
+experiments on fixed configs.
 """
 
 import hashlib
+import itertools
 import json
 from contextlib import nullcontext
 from fractions import Fraction
@@ -21,15 +23,17 @@ from hypothesis import strategies as st
 from helpers import ScriptedPath, dense_first_excursion, queue_fifo_matching
 from test_experiments import _FIXTURE_PAIRS, make_cfg, measure_pairs
 
-from shiftlab import cli, comparators, embedding, experiments
+from shiftlab import cli, comparators, embedding, experiments, walk
 from shiftlab.comparators import extract_slots, fifo_matching
-from shiftlab.embedding import Excursion, excursion_mass, match_slots
+from shiftlab.embedding import (Excursion, excursion_mass, match_slots,
+                                mu_charged_steps, tau_star_map)
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.experiments import (FirstHitEngine, _first_excursion,
                                   run_cost_compare, run_excursion_cost)
 from shiftlab.gauges import default_gauges
 from shiftlab.measures import DiscreteMeasure, split_measures
-from shiftlab.walk import EventLedger, WalkConfig, build_ledger, sample_walk
+from shiftlab.walk import (EventLedger, WalkConfig, build_ledger,
+                           inverse_local_time, sample_walk)
 
 # mu = delta_0 opens three slots per visit.
 _MULTI_SLOT = split_measures(DiscreteMeasure.delta(0), DiscreteMeasure.from_atoms(
@@ -108,6 +112,60 @@ def test_event_ledger_matches_like_the_dense_one():
     assert seen > 10
 
 
+def _inverse_or_censored(ledger, functional, r):
+    try:
+        return inverse_local_time(ledger, functional, r)
+    except HorizonExceededError as exc:
+        return str(exc), exc.horizon, exc.attained
+
+
+@given(st.one_of(st.sampled_from(_FIXTURE_PAIRS + (_MULTI_SLOT,)),
+                 measure_pairs()).filter(
+                     lambda p: p.orthogonal and p.exact_mode_ok),
+       st.integers(0, 10**6), st.integers(1, 5000), st.integers(1, 5000),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_long_path_events_equal_the_dense_ledger(pair, seed, hf, hb, data):
+    cfg = make_cfg(pair, "ergodic", seed=seed, replicas=1, hf=hf, hb=hb)
+    led = experiments._long_path(cfg)
+    dense = build_ledger(sample_walk(cfg.walk, 0), pair)
+    assert (led.hb, led.hf) == (dense.hb, dense.hf) == (hb, hf)
+    assert -hb <= led.steps[0] and led.steps[-1] <= hf
+    for x, y in zip(led.events(-hb, hf), dense.events(-hb, hf)):
+        np.testing.assert_array_equal(x, y)
+    for ledger, (left, right) in itertools.product(
+            (led, dense), ((-hb - 1, 0), (0, hf + 1))):
+        with pytest.raises(HorizonExceededError):
+            ledger.events(left, right)
+    left = data.draw(st.integers(-hb, hf))
+    right = data.draw(st.integers(left, hf))
+    np.testing.assert_array_equal(mu_charged_steps(led, left, right),
+                                  mu_charged_steps(dense, left, right))
+    assert tau_star_map(led, left, right) == tau_star_map(dense, left, right)
+    # Levels of both signs, 0, and past all mass of a side (never attained).
+    units = [0, data.draw(st.integers(1, 60)), -data.draw(st.integers(1, 60)),
+             (hf + 2) * pair.denominator, -(hb + 2) * pair.denominator]
+    for functional in ("mu", "nu", "mu+nu"):
+        for k in units:
+            r = Fraction(k, pair.denominator)
+            assert (_inverse_or_censored(led, functional, r)
+                    == _inverse_or_censored(dense, functional, r))
+    with pytest.raises(ConfigError):
+        inverse_local_time(led, "mu-nu", 1)
+
+
+def test_ergodic_builds_no_dense_path(monkeypatch, symmetric_pair):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path or ledger built")
+
+    monkeypatch.setattr(walk.WalkPath, "__init__", refuse)
+    monkeypatch.setattr(walk.LocalTimeLedger, "__init__", refuse)
+    cfg = make_cfg(symmetric_pair, "ergodic", seed=2, replicas=1, hf=3001,
+                   hb=1999, max_horizon=1 << 12)
+    rep = experiments.run_ergodic(cfg, ensemble_replicas=50)
+    assert len(rep.data["summary"]) == len(cfg.gauges)
+
+
 def test_event_ledger_refuses_a_non_orthogonal_pair():
     pair = split_measures(
         DiscreteMeasure.from_atoms([(0, Fraction(1, 2)), (1, Fraction(1, 2))]),
@@ -175,11 +233,16 @@ def test_fifo_matching_equals_the_queue_oracle(pair, steps, data):
     assert fifo_matching(extract_slots(led, exc)) == queue_fifo_matching(led, exc)
 
 
-# sha256 of report.json and the tables, taken before compare and
-# excursion-cost moved to the event ledger; later changes must keep these
-# bytes.
+# sha256 of report.json and the tables; later changes must keep these
+# bytes.  compare and excursion-cost were taken before they moved to the
+# event ledger; ergodic, unbiased, embed and tail before ergodic's long path
+# moved to the first-hit scan.  The ergodic entry has unequal horizons that
+# are not multiples of 64, a multi-slot mu, dx = 1/3 and windows with
+# unmatched slots.
 _MU = [[0, 1, 1]]
 _NU_SYMMETRIC = [[-1, 1, 2], [1, 1, 2]]
+_MU_MULTI = [[0, 2, 3], [5, 1, 3]]
+_NU_THREE = [[-1, 1, 3], [1, 1, 3], [2, 1, 3]]
 _GOLDEN = {
     "compare": (
         {"mu": _MU, "nu": _NU_SYMMETRIC, "replicas": 50, "max_horizon": 1 << 14,
@@ -195,6 +258,35 @@ _GOLDEN = {
                         "b53fdd0c79c964c18a49402e198af0f2",
          "tables/margins.csv": "cb7051ffc44e225b7ed29736826af6c3"
                                "a21fe0595c9dd24e2d4b97f3f4d72cbc"}),
+    "ergodic": (
+        {"mu": _MU_MULTI, "nu": _NU_THREE, "replicas": 1, "max_horizon": 1 << 12,
+         "walk": {"dx": "1/3", "horizon_fwd": 3001, "horizon_bwd": 1999,
+                  "seed": 5000004}},
+        {"report.json": "1cf352ff6b2a7e37f675821e4f4984d4"
+                        "2145bed223aadbcab632aab151147f35",
+         "tables/averages.csv": "3bb95d0ef4da34a5ec7f8dbd7033c597"
+                                "9a91410ef676459b5085f11b07bb449c"}),
+    "unbiased": (
+        {"mu": _MU, "nu": _NU_SYMMETRIC, "replicas": 200, "max_horizon": 1 << 12,
+         "walk": {"horizon_fwd": 64, "horizon_bwd": 16, "seed": 5000003}},
+        {"report.json": "2217579ad107a646e90e0b20e81f9bfa"
+                        "39dc68b4970ee0ef88d51894608f54d9",
+         "tables/lags.csv": "575344fcd7da71596340568545627694"
+                            "df51f47768ee8911bcd50f0f2e8e5708"}),
+    "embed": (
+        {"mu": _MU_MULTI, "nu": _NU_THREE, "replicas": 300, "max_horizon": 1 << 12,
+         "walk": {"horizon_fwd": 64, "horizon_bwd": 4, "seed": 5000004}},
+        {"report.json": "d1f3211c0e1b70f83cefcfcc844ec31d"
+                        "995985c1b05497b1725e3d67cfae427a",
+         "tables/law.csv": "fc8f34e8a4e453dc6ca772c351ecd6e0"
+                           "5142dc269c3148e9f2a9cad6851e1367"}),
+    "tail": (
+        {"mu": _MU, "nu": [[1, 1, 1]], "replicas": 500, "max_horizon": 1 << 14,
+         "walk": {"horizon_fwd": 64, "horizon_bwd": 4, "seed": 5000005}},
+        {"report.json": "347171e6adf925e2000d2c813fe6fef1"
+                        "6c97d19a591323fc619948c0f8f2ab2d",
+         "tables/survival.csv": "6496370ae261ab693ac635a52e1935e9"
+                                "08725a67db0df05cda5df2f55462367c"}),
 }
 
 
@@ -217,8 +309,6 @@ def test_report_bytes_are_pinned(tmp_path, command):
 # within an excursion) and dx = 1/3 and 2/7, where dt = dx^2 is not an
 # integer and excursion-cost's points are numerators over its denominator;
 # taken before compare and excursion-cost read one slot list per excursion.
-_MU_MULTI = [[0, 2, 3], [5, 1, 3]]
-_NU_THREE = [[-1, 1, 3], [1, 1, 3], [2, 1, 3]]
 _GOLDEN_SLOTS = {
     "compare-multi-slot": ("compare", {
         "mu": _MU_MULTI, "nu": _NU_THREE, "replicas": 60, "max_horizon": 1 << 13,

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from shiftlab.errors import ConfigError, InvariantError
-from shiftlab.measures import (DiscreteMeasure, measure_from_spec,
-                               pair_from_json, split_measures)
+from shiftlab.measures import DiscreteMeasure, measure_from_spec, split_measures
 
 
 def test_delta_and_totals():
@@ -79,8 +78,9 @@ def test_exactness_condition():
 
 
 def test_pair_json_and_spec_shorthand():
-    pair = pair_from_json({"mu": {"denominator": 1, "atoms": [[0, 1]]},
-                           "nu": {"denominator": 2, "atoms": [[-1, 1], [1, 1]]}})
+    pair = split_measures(
+        DiscreteMeasure.from_json({"denominator": 1, "atoms": [[0, 1]]}),
+        DiscreteMeasure.from_json({"denominator": 2, "atoms": [[-1, 1], [1, 1]]}))
     assert pair.orthogonal and pair.denominator == 2
     m = measure_from_spec([[0, "1/2"], [5, 1, 2]])
     assert m.weight(0) == m.weight(5) == Fraction(1, 2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from shiftlab.measures import DiscreteMeasure
 from shiftlab.rng import (BitStream, STREAM_BWD, STREAM_FWD, STREAM_START,
                           _mix)
 from shiftlab.walk import draw_start
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_chunking_invariance():
@@ -106,3 +110,29 @@ def test_one_atom_start_reads_no_stream():
     start = BitStream(3, 0, STREAM_START)
     assert draw_start(DiscreteMeasure.delta(4), start) == 4
     assert start._bg is None and start._kind is None
+
+
+def _implicit_key_words(seed, ids, n):
+    """Words of the Philox stream numpy keys from the list [seed, _mix(ids)]."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.random.Philox(key=[seed, _mix(ids)]).random_raw(n)
+
+
+@pytest.mark.parametrize("seed, ids", [
+    (2**63 + 1, (4, 1)),    # high seed, low mixed ids: a float64 key
+    (5, (4, 0)),            # low seed, high mixed ids
+    (2**63 - 1, (4, 0)),    # rounds up to 2^63 in float64
+    (2**63 + 1, (4, 0)),    # both high: an exact uint64 key
+    (2**64 - 1, (4, 1)),    # rounds to 2^64, which numpy casts to 0
+])
+def test_stream_key_is_numpys_implicit_key(seed, ids):
+    assert np.array_equal(BitStream(seed, *ids).take_words(8),
+                          _implicit_key_words(seed, ids, 8))
+
+
+@given(hst.integers(0, 2**64 - 1), hst.integers(0, 2**20), hst.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_stream_key_matches_numpy_on_any_seed(seed, rep, role):
+    assert np.array_equal(BitStream(seed, rep, role).take_words(2),
+                          _implicit_key_words(seed, (rep, role), 2))
