@@ -2,8 +2,8 @@
 
 Every subcommand reads one JSON config document, writes report.json (plus
 CSV tables) into the output directory, and exits with 0 on success, 1 on a
-configuration error, 2 on an invariant failure, 3 when a horizon policy is
-exhausted.  Errors are also emitted as structured JSON on stderr.
+configuration error, 2 on an invariant failure, 3 when a horizon or step
+budget is exhausted.  Errors are also emitted as structured JSON on stderr.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ T* is the first positive step at which the additive functional of nu catches
 up with that of mu; tau* sends each step s to the first later step balancing
 the two functionals over [s, t].  In exact mode (all effective down-steps of
 size 1/q) the balance events are hit exactly and every identity below holds
-with equality in rational arithmetic.
+with equality in rational arithmetic.  Crossing mode (first D <= 0) takes
+any target but only approximates nu on the lattice: from delta_0, the site
+at T* is at TV distance 0.12 from nu = (delta_-m + 2 delta_m)/3 for m = 1,
+0.04 for m = 2 and 0.012 for m = 4.
 
 tau* comes from one balancing kernel, ``parenthesis_match`` (LIFO matching
 of mu-slots against nu-slots); ``compute_tau_star`` is the per-step
@@ -64,21 +67,18 @@ class ExcursionChain:
 
 
 MODES = ("exact", "crossing")
-HORIZON_POLICIES = ("fixed", "doubling")
 _MAX_LEVELS = 64              # size cap of decompose_excursions' level grid
 
 
-def check_options(mode: Mode, policy: str = "doubling") -> None:
-    """Reject an embedding mode or a horizon policy the engines do not know."""
+def check_mode(mode: Mode) -> None:
+    """Reject an embedding mode the engines do not know."""
     if mode not in MODES:
         raise ConfigError(f"unknown embedding mode {mode!r}")
-    if policy not in HORIZON_POLICIES:
-        raise ConfigError(f"unknown horizon policy {policy!r}")
 
 
 def require_mode(pair: MeasurePair, mode: Mode) -> None:
     """The exact-mode precondition: every effective down-step of D is 1/q."""
-    check_options(mode)
+    check_mode(mode)
     if mode == "exact" and not pair.exact_mode_ok:
         raise ConfigError(
             "exact mode requires every effective nu-atom to weigh exactly 1/q; "
@@ -107,8 +107,9 @@ def draw_u_flag(pair: MeasurePair, seed: int, replica: int, start: int) -> int:
         return 1
     if p == 0:
         return 0
-    u = BitStream(seed, replica, STREAM_UFLAG).uniform_fraction()
-    return 1 if u < p else 0
+    # u < p exactly when floor(u * denominator) < numerator.
+    u = BitStream(seed, replica, STREAM_UFLAG).uniform_index(p.denominator)
+    return 1 if u < p.numerator else 0
 
 
 def compute_t_star(ledger: LocalTimeLedger, pair: MeasurePair,

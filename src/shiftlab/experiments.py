@@ -1,10 +1,11 @@
 """Monte Carlo and ergodic verification experiments.
 
 Every experiment finds T* with the first-hit engine, which simulates the
-difference process C(n) replica by replica under the horizon policy,
-skipping whole 64-step words far from the atoms, so heavy-tailed embedding
-times can be sampled up to 2^24 steps without retaining whole paths.
-Censored replicas (horizon policy exhausted) are reported, never dropped.
+difference process C(n) replica by replica, doubling its horizon from
+``horizon_fwd`` up to ``max_horizon`` and skipping whole 64-step words far
+from the atoms, so heavy-tailed embedding times can be sampled up to 2^24
+steps without retaining whole paths.  Censored replicas (T* past
+``max_horizon``) are reported, never dropped.
 The same scan yields atom visits: compare and excursion-cost read each
 excursion from them, and ergodic its long two-sided path, as event ledgers;
 no experiment builds a dense ledger.
@@ -20,11 +21,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sstats
 
 from .comparators import (Comparator, apply_comparator, check_matching,
                           extract_slots, lifo_matching, matching_cost)
-from .embedding import (Excursion, check_options, draw_u_flag,
+from .embedding import (Excursion, check_mode, draw_u_flag,
                         excursion_mass, first_balance, require_mode,
                         tau_star_map)
 # perfbench/tracing.LAYERS patches these in this namespace.
@@ -32,7 +32,7 @@ from .embedding import compute_t_star, match_slots  # noqa: F401
 from .walk import build_ledger  # noqa: F401
 from .errors import ConfigError, InvariantError
 from .gauges import Gauge, default_gauges, eval_gauge, gauges_from_json
-from .measures import MeasurePair, measure_from_spec, split_measures
+from .measures import MeasurePair, as_int, measure_from_spec, split_measures
 from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 from .stable_alloc import PointConfig
 from .transport import inequality_check, sample_feasible_matrix, stable_indicator
@@ -42,12 +42,8 @@ from .walk import (EventLedger, WalkConfig, draw_start, inverse_local_time,
 EXPERIMENTS = ("embed_law", "unbiased", "cost_compare", "excursion_cost",
                "ergodic", "tail")
 
-DEFAULT_THRESHOLDS = {
-    "sigma": 3.0,
-    "ks_alpha": 0.01,
-    "margin_tol": 1e-10,
-    "censor_flag": 0.20,
-}
+# The only keys a config's "thresholds" may set.
+DEFAULT_THRESHOLDS = {"sigma": 3.0, "margin_tol": 1e-10, "censor_flag": 0.20}
 
 _CHUNK_CAP = 1 << 22
 
@@ -60,7 +56,6 @@ class ExperimentConfig:
     replicas: int
     experiment: str
     mode: str = "exact"                    # "exact" | "crossing"
-    horizon_policy: str = "doubling"       # "fixed" | "doubling"
     max_horizon: int = 1 << 20
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
     comparators: tuple[Comparator, ...] = (
@@ -71,7 +66,10 @@ class ExperimentConfig:
     r_levels: int = 6
 
     def __post_init__(self):
-        check_options(self.mode, self.horizon_policy)
+        check_mode(self.mode)
+        if not set(self.thresholds) <= set(DEFAULT_THRESHOLDS):
+            raise ConfigError(f"thresholds take only {sorted(DEFAULT_THRESHOLDS)}, "
+                              f"got {sorted(self.thresholds)}")
         if self.replicas < 1:
             raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
         if self.max_horizon < 1:
@@ -96,23 +94,22 @@ class ExperimentConfig:
         try:
             if obj.get("comparators"):
                 kwargs["comparators"] = tuple(
-                    Comparator(c["kind"], seed=int(c.get("seed", 0)),
-                               n_swaps=int(c.get("n_swaps", 8)))
+                    Comparator(c["kind"], seed=as_int(c.get("seed", 0)),
+                               n_swaps=as_int(c.get("n_swaps", 8)))
                     for c in obj["comparators"])
             if "lags" in obj:
-                kwargs["lags"] = tuple(int(x) for x in obj["lags"])
+                kwargs["lags"] = tuple(as_int(x) for x in obj["lags"])
             if "r_levels" in obj:
-                kwargs["r_levels"] = int(obj["r_levels"])
+                kwargs["r_levels"] = as_int(obj["r_levels"])
             extra = dict(obj.get("thresholds", {}))
             return cls(
                 walk=walk, pair=pair,
                 gauges=(gauges_from_json(obj["gauges"]) if obj.get("gauges")
                         else default_gauges()),
-                replicas=int(obj.get("replicas", 1000)),
+                replicas=as_int(obj.get("replicas", 1000)),
                 experiment=experiment,
                 mode=obj.get("mode", "exact"),
-                horizon_policy=obj.get("horizon_policy", "doubling"),
-                max_horizon=int(obj.get("max_horizon", 1 << 20)),
+                max_horizon=as_int(obj.get("max_horizon", 1 << 20)),
                 thresholds={**DEFAULT_THRESHOLDS,
                             **{k: float(v) for k, v in extra.items()}},
                 **kwargs)
@@ -129,7 +126,9 @@ class ExperimentConfig:
             "replicas": self.replicas,
             "experiment": self.experiment,
             "mode": self.mode,
-            "horizon_policy": self.horizon_policy,
+            # The one horizon policy, kept so that digests stay those of
+            # configs written when a second policy existed.
+            "horizon_policy": "doubling",
             "max_horizon": self.max_horizon,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
@@ -181,22 +180,15 @@ _BYTE_MIN = _BYTE_PATH.min(axis=1)
 _BYTE_MAX = _BYTE_PATH.max(axis=1)
 
 
-def _policy_chunks(h0: int, hmax: int, policy: str):
-    """Ends of the step blocks the horizon policy examines, in order.
-
-    Under "doubling" the horizon runs h0, 2 h0, 4 h0, ...; under "fixed" it
-    is hmax at once.  Both are capped at hmax and cut into pieces of at most
-    _CHUNK_CAP steps.
-    """
-    done = 0
-    horizon = h0 if policy == "doubling" else hmax
+def _doubling_chunks(h0: int, hmax: int):
+    """Ends of the step blocks examined: the horizon runs h0, 2 h0, 4 h0, ...
+    capped at hmax, each block cut into pieces of at most _CHUNK_CAP steps."""
+    done, horizon = 0, h0
     while done < hmax:
-        end = min(horizon, hmax, done + _CHUNK_CAP)
-        if end > done:
-            done = end
-            yield end
-        else:
+        while horizon <= done:
             horizon *= 2
+        done = min(horizon, hmax, done + _CHUNK_CAP)
+        yield done
 
 
 class FirstHitEngine:
@@ -231,15 +223,16 @@ class FirstHitEngine:
         self.wdiff = {int(s): int(w) for s, w in zip(grid, self._wtab) if w}
 
     def run_replica(self, replica: int, h0: int, hmax: int,
-                    policy: str = "doubling", events: bool = False) -> dict:
+                    events: bool = False) -> dict:
         """Returns {"t_star", "site", "censored", "horizon", "u_flag"}.
 
-        ``horizon`` is the end of the policy block holding T*, or the last
-        block's end when the replica is censored at hmax.  With ``events``
-        the dict also holds "events": the (steps, sites) arrays of the atom
-        visits on [0, T*], step 0 included, or None when censored.
+        The horizon doubles from h0 up to hmax.  ``horizon`` is the end of
+        the block holding T*, or the last block's end when the replica is
+        censored at hmax.  With ``events`` the dict also holds "events": the
+        (steps, sites) arrays of the atom visits on [0, T*], step 0
+        included, or None when censored.
         """
-        if policy == "doubling" and h0 < 1 <= hmax:
+        if h0 < 1 <= hmax:
             raise ConfigError(f"horizon doubling needs h0 >= 1, got {h0}")
         start_stream = BitStream(self.seed, replica, STREAM_START)
         start = draw_start(self.pair.mu, start_stream)
@@ -247,22 +240,21 @@ class FirstHitEngine:
         out = {"t_star": 0, "site": start, "censored": False,
                "horizon": 0, "u_flag": 0}
         if draw_u_flag(self.pair, self.seed, replica, start) == 1:
-            out = self._first_hit(replica, start, h0, hmax, policy,
+            out = self._first_hit(replica, start, h0, hmax,
                                   visits if events else None)
         if events:
             out["events"] = None if out["censored"] else tuple(
                 map(np.concatenate, zip(*visits)))
         return out
 
-    def _first_hit(self, replica, start, h0, hmax, policy, visits):
+    def _first_hit(self, replica, start, h0, hmax, visits):
         """run_replica after a U-flag of 1: the scan from ``start``."""
         stream = BitStream(self.seed, replica, STREAM_FWD)
         pos = start
         c = self.wdiff.get(start, 0)       # C(0); reference C(-1) = 0
         scanned = 0                        # steps read, a multiple of 64
-        hit = None
-        horizon = 0
-        for horizon in _policy_chunks(h0, hmax, policy):
+        hit, horizon = None, 0
+        for horizon in _doubling_chunks(h0, hmax):
             # The last word of a block can run past the block; a balance
             # found there belongs to a later block, or past hmax to none.
             if hit is None and scanned < horizon:
@@ -353,14 +345,13 @@ class FirstHitEngine:
 def _t_star_finder(cfg: ExperimentConfig, events: bool = False):
     """rep -> run_replica output: T* under the one horizon contract.
 
-    Every experiment finds T* here.  ``horizon_fwd`` is the first block under
-    doubling, ``max_horizon`` caps both policies ("fixed" is one block to
-    it), and a replica whose T* lies beyond the cap is censored.
+    Every experiment finds T* here.  The horizon doubles from
+    ``horizon_fwd`` up to ``max_horizon``, and a replica whose T* lies
+    beyond the cap is censored.
     """
     engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
     return lambda rep: engine.run_replica(rep, cfg.walk.horizon_fwd,
-                                          cfg.max_horizon, cfg.horizon_policy,
-                                          events)
+                                          cfg.max_horizon, events)
 
 
 def _mean_se(xs: list[float]) -> tuple[float, float]:
@@ -405,12 +396,11 @@ def run_embed_law(cfg: ExperimentConfig) -> StatReport:
     extra = sum(c for s, c in sites.items() if nu.weight(s) == 0)
     tv += extra / (2.0 * completed) if completed else 0.0
     censor_rate = censored / cfg.replicas
-    flagged = (cfg.horizon_policy == "fixed"
-               and censor_rate > cfg.thresholds["censor_flag"])
     data = {
         "replicas": cfg.replicas, "completed": completed, "censored": censored,
         "tv_distance": tv, "chi2": chi2, "off_support_hits": extra,
-        "censor_rate": censor_rate, "excess_censoring_flag": flagged,
+        "censor_rate": censor_rate,
+        "excess_censoring_flag": censor_rate > cfg.thresholds["censor_flag"],
         "mean_t_star_steps": float(np.mean(t_values)) if t_values else None,
         "seed": cfg.walk.seed,
     }
@@ -423,6 +413,9 @@ def run_unbiased_test(cfg: ExperimentConfig) -> StatReport:
     Each completed replica's path is sampled to T* + max lag; censored
     replicas are counted and left out.
     """
+    # Only this experiment needs scipy.stats (0.6 s and 70 MiB to import).
+    from scipy import stats as sstats
+
     lags = cfg.lags
     window = max(lags)
     per_lag_fwd = {k: [] for k in lags}

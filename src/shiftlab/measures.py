@@ -10,6 +10,13 @@ from typing import Iterable, Sequence
 from .errors import ConfigError, InvariantError
 
 
+def as_int(x) -> int:
+    """``int(x)`` for an input value, refusing a number with a fractional part."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """A finitely supported (sub-)probability measure on lattice sites.
@@ -41,7 +48,7 @@ class DiscreteMeasure:
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple[int, Fraction | int | str]],
                    denominator: int | None = None) -> "DiscreteMeasure":
-        norm = sorted((int(s), Fraction(w)) for s, w in atoms)
+        norm = sorted((as_int(s), Fraction(w)) for s, w in atoms)
         if denominator is None:
             denominator = lcm(1, *(w.denominator for _, w in norm)) if norm else 1
         return cls(tuple(norm), denominator)
@@ -90,9 +97,10 @@ class DiscreteMeasure:
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteMeasure":
         try:
-            q = int(obj["denominator"])
-            atoms = tuple((int(s), Fraction(int(num), q)) for s, num in obj["atoms"])
-        except (KeyError, TypeError, ValueError) as exc:
+            q = as_int(obj["denominator"])
+            atoms = tuple((as_int(s), Fraction(as_int(num), q))
+                          for s, num in obj["atoms"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"malformed measure object: {obj!r}") from exc
         return cls(atoms, q)
 
@@ -175,7 +183,7 @@ def measure_from_spec(obj) -> DiscreteMeasure:
                     atoms.append((site, Fraction(w)))
                 else:
                     site, num, den = entry
-                    atoms.append((site, Fraction(int(num), int(den))))
+                    atoms.append((site, Fraction(as_int(num), as_int(den))))
             return DiscreteMeasure.from_atoms(atoms)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"malformed measure shorthand: {obj!r}") from exc

@@ -7,15 +7,13 @@ auxiliary draws all get their own stream id and can therefore run in any
 order, or in parallel, without coordination.
 
 One stream serves one consumer kind: bits (``take_bits``/``take_steps``),
-raw words (``take_words``) or uniforms (``uniform_*``).  The bit kind
+raw words (``take_words``) or uniforms (``uniform_index``).  The bit kind
 buffers unread bits and the others read the raw words directly, so mixing
 kinds would make the output depend on how requests are chunked; asking a
 stream for a second kind raises.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -98,15 +96,8 @@ class BitStream:
             self._claim("words")
         return self._bg.random_raw(n)
 
-    def uniform_fraction(self) -> Fraction:
-        """One exact uniform draw on [0, 1) with 64-bit resolution."""
-        if self._kind != "uniforms":
-            self._claim("uniforms")
-        word = int(self._bg.random_raw(1)[0])
-        return Fraction(word, 1 << 64)
-
     def uniform_index(self, n: int) -> int:
-        """int(uniform_fraction() * n), the same floor, without the Fraction."""
+        """floor(u * n) for one uniform u = word / 2^64 on [0, 1), exactly."""
         if self._kind != "uniforms":
             self._claim("uniforms")
         return (int(self._bg.random_raw(1)[0]) * n) >> 64

@@ -17,13 +17,16 @@ from typing import Literal
 import numpy as np
 
 from .errors import ConfigError, HorizonExceededError
-from .measures import DiscreteMeasure, MeasurePair
+from .measures import DiscreteMeasure, MeasurePair, as_int
 from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
+
+# Horizon cap, checked before any path is allocated; configs use up to 2^18.
+MAX_HORIZON_STEPS = 1 << 30
 
 
 def _parse_fraction(x) -> Fraction:
     if isinstance(x, (list, tuple)):
-        return Fraction(int(x[0]), int(x[1]))
+        return Fraction(as_int(x[0]), as_int(x[1]))
     return Fraction(x)
 
 
@@ -40,8 +43,9 @@ class WalkConfig:
             raise ConfigError("dx must be positive")
         if not 0 <= self.seed < 1 << 63:
             raise ConfigError(f"seed must lie in [0, 2^63), got {self.seed}")
-        if self.horizon_fwd < 1 or self.horizon_bwd < 1:
-            raise ConfigError("horizons must be >= 1")
+        for h in (self.horizon_fwd, self.horizon_bwd):
+            if not 1 <= h <= MAX_HORIZON_STEPS:
+                raise ConfigError(f"horizons must lie in [1, 2^30], got {h}")
         if not self.start_law.is_probability:
             raise ConfigError("start_law must be a probability measure")
 
@@ -54,22 +58,23 @@ class WalkConfig:
         try:
             return cls(
                 dx=_parse_fraction(obj.get("dx", 1)),
-                horizon_fwd=int(obj["horizon_fwd"]),
-                horizon_bwd=int(obj["horizon_bwd"]),
-                seed=int(obj["seed"]),
+                horizon_fwd=as_int(obj["horizon_fwd"]),
+                horizon_bwd=as_int(obj["horizon_bwd"]),
+                seed=as_int(obj["seed"]),
                 start_law=start_law,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
             raise ConfigError(f"malformed walk config: {obj!r}") from exc
 
 
 def draw_start(law: DiscreteMeasure, stream: BitStream) -> int:
-    """Inverse-CDF draw from an atomic law, exact in rational arithmetic."""
+    """Inverse-CDF draw: u < F(site) exactly when floor(u q) < F(site) q."""
     if len(law.atoms) == 1:                # no draw: the stream stays unread
         return law.atoms[0][0]
-    u = stream.uniform_fraction()
+    u = stream.uniform_index(law.denominator)
     for site, acc in law.cumulative():
-        if u < acc:
+        if u < acc * law.denominator:
             return site
     return law.atoms[-1][0]
 

@@ -13,7 +13,9 @@ comparators.fifo_matching; bisect_compute_N and
 scan_find_crossing are the per-point and per-cell references for the merged
 compute_N sweep and the index-list find_crossing; FractionMatrix with
 fraction_sample_feasible_matrix and fraction_repair_trace are the
-Fraction-mass references for the integer masses of TransportMatrix.
+Fraction-mass references for the integer masses of TransportMatrix;
+uniform_fraction, fraction_draw_start and fraction_draw_u_flag are the
+Fraction references for the integer uniform draws.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from shiftlab.embedding import (Excursion, compute_t_star, compute_tau_star,
                                 mu_charged_steps)
 from shiftlab.errors import ConfigError, HorizonExceededError, TruncationError
 from shiftlab.gauges import eval_gauge
-from shiftlab.rng import STREAM_FWD, STREAM_START, BitStream
+from shiftlab.rng import STREAM_FWD, STREAM_START, STREAM_UFLAG, BitStream
 from shiftlab.stable_alloc import stable_allocation
 from shiftlab.transport import Crossing
 from shiftlab.walk import build_ledger, draw_start, sample_walk
@@ -77,13 +79,12 @@ class ScriptedPath:
         return np.concatenate([self._bwd[:0:-1], self._fwd])
 
 
-def step_first_hit(engine, replica: int, h0: int, hmax: int,
-                   policy: str = "doubling") -> dict:
-    """FirstHitEngine.run_replica, one step at a time over the policy chunks.
+def step_first_hit(engine, replica: int, h0: int, hmax: int) -> dict:
+    """FirstHitEngine.run_replica, one step at a time over the doubling chunks.
 
     Every step of each chunk gets its position and weight; the chunk
-    schedule is the horizon policy's (doubling from h0, or hmax at once,
-    capped at hmax, in pieces of at most experiments._CHUNK_CAP steps).
+    schedule doubles from h0, capped at hmax (so h0 >= hmax is hmax at
+    once), in pieces of at most experiments._CHUNK_CAP steps.
     """
     start = draw_start(engine.pair.mu,
                        BitStream(engine.seed, replica, STREAM_START))
@@ -94,12 +95,12 @@ def step_first_hit(engine, replica: int, h0: int, hmax: int,
     pos = start
     c = engine.wdiff.get(start, 0)
     done = 0
-    horizon = h0 if policy == "doubling" else hmax
+    horizon = h0
     while True:
         want = min(horizon, hmax) - done
         chunk = min(want, experiments._CHUNK_CAP)
         if chunk <= 0:
-            if policy == "doubling" and horizon < hmax:
+            if horizon < hmax:
                 horizon *= 2
                 continue
             return {"t_star": None, "site": None, "censored": True,
@@ -188,7 +189,7 @@ def doubling_first_excursion(cfg, rep: int, slot_cap: int | None = None):
             res = compute_t_star(ledger, cfg.pair, mode="exact")
             break
         except HorizonExceededError:
-            if cfg.horizon_policy != "doubling" or horizon >= cfg.max_horizon:
+            if horizon >= cfg.max_horizon:
                 return None
             # T* > horizon, so the excursion carries at least this mass.
             if (slot_cap is not None
@@ -317,3 +318,29 @@ def fraction_repair_trace(pi: FractionMatrix) -> list[FractionMatrix]:
         out.set(c.k, c.l, cur.get(c.k, c.l) + delta)
         trace.append(out)
     return trace
+
+
+def uniform_fraction(stream) -> Fraction:
+    """One uniform on [0, 1): the stream's next raw word over 2^64."""
+    return Fraction(int(stream.take_words(1)[0]), 1 << 64)
+
+
+def fraction_draw_start(law, stream) -> int:
+    """walk.draw_start comparing a Fraction uniform with the Fraction CDF."""
+    if len(law.atoms) == 1:
+        return law.atoms[0][0]
+    u = uniform_fraction(stream)
+    for site, acc in law.cumulative():
+        if u < acc:
+            return site
+    return law.atoms[-1][0]
+
+
+def fraction_draw_u_flag(pair, seed: int, replica: int, start: int) -> int:
+    """embedding.draw_u_flag comparing a Fraction uniform with p."""
+    if pair.orthogonal:
+        return 1
+    p = pair.mu_tilde.weight(start) / pair.mu.weight(start)
+    if p in (0, 1):
+        return int(p)
+    return int(uniform_fraction(BitStream(seed, replica, STREAM_UFLAG)) < p)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import shiftlab
 from shiftlab.cli import (EXIT_CONFIG, EXIT_HORIZON, EXIT_INVARIANT, EXIT_OK,
                           OUTPUT_DIR_ENV, main)
 
@@ -147,7 +151,7 @@ def test_unbalanced_split_is_invariant_error(tmp_path, capsys, monkeypatch):
 def test_censoring_everywhere_is_not_an_error(tmp_path):
     # Exhausted horizons on some replicas are data, not a failure.
     cfg = write_json(tmp_path, "cfg.json", walk_config(
-        {"max_horizon": 256, "horizon_policy": "fixed",
+        {"max_horizon": 256,
          "walk": {"dx": "1", "horizon_fwd": 256, "horizon_bwd": 4, "seed": 1}}))
     assert main(["--output-dir", str(tmp_path / "o"), "embed", cfg]) == EXIT_OK
     data = json.loads((tmp_path / "o" / "report.json").read_text())["data"]
@@ -171,7 +175,7 @@ def test_horizon_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_unknown_mode_and_policy_are_config_errors(tmp_path, capsys):
     cfg = write_json(tmp_path, "cfg.json",
-                     walk_config({"mode": "exakt", "horizon_policy": "dubling"}))
+                     walk_config({"mode": "exakt"}))
     assert main(["--output-dir", str(tmp_path / "o"), "embed", cfg]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not (tmp_path / "o").exists()
@@ -266,13 +270,45 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
     ("inequality", {**_POINTS, "N": 2, "matrix": [[0, 0, 1, 0], [1, 1, 1, 1]]}),
     ("inequality", {**_POINTS, "N": 2, "matrix": [[0, 0, 1, 1], [1, 5, 1, 1]]}),
     ("repair", {**_POINTS, "N": "x"}),
+    ("embed", walk_config({"nu": {"denominator": 0, "atoms": [[1, 1]]}})),
+    ("embed", walk_config({"walk": {"dx": [1, 0], "horizon_fwd": 64,
+                                    "horizon_bwd": 4, "seed": 1}})),
+    ("embed", walk_config({"walk": 5})),
+    ("embed", walk_config({"nu": [[1.5, 1, 1]]})),
+    ("embed", walk_config({"walk": {"horizon_fwd": 64, "horizon_bwd": 4,
+                                    "seed": 1.7}})),
+    ("embed", walk_config({"replicas": 2.5})),
+    ("tail", walk_config({"max_horizon": 4096.5})),
+    ("embed", walk_config({"walk": {"horizon_fwd": 64.5, "horizon_bwd": 4,
+                                    "seed": 1}})),
+    ("unbiased", walk_config({"lags": [1, 2.5]})),
+    ("ergodic", walk_config({"r_levels": 3.5})),
+    ("embed", walk_config({"thresholds": {"sigm": 2}})),
+    ("walk", walk_config({"walk": {"horizon_fwd": 10**12, "horizon_bwd": 4,
+                                   "seed": 1}})),
+    ("ergodic", walk_config({"walk": {"horizon_fwd": 10**12,
+                                      "horizon_bwd": 10**12, "seed": 1}})),
 ], ids=["gauge-param-zero-den", "gauge-param-text", "comparator-no-kind",
         "negative-n-swaps", "replicas-text", "measure-text-weight",
         "lags-not-a-list", "thresholds-not-an-object", "r-levels-zero",
         "experiment-mismatch", "matrix-zero-den", "matrix-index-past-points",
-        "window-text"])
+        "window-text", "measure-zero-den", "dx-zero-den", "walk-not-an-object",
+        "fractional-site", "fractional-seed", "fractional-replicas",
+        "fractional-max-horizon", "fractional-horizon", "fractional-lag",
+        "fractional-r-levels", "unknown-threshold", "walk-horizon-too-long",
+        "ergodic-horizon-too-long"])
 def test_malformed_inputs_are_config_errors(tmp_path, capsys, command, obj):
     cfg = write_json(tmp_path, "cfg.json", obj)
     assert main(["--output-dir", str(tmp_path / "o"), command, cfg]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not (tmp_path / "o").exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # Only the unbiased experiment reads scipy.stats; it is imported there.
+    code = "import sys, shiftlab.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(shiftlab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -65,8 +65,7 @@ def test_engine_matches_ledger(symmetric_pair):
     engine = FirstHitEngine(9, symmetric_pair)
     for rep in range(30):
         led = build_ledger(sample_walk(walk, rep), symmetric_pair)
-        out = engine.run_replica(rep, walk.horizon_fwd, walk.horizon_fwd,
-                                 policy="fixed")
+        out = engine.run_replica(rep, walk.horizon_fwd, walk.horizon_fwd)
         try:
             res = compute_t_star(led, symmetric_pair)
         except HorizonExceededError:
@@ -106,9 +105,9 @@ def test_engine_matches_step_oracle_across_chunk_caps(monkeypatch, delta_pair,
     monkeypatch.setattr(experiments, "_CHUNK_CAP", cap)
     engine = FirstHitEngine(5, delta_pair)
     for rep in range(40):
-        for h0, hmax, policy in ((1, 5000, "doubling"), (1000, 4097, "fixed")):
-            assert engine.run_replica(rep, h0, hmax, policy) == \
-                step_first_hit(engine, rep, h0, hmax, policy)
+        for h0, hmax in ((1, 5000), (4097, 4097)):
+            assert engine.run_replica(rep, h0, hmax) == \
+                step_first_hit(engine, rep, h0, hmax)
 
 
 def test_first_excursion_slot_cap_keeps_the_mass_filter(symmetric_pair):
@@ -158,11 +157,22 @@ def test_embed_law_forced(delta_pair):
 
 def test_embed_law_censoring_accounting(symmetric_pair):
     cfg = make_cfg(symmetric_pair, "embed_law", replicas=200, hf=256,
-                   max_horizon=256, horizon_policy="fixed")
+                   max_horizon=256)
     rep = run_embed_law(cfg)
     assert rep.data["completed"] + rep.data["censored"] == 200
     assert rep.data["censored"] > 0      # the tail guarantees some censoring
     assert 0 <= rep.data["tv_distance"] <= 1
+
+
+def test_embed_law_flags_excess_censoring_under_doubling(symmetric_pair):
+    # The flag follows the censor rate on the one horizon policy: a cap of
+    # 16 steps censors more than 20% of the replicas, a cap of 2^16 fewer.
+    for hmax, flagged in ((16, True), (1 << 16, False)):
+        rep = run_embed_law(make_cfg(symmetric_pair, "embed_law",
+                                     replicas=100, hf=4, max_horizon=hmax))
+        assert (rep.data["censor_rate"]
+                > DEFAULT_THRESHOLDS["censor_flag"]) is flagged
+        assert rep.data["excess_censoring_flag"] is flagged
 
 
 def test_embed_law_deterministic(symmetric_pair):
@@ -179,7 +189,7 @@ def test_unbiased_small_run(symmetric_pair):
     assert rep.data["completed"] + rep.data["censored"] == 250
     assert rep.data["sign_ok"]
     for row in rep.tables["lags"]:
-        assert row["ks_pvalue_fwd"] > DEFAULT_THRESHOLDS["ks_alpha"]
+        assert row["ks_pvalue_fwd"] > 0.01
 
 
 def test_unbiased_completes_replicas_past_the_first_block(delta_pair):
@@ -322,8 +332,7 @@ def test_engine_matches_ledger_on_random_pairs(pair, exact, seed, rep):
     mode = "exact" if exact and pair.exact_mode_ok else "crossing"
     walk = WalkConfig(dx=Fraction(1), horizon_fwd=512, horizon_bwd=1,
                       seed=seed, start_law=pair.mu)
-    out = FirstHitEngine(seed, pair, mode).run_replica(rep, 512, 512,
-                                                       policy="fixed")
+    out = FirstHitEngine(seed, pair, mode).run_replica(rep, 512, 512)
     led = build_ledger(sample_walk(walk, rep), pair)
     try:
         res = compute_t_star(led, pair, mode=mode)
@@ -336,15 +345,15 @@ def test_engine_matches_ledger_on_random_pairs(pair, exact, seed, rep):
 
 
 @given(measure_pairs(), st.booleans(), st.integers(0, 10**6),
-       st.integers(0, 20), st.sampled_from((1, 63, 64, 1000, 1024)),
-       st.sampled_from((777, 4097, 1 << 12)),
-       st.sampled_from(("doubling", "fixed")))
+       st.integers(0, 20), st.sampled_from((1, 63, 64, 1000, 1024, 1 << 12)),
+       st.sampled_from((777, 4097, 1 << 12)))
 @settings(max_examples=120, deadline=None)
-def test_engine_matches_step_oracle(pair, exact, seed, rep, h0, hmax, policy):
+def test_engine_matches_step_oracle(pair, exact, seed, rep, h0, hmax):
+    # h0 >= hmax examines hmax steps at once.
     mode = "exact" if exact and pair.exact_mode_ok else "crossing"
     engine = FirstHitEngine(seed, pair, mode)
-    assert engine.run_replica(rep, h0, hmax, policy) == \
-        step_first_hit(engine, rep, h0, hmax, policy)
+    assert engine.run_replica(rep, h0, hmax) == \
+        step_first_hit(engine, rep, h0, hmax)
 
 
 _FIXTURE_PAIRS = (
@@ -392,5 +401,17 @@ def test_first_excursion_caps_at_max_horizon(symmetric_pair):
 def test_config_rejects_unknown_mode_and_policy(symmetric_pair):
     with pytest.raises(ConfigError):
         make_cfg(symmetric_pair, "embed_law", mode="exakt")
-    with pytest.raises(ConfigError):
-        make_cfg(symmetric_pair, "embed_law", horizon_policy="dubling")
+
+
+def test_config_rejects_unknown_threshold_keys(symmetric_pair):
+    assert set(DEFAULT_THRESHOLDS) == {"sigma", "margin_tol", "censor_flag"}
+    with pytest.raises(ConfigError, match="sigm"):
+        make_cfg(symmetric_pair, "embed_law",
+                 thresholds={**DEFAULT_THRESHOLDS, "sigm": 2.0})
+    obj = {"mu": [[0, 1, 1]], "nu": [[-1, 1, 2], [1, 1, 2]],
+           "walk": {"horizon_fwd": 64, "horizon_bwd": 4, "seed": 0}}
+    assert ExperimentConfig.from_json(
+        dict(obj, thresholds={"sigma": 2})).thresholds["sigma"] == 2.0
+    for key in ("sigm", "ks_alpha"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json(dict(obj, thresholds={key: 0.1}))

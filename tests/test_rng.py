@@ -1,17 +1,18 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from helpers import fraction_draw_start, fraction_draw_u_flag, uniform_fraction
+from shiftlab.embedding import draw_u_flag
 from shiftlab.errors import InvariantError
-from shiftlab.measures import DiscreteMeasure
+from shiftlab.measures import DiscreteMeasure, split_measures
 from shiftlab.rng import (BitStream, STREAM_BWD, STREAM_FWD, STREAM_START,
                           _mix)
 from shiftlab.walk import draw_start
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_chunking_invariance():
@@ -34,7 +35,7 @@ _DRAWS = {
     "bits": lambda st: st.take_bits(3),
     "steps": lambda st: st.take_steps(3),
     "words": lambda st: st.take_words(3),
-    "fraction": lambda st: st.uniform_fraction(),
+    "fraction": lambda st: st.uniform_index(1 << 64),   # the word over 2^64
     "index": lambda st: st.uniform_index(3),
 }
 
@@ -71,8 +72,8 @@ def test_steps_are_plus_minus_one():
 
 
 def test_uniform_fraction_range_and_determinism():
-    u1 = BitStream(9, 4, STREAM_START).uniform_fraction()
-    u2 = BitStream(9, 4, STREAM_START).uniform_fraction()
+    u1 = uniform_fraction(BitStream(9, 4, STREAM_START))
+    u2 = uniform_fraction(BitStream(9, 4, STREAM_START))
     assert u1 == u2
     assert 0 <= u1 < 1
     assert u1.denominator <= 1 << 64
@@ -84,14 +85,41 @@ def test_uniform_fraction_range_and_determinism():
 def test_uniform_index_is_the_floor_of_uniform_fraction(seed, rep, sizes):
     st_index, twin = BitStream(seed, rep, 0x5EAC), BitStream(seed, rep, 0x5EAC)
     for n in sizes:
-        assert st_index.uniform_index(n) == int(twin.uniform_fraction() * n)
+        assert st_index.uniform_index(n) == int(uniform_fraction(twin) * n)
 
+
+@hst.composite
+def laws(draw, sites):
+    """A probability law on 2..4 of ``sites`` with a random denominator."""
+    k = draw(hst.integers(2, 4))
+    q = draw(hst.integers(k, 2**70))
+    cuts = sorted(draw(hst.lists(hst.integers(1, q - 1), min_size=k - 1,
+                                 max_size=k - 1, unique=True)))
+    chosen = sorted(draw(hst.lists(hst.sampled_from(sites), min_size=k,
+                                   max_size=k, unique=True)))
+    nums = [b - a for a, b in zip([0] + cuts, cuts + [q])]
+    return DiscreteMeasure.from_atoms(
+        [(s, Fraction(n, q)) for s, n in zip(chosen, nums)], q)
+
+
+@given(laws(range(-3, 4)), laws(range(-3, 4)), hst.integers(0, 2**63 - 1),
+       hst.integers(0, 2**20))
+@settings(max_examples=200, deadline=None)
+def test_integer_draws_match_the_fraction_oracle(mu, nu, seed, rep):
+    # Sites -3..3 make most pairs share a site, so p = mu~(s)/mu(s) is
+    # often strictly between 0 and 1 and the U-flag stream is read.
+    assert draw_start(mu, BitStream(seed, rep, STREAM_START)) == \
+        fraction_draw_start(mu, BitStream(seed, rep, STREAM_START))
+    pair = split_measures(mu, nu)
+    for start in mu.support:
+        assert draw_u_flag(pair, seed, rep, start) == \
+            fraction_draw_u_flag(pair, seed, rep, start)
 
 
 def test_uniform_index_claims_the_uniform_kind():
     draws = BitStream(7, 0, STREAM_START)
     draws.uniform_index(3)
-    draws.uniform_fraction()
+    draws.uniform_index(1 << 64)
     with pytest.raises(InvariantError):
         draws.take_words(1)
 
