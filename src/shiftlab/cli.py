@@ -21,6 +21,7 @@ from .experiments import (ExperimentConfig, StatReport, run_cost_compare,
                           run_embed_law, run_ergodic, run_excursion_cost,
                           run_tail, run_unbiased_test)
 from .gauges import default_gauges, gauges_from_json
+from .measures import as_int
 from .stable_alloc import PointConfig, compute_N, stable_allocation
 from .transport import (TransportMatrix, inequality_check, repair_sweep,
                         stable_indicator)
@@ -75,7 +76,13 @@ def _write_report(report: StatReport, out_dir: Path) -> None:
 
 def _cmd_walk(args, obj: dict, out_dir: Path) -> int:
     cfg = ExperimentConfig.from_json(obj)
-    path = sample_walk(cfg.walk, replica=int(obj.get("replica", 0)))
+    try:
+        replica = as_int(obj.get("replica", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed replica: {exc}") from exc
+    if replica < 0:
+        raise ConfigError(f"replica must be >= 0, got {replica}")
+    path = sample_walk(cfg.walk, replica=replica)
     ledger = build_ledger(path, cfg.pair)
     out_dir.mkdir(parents=True, exist_ok=True)
     tdir = out_dir / "tables"

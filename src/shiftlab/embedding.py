@@ -85,9 +85,14 @@ def require_mode(pair: MeasurePair, mode: Mode) -> None:
             "use crossing mode for general weights")
 
 
+def balanced(c: np.ndarray, base: int, mode: Mode) -> np.ndarray:
+    """Mask of c == base (exact mode) or c <= base (crossing)."""
+    return c == base if mode == "exact" else c <= base
+
+
 def first_balance(c: np.ndarray, base: int, mode: Mode) -> int | None:
-    """First index with c == base (exact mode) or c <= base (crossing), else None."""
-    hits = np.flatnonzero(c == base if mode == "exact" else c <= base)
+    """First index of ``balanced(c, base, mode)``, else None."""
+    hits = np.flatnonzero(balanced(c, base, mode))
     return int(hits[0]) if hits.size else None
 
 

@@ -1,11 +1,12 @@
 """Monte Carlo and ergodic verification experiments.
 
 Every experiment finds T* with the first-hit engine, which simulates the
-difference process C(n) replica by replica, doubling its horizon from
-``horizon_fwd`` up to ``max_horizon`` and skipping whole 64-step words far
-from the atoms, so heavy-tailed embedding times can be sampled up to 2^24
-steps without retaining whole paths.  Censored replicas (T* past
-``max_horizon``) are reported, never dropped.
+difference process C(n) for cohorts of replicas at once, one row of a word
+array per replica, doubling the horizon from ``horizon_fwd`` up to
+``max_horizon`` and skipping whole 64-step words far from the atoms, so
+heavy-tailed embedding times can be sampled up to 2^24 steps without
+retaining whole paths.  Censored replicas (T* past ``max_horizon``) are
+reported, never dropped.
 The same scan yields atom visits: compare and excursion-cost read each
 excursion from them, and ergodic its long two-sided path, as event ledgers;
 no experiment builds a dense ledger.
@@ -24,9 +25,8 @@ import numpy as np
 
 from .comparators import (Comparator, apply_comparator, check_matching,
                           extract_slots, lifo_matching, matching_cost)
-from .embedding import (Excursion, check_mode, draw_u_flag,
-                        excursion_mass, first_balance, require_mode,
-                        tau_star_map)
+from .embedding import (Excursion, balanced, check_mode, draw_u_flag,
+                        excursion_mass, require_mode, tau_star_map)
 # perfbench/tracing.LAYERS patches these in this namespace.
 from .embedding import compute_t_star, match_slots  # noqa: F401
 from .walk import build_ledger  # noqa: F401
@@ -46,6 +46,10 @@ EXPERIMENTS = ("embed_law", "unbiased", "cost_compare", "excursion_cost",
 DEFAULT_THRESHOLDS = {"sigma": 3.0, "margin_tol": 1e-10, "censor_flag": 0.20}
 
 _CHUNK_CAP = 1 << 22
+# Replicas scanned together, and the words one scan call reads (at least
+# one replica's block).  Outputs do not depend on either.
+_COHORT = 128
+_WORD_BUDGET = 2048
 
 
 @dataclass(frozen=True)
@@ -196,14 +200,18 @@ class FirstHitEngine:
 
     C changes only at visits to atoms with a nonzero weight difference, and
     it starts above the balance level, so the first balance is an atom
-    visit.  The engine reads the replica's forward stream as 64-step words
+    visit.  The engine reads each replica's forward stream as 64-step words
     and spends single steps only near the atoms: a word whose start lies
     more than 64 sites outside the hull of the atoms of mu and nu is
     skipped whole, the other words split into bytes, and only bytes whose
     range meets the hull become steps, so every atom visit is one of them.
-    The path is the stream's, step for step, so the result equals a
-    step-by-step simulation of the same stream whatever the block sizes;
-    horizon doubling continues the stream where it stopped.
+    Replicas run in cohorts of up to _COHORT, which share the doubling
+    schedule: each block reads the next words of every unresolved
+    replica's stream into the rows of one array, and one pass of numpy
+    calls scans them all.  Each row is its replica's stream, step for step,
+    so the result equals a step-by-step simulation of that stream whatever
+    the block, cohort and call sizes; horizon doubling continues the stream
+    where it stopped.
     """
 
     def __init__(self, seed: int, pair: MeasurePair, mode: str = "exact"):
@@ -232,104 +240,119 @@ class FirstHitEngine:
         (steps, sites) arrays of the atom visits on [0, T*], step 0
         included, or None when censored.
         """
+        return next(self.run_replicas([replica], h0, hmax, events))
+
+    def run_replicas(self, replicas, h0: int, hmax: int, events: bool = False):
+        """Yields ``run_replica(rep, h0, hmax, events)`` for each of the
+        sequence ``replicas``, in order, scanned in cohorts."""
         if h0 < 1 <= hmax:
             raise ConfigError(f"horizon doubling needs h0 >= 1, got {h0}")
-        start_stream = BitStream(self.seed, replica, STREAM_START)
-        start = draw_start(self.pair.mu, start_stream)
-        visits = [([0], [start])]          # step 0: the start, a mu-atom
-        out = {"t_star": 0, "site": start, "censored": False,
-               "horizon": 0, "u_flag": 0}
-        if draw_u_flag(self.pair, self.seed, replica, start) == 1:
-            out = self._first_hit(replica, start, h0, hmax,
-                                  visits if events else None)
-        if events:
-            out["events"] = None if out["censored"] else tuple(
-                map(np.concatenate, zip(*visits)))
-        return out
+        for i in range(0, len(replicas), _COHORT):
+            yield from self._cohort(replicas[i:i + _COHORT], h0, hmax, events)
 
-    def _first_hit(self, replica, start, h0, hmax, visits):
-        """run_replica after a U-flag of 1: the scan from ``start``."""
-        stream = BitStream(self.seed, replica, STREAM_FWD)
-        pos = start
-        c = self.wdiff.get(start, 0)       # C(0); reference C(-1) = 0
-        scanned = 0                        # steps read, a multiple of 64
-        hit, horizon = None, 0
+    def _cohort(self, reps, h0, hmax, events):
+        """run_replica's dicts for the replicas ``reps``, scanned together."""
+        outs, streams, visits = [], [], []
+        for rep in reps:
+            start = draw_start(self.pair.mu, BitStream(self.seed, rep, STREAM_START))
+            outs.append({"t_star": 0, "site": start, "censored": False, "horizon": 0,
+                         "u_flag": draw_u_flag(self.pair, self.seed, rep, start)})
+            # The generator is built at the first read and dropped at the hit.
+            streams.append(BitStream(self.seed, rep, STREAM_FWD))
+            visits.append([([0], [start])])    # step 0: the start, a mu-atom
+        pos = np.array([o["site"] for o in outs], dtype=np.int64)
+        c = np.array([self.wdiff.get(p, 0) for p in pos.tolist()])  # C(0)
+        live = [r for r, o in enumerate(outs) if o["u_flag"]]   # no hit yet
+        found = {}                         # row -> (T*, site), block pending
+        scanned, horizon = 0, 0            # steps read by each live row
         for horizon in _doubling_chunks(h0, hmax):
             # The last word of a block can run past the block; a balance
             # found there belongs to a later block, or past hmax to none.
-            if hit is None and scanned < horizon:
-                n_words = -(-(horizon - scanned) // 64)
-                found, pos, c = self._scan(stream.take_words(n_words), pos, c,
-                                           visits, scanned)
-                if found is not None:
-                    hit = (scanned + found[0] + 1, found[1])
-                scanned += 64 * n_words
-            if hit is not None and hit[0] <= horizon:
-                return {"t_star": hit[0], "site": hit[1], "censored": False,
-                        "horizon": horizon, "u_flag": 1}
-        return {"t_star": None, "site": None, "censored": True,
-                "horizon": horizon, "u_flag": 1}
+            if live and scanned < horizon:
+                n = -(-(horizon - scanned) // 64)
+                per = max(1, _WORD_BUDGET // n)
+                for g in range(0, len(live), per):
+                    rows = live[g:g + per]
+                    words = np.stack([streams[r].take_words(n) for r in rows])
+                    pos[rows], c[rows], hits = self._scan(
+                        words, pos[rows], c[rows], scanned,
+                        [visits[r] for r in rows] if events else None)
+                    for i, t, site in zip(*hits):
+                        found[rows[i]] = (t, site)
+                        streams[rows[i]] = None
+                live = [r for r in live if r not in found]
+                scanned += 64 * n
+            for r, (t, site) in list(found.items()):
+                if t <= horizon:
+                    outs[r].update(t_star=t, site=site, horizon=horizon)
+                    del found[r]
+            if not (live or found):
+                break
+        for r in live + list(found):
+            outs[r].update(t_star=None, site=None, censored=True, horizon=horizon)
+        if events:
+            for o, v in zip(outs, visits):
+                o["events"] = None if o["censored"] else tuple(
+                    map(np.concatenate, zip(*v)))
+        return outs
 
-    def _scan(self, words: np.ndarray, pos: int, c: int,
-              visits: list | None, offset: int):
-        """First balance in the steps of ``words``, walked from (pos, c).
+    def _scan(self, words: np.ndarray, pos: np.ndarray, c: np.ndarray,
+              offset: int, visits: list | None):
+        """First balances in the rows of ``words``, each walked from its
+        (pos, c).
 
-        Returns ((step index, site) or None, end position, end C).  When
-        ``visits`` is a list, appends the (step, site) arrays of the atom
-        visits up to the balance, steps counted from ``offset``.
+        Returns (end positions, end Cs, (rows, steps, sites)): the rows
+        that balance, each with its first balance's step, counted from
+        ``offset`` + 1, and site.  When ``visits`` holds a list per row,
+        appends to it the (steps, sites) of the row's atom visits up to its
+        balance.
         """
-        pos_end, sites, near, keep = self._near(words, pos)
-        if sites.size == 0:
-            return None, pos_end, c
-        c_arr = np.cumsum(self._wtab[sites - (self._lo - 8)])
-        c_arr += c
-        c_end = int(c_arr[-1])
-        h = first_balance(c_arr, 0, self.mode)
+        pos_end, sites, rows, steps = self._near(words, pos)
+        seg = np.searchsorted(rows, np.arange(len(words) + 1))  # row starts
+        cum = np.concatenate(([0], np.cumsum(self._wtab[sites - (self._lo - 8)])))
+        c_arr = cum[1:] + np.repeat(c - cum[seg[:-1]], np.diff(seg))
+        hits = np.flatnonzero(balanced(c_arr, 0, self.mode))
+        hits = hits[np.diff(rows[hits], prepend=-1) != 0]      # first per row
         if visits is not None:
-            end = None if h is None else h + 1
-            visits.append(self._visits(sites[:end], near, keep, offset))
-        if h is None:
-            return None, pos_end, c_end
-        byte = keep[h // 8]
-        step = int(near[byte // 8]) * 64 + int(byte % 8) * 8 + h % 8
-        return (step, int(sites[h])), pos_end, c_end
+            cut = seg[1:].copy()
+            cut[rows[hits]] = hits + 1
+            k = np.flatnonzero(self._atom[sites - (self._lo - 8)]
+                               & (np.arange(sites.size) < cut[rows]))
+            ends = np.searchsorted(rows[k], np.arange(1, len(words)))
+            for v, s, x in zip(visits, np.split(steps[k] + (offset + 1), ends),
+                               np.split(sites[k], ends)):
+                v.append((s, x))
+        found = rows[hits], steps[hits] + (offset + 1), sites[hits]
+        return pos_end, c + np.diff(cum[seg]), [x.tolist() for x in found]
 
-    def _near(self, words: np.ndarray, pos: int):
-        """The sites of ``words``, walked from ``pos``, near the atoms' hull.
+    def _near(self, words: np.ndarray, pos: np.ndarray):
+        """The sites of the rows of ``words``, each walked from its ``pos``,
+        near the atoms' hull.
 
-        Returns (end position, sites, near, keep): the sites after the 8
-        steps of each byte that may meet the hull, which are bytes ``keep``
-        of words ``near``; sites is empty when no byte may.
+        Returns (end positions, sites, rows, steps): the site after each of
+        the 8 steps of every byte that may meet the hull, in row then stream
+        order, with its row and its step index in the row from 0.
         """
         disp = np.bitwise_count(words).astype(np.int64)
         disp *= 2
         disp -= 64
-        ends = np.cumsum(disp)
-        ends += pos
-        pos_end = int(ends[-1])
-        starts = ends - disp
+        ends = np.cumsum(disp, axis=1)
+        ends += pos[:, None]
+        starts = (ends - disp).ravel()
         near = np.flatnonzero((starts >= self._lo - 64) & (starts <= self._hi + 64))
-        if near.size == 0:
-            return pos_end, near, near, near
         # Bytes of the near words, in stream order, and their start sites.
-        byts = words[near].astype(">u8").view(np.uint8).reshape(-1, 8)
+        byts = words.ravel()[near].astype(">u8").view(np.uint8).reshape(-1, 8)
         bdisp = _BYTE_DISP[byts]
         bstart = np.cumsum(bdisp, axis=1)
         bstart -= bdisp
         bstart += starts[near, None]
         keep = np.flatnonzero((bstart + _BYTE_MIN[byts] <= self._hi)
                               & (bstart + _BYTE_MAX[byts] >= self._lo))
-        if keep.size == 0:
-            return pos_end, keep, near, keep
         sites = _BYTE_PATH[byts.ravel()[keep]]
         sites += bstart.ravel()[keep, None]
-        return pos_end, sites.ravel(), near, keep
-
-    def _visits(self, sites, near, keep, offset: int):
-        """(steps, sites) of the atom visits among ``_near``'s sites."""
-        k = np.flatnonzero(self._atom[sites - (self._lo - 8)])
-        byte = keep[k // 8]
-        return near[byte // 8] * 64 + byte % 8 * 8 + k % 8 + (offset + 1), sites[k]
+        rows, word = np.divmod(near[keep // 8], words.shape[1])
+        steps = (word * 64 + keep % 8 * 8)[:, None] + np.arange(8)
+        return ends[:, -1], sites.ravel(), np.repeat(rows, 8), steps.ravel()
 
     def path_visits(self, replica: int, role: int, start: int, n: int):
         """(steps, sites) of the atom visits at steps 1..n of a walk.
@@ -338,20 +361,22 @@ class FirstHitEngine:
         ``replica`` the way ``WalkPath`` does.
         """
         words = BitStream(self.seed, replica, role).take_words(-(-n // 64))
-        steps, sites = self._visits(*self._near(words, start)[1:], 0)
-        return steps[steps <= n], sites[steps <= n]
+        _, sites, _, steps = self._near(words[None], np.array([start]))
+        k = self._atom[sites - (self._lo - 8)] & (steps < n)
+        return steps[k] + 1, sites[k]
 
 
 def _t_star_finder(cfg: ExperimentConfig, events: bool = False):
-    """rep -> run_replica output: T* under the one horizon contract.
+    """replicas -> their run_replica outputs: T* under the one horizon
+    contract.
 
-    Every experiment finds T* here.  The horizon doubles from
-    ``horizon_fwd`` up to ``max_horizon``, and a replica whose T* lies
-    beyond the cap is censored.
+    Every experiment finds T* here, for a range of replicas at a time.  The
+    horizon doubles from ``horizon_fwd`` up to ``max_horizon``, and a
+    replica whose T* lies beyond the cap is censored.
     """
     engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
-    return lambda rep: engine.run_replica(rep, cfg.walk.horizon_fwd,
-                                          cfg.max_horizon, events)
+    return lambda reps: engine.run_replicas(reps, cfg.walk.horizon_fwd,
+                                            cfg.max_horizon, events)
 
 
 def _mean_se(xs: list[float]) -> tuple[float, float]:
@@ -371,8 +396,7 @@ def run_embed_law(cfg: ExperimentConfig) -> StatReport:
     sites: dict[int, int] = {}
     censored = 0
     t_values: list[int] = []
-    for rep in range(cfg.replicas):
-        out = t_star(rep)
+    for out in t_star(range(cfg.replicas)):
         if out["censored"]:
             censored += 1
             continue
@@ -426,8 +450,7 @@ def run_unbiased_test(cfg: ExperimentConfig) -> StatReport:
     censored = 0
     ctrl_stream = BitStream(cfg.walk.seed, 0xC117, 0)
     t_star = _t_star_finder(cfg)
-    for rep in range(cfg.replicas):
-        out = t_star(rep)
+    for rep, out in enumerate(t_star(range(cfg.replicas))):
         if out["censored"]:
             censored += 1
             continue
@@ -468,16 +491,15 @@ def run_unbiased_test(cfg: ExperimentConfig) -> StatReport:
     return StatReport("unbiased", cfg.digest(), data, {"lags": rows})
 
 
-def _first_excursion(cfg: ExperimentConfig, rep: int,
-                     slot_cap: int | None = None, find=None):
-    """Event ledger and excursion [0, T*] for one replica, or None.
+def _first_excursion(cfg: ExperimentConfig, out: dict,
+                     slot_cap: int | None = None):
+    """Event ledger and excursion [0, T*] of one replica, or None.
 
+    ``out`` is the replica's output of ``_t_star_finder(cfg, events=True)``.
     None when the replica is censored, when T* = 0 (U-flag 0), or when the
     excursion carries more than ``slot_cap`` mu-slots.  The ledger holds the
-    atom visits the first-hit scan saw; ``find`` is the run's
-    ``_t_star_finder(cfg, events=True)``, built here when not given.
+    atom visits the first-hit scan saw.
     """
-    out = (find or _t_star_finder(cfg, events=True))(rep)
     t = out["t_star"]
     if not t:                              # censored (None) or T* = 0
         return None
@@ -498,8 +520,8 @@ def run_cost_compare(cfg: ExperimentConfig) -> StatReport:
     used = 0
     find = _t_star_finder(cfg, events=True)
     dt = float(cfg.walk.dt)
-    for rep in range(cfg.replicas):
-        got = _first_excursion(cfg, rep, find=find)
+    for out in find(range(cfg.replicas)):
+        got = _first_excursion(cfg, out)
         if got is None:
             skipped += 1
             continue
@@ -552,8 +574,8 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
     rows = []
     find = _t_star_finder(cfg, events=True)
     dt = cfg.walk.dt
-    for rep in range(cfg.replicas):
-        got = _first_excursion(cfg, rep, slot_cap, find)
+    for rep, out in enumerate(find(range(cfg.replicas))):
+        got = _first_excursion(cfg, out, slot_cap)
         if got is None:
             skipped += 1
             continue
@@ -670,8 +692,7 @@ def run_ergodic(cfg: ExperimentConfig, ensemble_replicas: int = 1000) -> StatRep
     t_star = _t_star_finder(cfg)
     ens: dict[str, list[float]] = {g.label: [] for g in cfg.gauges}
     ens_censored = 0
-    for rep in range(1, ensemble_replicas + 1):
-        out = t_star(rep)
+    for out in t_star(range(1, ensemble_replicas + 1)):
         if out["censored"]:
             ens_censored += 1
             continue
@@ -711,8 +732,7 @@ def run_tail(cfg: ExperimentConfig, n_boot: int = 100,
     t_star = _t_star_finder(cfg)
     t_steps = np.empty(cfg.replicas, dtype=np.float64)
     cens = np.zeros(cfg.replicas, dtype=bool)
-    for rep in range(cfg.replicas):
-        out = t_star(rep)
+    for rep, out in enumerate(t_star(range(cfg.replicas))):
         if out["censored"]:
             t_steps[rep] = cfg.max_horizon
             cens[rep] = True

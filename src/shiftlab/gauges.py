@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ConfigError
+from .measures import as_int
 
 GAUGE_KINDS = ("power", "log1p", "capped", "rational")
 
@@ -72,7 +73,7 @@ class Gauge:
         try:
             if isinstance(param, (list, tuple)):
                 num, den = param
-                param = Fraction(int(num), int(den))
+                param = Fraction(as_int(num), as_int(den))
             elif param is not None:
                 param = Fraction(param).limit_denominator(10**9)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -3,7 +3,8 @@
 ScriptedPath mimics the WalkPath interface but replays a fixed position
 sequence, so ledger and embedding behavior can be checked against hand
 counts.  step_first_hit is the step-by-step first-hit simulation that the
-word-skipping FirstHitEngine must reproduce exactly; dense_first_excursion
+word-skipping FirstHitEngine must reproduce exactly; first_excursion runs
+experiments._first_excursion on one replica; dense_first_excursion
 (one dense path and ledger) and doubling_first_excursion (a ledger rebuilt
 at each doubling) are references for the event-ledger
 experiments._first_excursion; excursion_from and cost_of_tau_star_rescan
@@ -79,18 +80,31 @@ class ScriptedPath:
         return np.concatenate([self._bwd[:0:-1], self._fwd])
 
 
-def step_first_hit(engine, replica: int, h0: int, hmax: int) -> dict:
+def step_first_hit(engine, replica: int, h0: int, hmax: int,
+                   events: bool = False) -> dict:
     """FirstHitEngine.run_replica, one step at a time over the doubling chunks.
 
     Every step of each chunk gets its position and weight; the chunk
     schedule doubles from h0, capped at hmax (so h0 >= hmax is hmax at
-    once), in pieces of at most experiments._CHUNK_CAP steps.
+    once), in pieces of at most experiments._CHUNK_CAP steps.  With
+    ``events`` the dict holds "events" as run_replica's does: the steps and
+    sites on [0, T*] at an atom of mu or nu, or None when censored.
     """
     start = draw_start(engine.pair.mu,
                        BitStream(engine.seed, replica, STREAM_START))
+    atoms = np.array([s for m in (engine.pair.mu, engine.pair.nu)
+                      for s, _ in m.atoms])
+    visits = [(np.array([0]), np.array([start]))]
+
+    def done_with(out):
+        if events:
+            out["events"] = None if out["censored"] else tuple(
+                map(np.concatenate, zip(*visits)))
+        return out
+
     if draw_u_flag(engine.pair, engine.seed, replica, start) == 0:
-        return {"t_star": 0, "site": start, "censored": False,
-                "horizon": 0, "u_flag": 0}
+        return done_with({"t_star": 0, "site": start, "censored": False,
+                          "horizon": 0, "u_flag": 0})
     stream = BitStream(engine.seed, replica, STREAM_FWD)
     pos = start
     c = engine.wdiff.get(start, 0)
@@ -103,8 +117,8 @@ def step_first_hit(engine, replica: int, h0: int, hmax: int) -> dict:
             if horizon < hmax:
                 horizon *= 2
                 continue
-            return {"t_star": None, "site": None, "censored": True,
-                    "horizon": done, "u_flag": 1}
+            return done_with({"t_star": None, "site": None, "censored": True,
+                              "horizon": done, "u_flag": 1})
         steps = stream.take_steps(chunk)
         pos_arr = np.cumsum(steps, dtype=np.int64)
         pos_arr += pos
@@ -114,12 +128,22 @@ def step_first_hit(engine, replica: int, h0: int, hmax: int) -> dict:
         c_arr = np.cumsum(warr, dtype=np.int64)
         c_arr += c
         h = first_balance(c_arr, 0, engine.mode)
+        seen = np.flatnonzero(np.isin(pos_arr[:None if h is None else h + 1],
+                                      atoms))
+        visits.append((done + seen + 1, pos_arr[seen]))
         if h is not None:
-            return {"t_star": done + h + 1, "site": int(pos_arr[h]),
-                    "censored": False, "horizon": done + chunk, "u_flag": 1}
+            return done_with({"t_star": done + h + 1, "site": int(pos_arr[h]),
+                              "censored": False, "horizon": done + chunk,
+                              "u_flag": 1})
         pos = int(pos_arr[-1])
         c = int(c_arr[-1])
         done += chunk
+
+
+def first_excursion(cfg, rep: int, slot_cap: int | None = None):
+    """experiments._first_excursion of replica ``rep`` on its own."""
+    out = next(experiments._t_star_finder(cfg, events=True)([rep]))
+    return experiments._first_excursion(cfg, out, slot_cap)
 
 
 def dense_first_excursion(cfg, rep: int, slot_cap: int | None = None):
@@ -128,7 +152,7 @@ def dense_first_excursion(cfg, rep: int, slot_cap: int | None = None):
     T* comes from the engine; the path is sampled once, extended to T*, and
     gets one LocalTimeLedger.
     """
-    t = experiments._t_star_finder(cfg)(rep)["t_star"]
+    t = next(experiments._t_star_finder(cfg)([rep]))["t_star"]
     if not t:                              # censored (None) or T* = 0
         return None
     path = sample_walk(cfg.walk, replica=rep)

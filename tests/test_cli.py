@@ -288,6 +288,10 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
                                    "seed": 1}})),
     ("ergodic", walk_config({"walk": {"horizon_fwd": 10**12,
                                       "horizon_bwd": 10**12, "seed": 1}})),
+    ("compare", walk_config({"gauges": [{"kind": "power", "param": [1.5, 2]}]})),
+    ("walk", walk_config({"replica": 1.5})),
+    ("walk", walk_config({"replica": "abc"})),
+    ("walk", walk_config({"replica": -3})),
 ], ids=["gauge-param-zero-den", "gauge-param-text", "comparator-no-kind",
         "negative-n-swaps", "replicas-text", "measure-text-weight",
         "lags-not-a-list", "thresholds-not-an-object", "r-levels-zero",
@@ -296,7 +300,8 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
         "fractional-site", "fractional-seed", "fractional-replicas",
         "fractional-max-horizon", "fractional-horizon", "fractional-lag",
         "fractional-r-levels", "unknown-threshold", "walk-horizon-too-long",
-        "ergodic-horizon-too-long"])
+        "ergodic-horizon-too-long", "fractional-gauge-param",
+        "fractional-replica", "replica-text", "negative-replica"])
 def test_malformed_inputs_are_config_errors(tmp_path, capsys, command, obj):
     cfg = write_json(tmp_path, "cfg.json", obj)
     assert main(["--output-dir", str(tmp_path / "o"), command, cfg]) == EXIT_CONFIG

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ScriptedPath, dense_first_excursion, queue_fifo_matching
+from helpers import (ScriptedPath, dense_first_excursion, first_excursion,
+                     queue_fifo_matching)
 from test_experiments import _FIXTURE_PAIRS, make_cfg, measure_pairs
 
 from shiftlab import cli, comparators, embedding, experiments, walk
@@ -28,8 +29,8 @@ from shiftlab.comparators import extract_slots, fifo_matching
 from shiftlab.embedding import (Excursion, excursion_mass, match_slots,
                                 mu_charged_steps, tau_star_map)
 from shiftlab.errors import ConfigError, HorizonExceededError
-from shiftlab.experiments import (FirstHitEngine, _first_excursion,
-                                  run_cost_compare, run_excursion_cost)
+from shiftlab.experiments import (FirstHitEngine, run_cost_compare,
+                                  run_excursion_cost)
 from shiftlab.gauges import default_gauges
 from shiftlab.measures import DiscreteMeasure, split_measures
 from shiftlab.walk import (EventLedger, WalkConfig, build_ledger,
@@ -100,7 +101,7 @@ def test_event_ledger_matches_like_the_dense_one():
                    max_horizon=1 << 12)
     seen = 0
     for rep in range(30):
-        got, want = _first_excursion(cfg, rep), dense_first_excursion(cfg, rep)
+        got, want = first_excursion(cfg, rep), dense_first_excursion(cfg, rep)
         assert (got is None) == (want is None)
         if got is None:
             continue

@@ -1,18 +1,20 @@
+from contextlib import nullcontext
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import doubling_first_excursion, step_first_hit
+from helpers import doubling_first_excursion, first_excursion, step_first_hit
 from shiftlab import experiments, walk
 from shiftlab.embedding import compute_t_star
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.experiments import (DEFAULT_THRESHOLDS, ExperimentConfig,
-                                  FirstHitEngine, _first_excursion,
-                                  run_cost_compare, run_embed_law,
-                                  run_ergodic, run_excursion_cost, run_tail,
+                                  FirstHitEngine, run_cost_compare,
+                                  run_embed_law, run_ergodic,
+                                  run_excursion_cost, run_tail,
                                   run_unbiased_test)
 from shiftlab.gauges import capped, log1p, power
 from shiftlab.measures import DiscreteMeasure, split_measures
@@ -114,8 +116,8 @@ def test_first_excursion_slot_cap_keeps_the_mass_filter(symmetric_pair):
     cfg = make_cfg(symmetric_pair, "excursion_cost", seed=13, replicas=60,
                    hf=64, max_horizon=1 << 12)
     for rep in range(60):
-        full = _first_excursion(cfg, rep)
-        capped = _first_excursion(cfg, rep, slot_cap=6)
+        full = first_excursion(cfg, rep)
+        capped = first_excursion(cfg, rep, slot_cap=6)
         if full is None or full[1].mass * full[0].q > 6:
             assert capped is None
         else:
@@ -139,7 +141,7 @@ def test_first_excursion_builds_one_ledger_per_path(monkeypatch,
                             lambda *args, attr=attr, **kw: dense.append(attr))
     cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=40,
                    hf=16, max_horizon=1 << 14)
-    got = [_first_excursion(cfg, rep) for rep in range(40)]
+    got = [first_excursion(cfg, rep) for rep in range(40)]
     used = [exc.right for _, exc in filter(None, got)]
     assert built == used and len(used) > 20
     assert run_cost_compare(cfg).data["paths_used"] == len(used)
@@ -293,6 +295,33 @@ def test_ergodic_structure(symmetric_pair):
     assert rep.data["ensemble_replicas"] == 150
 
 
+def test_every_runner_scans_replicas_in_cohorts(monkeypatch, symmetric_pair):
+    # run_replica is one replica's cohort; a runner that calls it per
+    # replica pays a full scan pass for each.
+    def refuse(*args, **kwargs):
+        raise AssertionError("runners must use FirstHitEngine.run_replicas")
+
+    monkeypatch.setattr(FirstHitEngine, "run_replica", refuse)
+    small = dict(seed=3, replicas=30, hf=64, hb=64, max_horizon=1 << 12,
+                 lags=(1, 4))
+    assert run_embed_law(make_cfg(symmetric_pair, "embed_law", **small)
+                         ).data["replicas"] == 30
+    assert run_unbiased_test(make_cfg(symmetric_pair, "unbiased", **small)
+                             ).data["replicas"] == 30
+    assert run_cost_compare(make_cfg(symmetric_pair, "cost_compare", **small)
+                            ).data["paths_used"] > 0
+    assert run_excursion_cost(
+        make_cfg(symmetric_pair, "excursion_cost", **small),
+        matrices_per_excursion=1).data["excursions_used"] > 0
+    assert run_tail(make_cfg(symmetric_pair, "tail", **small), n_boot=5,
+                    checkpoints=(10,)).data["replicas"] == 30
+    ergodic = make_cfg(symmetric_pair, "ergodic", seed=3, replicas=1,
+                       hf=1 << 12, hb=1 << 12, max_horizon=1 << 12,
+                       gauges=(capped(3),), r_levels=2)
+    assert run_ergodic(ergodic, ensemble_replicas=30
+                       ).data["ensemble_replicas"] == 30
+
+
 def test_tail_small_run(symmetric_pair):
     cfg = make_cfg(symmetric_pair, "tail", seed=4, replicas=400,
                    hf=1 << 10, max_horizon=1 << 15)
@@ -344,23 +373,48 @@ def test_engine_matches_ledger_on_random_pairs(pair, exact, seed, rep):
         (res.t_star, res.site, res.u_flag)
 
 
-@given(measure_pairs(), st.booleans(), st.integers(0, 10**6),
-       st.integers(0, 20), st.sampled_from((1, 63, 64, 1000, 1024, 1 << 12)),
-       st.sampled_from((777, 4097, 1 << 12)))
-@settings(max_examples=120, deadline=None)
-def test_engine_matches_step_oracle(pair, exact, seed, rep, h0, hmax):
-    # h0 >= hmax examines hmax steps at once.
-    mode = "exact" if exact and pair.exact_mode_ok else "crossing"
-    engine = FirstHitEngine(seed, pair, mode)
-    assert engine.run_replica(rep, h0, hmax) == \
-        step_first_hit(engine, rep, h0, hmax)
-
-
 _FIXTURE_PAIRS = (
     split_measures(DiscreteMeasure.delta(0), DiscreteMeasure.delta(1)),
     split_measures(DiscreteMeasure.delta(0), DiscreteMeasure.from_atoms(
         [(-1, Fraction(1, 2)), (1, Fraction(1, 2))])),
 )
+
+
+def _patched(name, value):
+    return (nullcontext() if value is None
+            else mock.patch.object(experiments, name, value))
+
+
+@given(st.one_of(st.sampled_from(_FIXTURE_PAIRS), measure_pairs()),
+       st.booleans(), st.integers(0, 10**6), st.integers(0, 50),
+       st.integers(1, 12), st.sampled_from((1, 63, 64, 1000, 1024, 1 << 12)),
+       st.sampled_from((777, 4097, 1 << 12)), st.sampled_from((None, 200)),
+       st.booleans(), st.sampled_from((1, 3, None)),
+       st.sampled_from((1, 3, None)))
+@settings(max_examples=120, deadline=None)
+def test_engine_matches_step_oracle(pair, exact, seed, first, n, h0, hmax,
+                                    chunk_cap, events, cohort, budget):
+    # The batched scan, a cohort of one and the step oracle agree, events
+    # included, whatever the chunk, cohort and word-budget sizes (None
+    # keeps the module default); h0 >= hmax examines hmax steps at once.
+    mode = "exact" if exact and pair.exact_mode_ok else "crossing"
+    engine = FirstHitEngine(seed, pair, mode)
+    reps = range(first, first + n)
+    with _patched("_CHUNK_CAP", chunk_cap), _patched("_COHORT", cohort), \
+            _patched("_WORD_BUDGET", budget):
+        got = list(engine.run_replicas(reps, h0, hmax, events))
+        one = [engine.run_replica(rep, h0, hmax, events) for rep in reps]
+        want = [step_first_hit(engine, rep, h0, hmax, events) for rep in reps]
+    assert len(got) == n
+    for outs in zip(got, one, want):
+        visits = [out.pop("events", None) for out in outs]
+        assert outs[0] == outs[1] == outs[2]
+        if not events or outs[0]["censored"]:
+            assert visits == [None] * 3
+            continue
+        for v in visits[1:]:
+            for x, y in zip(visits[0], v, strict=True):
+                np.testing.assert_array_equal(x, y)
 
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS), measure_pairs()),
@@ -372,7 +426,7 @@ def test_first_excursion_matches_doubling_oracle(pair, seed, rep, hf, hmax,
                                                  slot_cap):
     assume(pair.exact_mode_ok and pair.rho > 0)
     cfg = make_cfg(pair, "cost_compare", seed=seed, hf=hf, max_horizon=hmax)
-    got = _first_excursion(cfg, rep, slot_cap=slot_cap)
+    got = first_excursion(cfg, rep, slot_cap=slot_cap)
     want = doubling_first_excursion(cfg, rep, slot_cap=slot_cap)
     if want is not None and want[1].right > hmax:
         # horizon_fwd > max_horizon: the oracle stops at horizon_fwd, the
@@ -395,7 +449,7 @@ def test_first_excursion_caps_at_max_horizon(symmetric_pair):
     cfg = make_cfg(symmetric_pair, "cost_compare", seed=1, hf=1000,
                    max_horizon=777)
     assert doubling_first_excursion(cfg, 6)[1].right == 957
-    assert _first_excursion(cfg, 6) is None
+    assert first_excursion(cfg, 6) is None
 
 
 def test_config_rejects_unknown_mode_and_policy(symmetric_pair):
