@@ -1,12 +1,13 @@
 """Monte Carlo and ergodic verification experiments.
 
 Every experiment finds T* with the first-hit engine, which simulates the
-difference process C(n) for cohorts of replicas at once, one row of a word
-array per replica, doubling the horizon from ``horizon_fwd`` up to
-``max_horizon`` and skipping whole 64-step words far from the atoms, so
-heavy-tailed embedding times can be sampled up to 2^24 steps without
-retaining whole paths.  Censored replicas (T* past ``max_horizon``) are
-reported, never dropped.
+difference process C(n) for cohorts of up to 256 replicas at once, one row
+of a word array per replica and up to 16384 words per scan call, doubling
+the horizon from ``horizon_fwd`` up to ``max_horizon`` and skipping whole
+64-step words whose popcount keeps them off the atoms, so heavy-tailed
+embedding times can be sampled up to 2^24 steps without retaining whole
+paths; once a replica hits, its generator is re-keyed for another.
+Censored replicas (T* past ``max_horizon``) are reported, never dropped.
 The same scan yields atom visits: compare and excursion-cost read each
 excursion from them, and ergodic its long two-sided path, as event ledgers;
 no experiment builds a dense ledger.
@@ -36,8 +37,8 @@ from .measures import MeasurePair, as_int, measure_from_spec, split_measures
 from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 from .stable_alloc import PointConfig
 from .transport import inequality_check, sample_feasible_matrix, stable_indicator
-from .walk import (EventLedger, WalkConfig, draw_start, inverse_local_time,
-                   sample_walk, site_weights)
+from .walk import (MAX_HORIZON_STEPS, MAX_REPLICAS, EventLedger, WalkConfig,
+                   draw_start, inverse_local_time, sample_walk, site_weights)
 
 EXPERIMENTS = ("embed_law", "unbiased", "cost_compare", "excursion_cost",
                "ergodic", "tail")
@@ -48,8 +49,8 @@ DEFAULT_THRESHOLDS = {"sigma": 3.0, "margin_tol": 1e-10, "censor_flag": 0.20}
 _CHUNK_CAP = 1 << 22
 # Replicas scanned together, and the words one scan call reads (at least
 # one replica's block).  Outputs do not depend on either.
-_COHORT = 128
-_WORD_BUDGET = 2048
+_COHORT = 256
+_WORD_BUDGET = 16384
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,15 @@ class ExperimentConfig:
         if not set(self.thresholds) <= set(DEFAULT_THRESHOLDS):
             raise ConfigError(f"thresholds take only {sorted(DEFAULT_THRESHOLDS)}, "
                               f"got {sorted(self.thresholds)}")
-        if self.replicas < 1:
-            raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
+        if not 1 <= self.replicas <= MAX_REPLICAS:
+            raise ConfigError(
+                f"replicas must be >= 1 and <= 2^24, got {self.replicas}")
         if self.max_horizon < 1:
             raise ConfigError(f"max_horizon must be >= 1, got {self.max_horizon}")
-        if not self.lags or min(self.lags) < 1:
-            raise ConfigError(f"lags must be nonempty and >= 1, got {list(self.lags)}")
+        if not (self.lags and 1 <= min(self.lags)
+                and max(self.lags) <= MAX_HORIZON_STEPS):
+            raise ConfigError(
+                f"lags must be nonempty, >= 1 and <= 2^30, got {list(self.lags)}")
         if self.r_levels < 1:
             raise ConfigError(f"r_levels must be >= 1, got {self.r_levels}")
 
@@ -156,13 +160,10 @@ class StatReport:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.json").write_text(self.to_json())
         tdir = out_dir / "tables"
-        tdirdone = False
         for name, rows in self.tables.items():
             if not rows:
                 continue
-            if not tdirdone:
-                tdir.mkdir(exist_ok=True)
-                tdirdone = True
+            tdir.mkdir(exist_ok=True)
             cols = list(rows[0].keys())
             lines = [",".join(cols)]
             for row in rows:
@@ -201,17 +202,19 @@ class FirstHitEngine:
     C changes only at visits to atoms with a nonzero weight difference, and
     it starts above the balance level, so the first balance is an atom
     visit.  The engine reads each replica's forward stream as 64-step words
-    and spends single steps only near the atoms: a word whose start lies
-    more than 64 sites outside the hull of the atoms of mu and nu is
-    skipped whole, the other words split into bytes, and only bytes whose
-    range meets the hull become steps, so every atom visit is one of them.
-    Replicas run in cohorts of up to _COHORT, which share the doubling
-    schedule: each block reads the next words of every unresolved
-    replica's stream into the rows of one array, and one pass of numpy
-    calls scans them all.  Each row is its replica's stream, step for step,
-    so the result equals a step-by-step simulation of that stream whatever
-    the block, cohort and call sizes; horizon doubling continues the stream
-    where it stopped.
+    and spends single steps only near the atoms: a word of u up-steps from
+    site s stays within [s + u - 64, s + u], and it is skipped whole unless
+    that range meets the hull of the atoms of mu and nu; the other words
+    split into bytes, and only bytes whose range meets the hull become
+    steps, so every atom visit is one of them.  Replicas run in cohorts of
+    up to _COHORT, which share the doubling schedule: each block reads the
+    next words of every unresolved replica's stream into the rows of one
+    array, and one pass of numpy calls scans up to _WORD_BUDGET words of
+    them (at least one row).  A row's stream is released at its hit, or at
+    the cohort's end if censored.  Each row is its replica's stream, step
+    for step, so the result equals a step-by-step simulation of that stream
+    whatever the block, cohort and call sizes; horizon doubling continues
+    the stream where it stopped.
     """
 
     def __init__(self, seed: int, pair: MeasurePair, mode: str = "exact"):
@@ -253,11 +256,13 @@ class FirstHitEngine:
     def _cohort(self, reps, h0, hmax, events):
         """run_replica's dicts for the replicas ``reps``, scanned together."""
         outs, streams, visits = [], [], []
+        mu = self.pair.mu
         for rep in reps:
-            start = draw_start(self.pair.mu, BitStream(self.seed, rep, STREAM_START))
+            start = (draw_start(mu, BitStream(self.seed, rep, STREAM_START))
+                     if len(mu.atoms) > 1 else mu.atoms[0][0])   # no draw
             outs.append({"t_star": 0, "site": start, "censored": False, "horizon": 0,
                          "u_flag": draw_u_flag(self.pair, self.seed, rep, start)})
-            # The generator is built at the first read and dropped at the hit.
+            # The generator is claimed at the first read and released at the hit.
             streams.append(BitStream(self.seed, rep, STREAM_FWD))
             visits.append([([0], [start])])    # step 0: the start, a mu-atom
         pos = np.array([o["site"] for o in outs], dtype=np.int64)
@@ -279,7 +284,7 @@ class FirstHitEngine:
                         [visits[r] for r in rows] if events else None)
                     for i, t, site in zip(*hits):
                         found[rows[i]] = (t, site)
-                        streams[rows[i]] = None
+                        streams[rows[i]].release()
                 live = [r for r in live if r not in found]
                 scanned += 64 * n
             for r, (t, site) in list(found.items()):
@@ -290,6 +295,7 @@ class FirstHitEngine:
                 break
         for r in live + list(found):
             outs[r].update(t_star=None, site=None, censored=True, horizon=horizon)
+            streams[r].release()
         if events:
             for o, v in zip(outs, visits):
                 o["events"] = None if o["censored"] else tuple(
@@ -333,26 +339,27 @@ class FirstHitEngine:
         the 8 steps of every byte that may meet the hull, in row then stream
         order, with its row and its step index in the row from 0.
         """
-        disp = np.bitwise_count(words).astype(np.int64)
-        disp *= 2
-        disp -= 64
-        ends = np.cumsum(disp, axis=1)
-        ends += pos[:, None]
-        starts = (ends - disp).ravel()
-        near = np.flatnonzero((starts >= self._lo - 64) & (starts <= self._hi + 64))
+        # A word of u up-steps from s ends at s + 2u - 64 and stays within
+        # [s + u - 64, s + u]: keep it when that range meets the hull.
+        up = np.bitwise_count(words).astype(np.int64)
+        top = np.cumsum(2 * up - 64, axis=1)        # the ends, then s + u
+        top += (pos + 64)[:, None] - up
+        near = np.flatnonzero((top >= self._lo) & (top <= self._hi + 64))
+        starts = top.ravel()[near] - up.ravel()[near]
         # Bytes of the near words, in stream order, and their start sites.
         byts = words.ravel()[near].astype(">u8").view(np.uint8).reshape(-1, 8)
         bdisp = _BYTE_DISP[byts]
         bstart = np.cumsum(bdisp, axis=1)
         bstart -= bdisp
-        bstart += starts[near, None]
+        bstart += starts[:, None]
         keep = np.flatnonzero((bstart + _BYTE_MIN[byts] <= self._hi)
                               & (bstart + _BYTE_MAX[byts] >= self._lo))
         sites = _BYTE_PATH[byts.ravel()[keep]]
         sites += bstart.ravel()[keep, None]
         rows, word = np.divmod(near[keep // 8], words.shape[1])
         steps = (word * 64 + keep % 8 * 8)[:, None] + np.arange(8)
-        return ends[:, -1], sites.ravel(), np.repeat(rows, 8), steps.ravel()
+        return (top[:, -1] + up[:, -1] - 64, sites.ravel(), np.repeat(rows, 8),
+                steps.ravel())
 
     def path_visits(self, replica: int, role: int, start: int, n: int):
         """(steps, sites) of the atom visits at steps 1..n of a walk.

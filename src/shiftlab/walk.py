@@ -20,8 +20,10 @@ from .errors import ConfigError, HorizonExceededError
 from .measures import DiscreteMeasure, MeasurePair, as_int
 from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 
-# Horizon cap, checked before any path is allocated; configs use up to 2^18.
+# Caps checked before any path is allocated; configs use up to 2^18 steps
+# per horizon and 4000 replicas per experiment.
 MAX_HORIZON_STEPS = 1 << 30
+MAX_REPLICAS = 1 << 24
 
 
 def _parse_fraction(x) -> Fraction:

@@ -16,7 +16,8 @@ compute_N sweep and the index-list find_crossing; FractionMatrix with
 fraction_sample_feasible_matrix and fraction_repair_trace are the
 Fraction-mass references for the integer masses of TransportMatrix;
 uniform_fraction, fraction_draw_start and fraction_draw_u_flag are the
-Fraction references for the integer uniform draws.
+Fraction references for the integer uniform draws; pm64_near is the
+near-word rule the popcount bound of FirstHitEngine._near replaced.
 """
 
 from __future__ import annotations
@@ -138,6 +139,26 @@ def step_first_hit(engine, replica: int, h0: int, hmax: int,
         pos = int(pos_arr[-1])
         c = int(c_arr[-1])
         done += chunk
+
+
+def pm64_near(engine, words: np.ndarray, pos: np.ndarray):
+    """FirstHitEngine._near with the plain word rule: a word is kept when
+    its start lies within 64 sites of the atoms' hull, whatever its steps."""
+    disp = np.bitwise_count(words).astype(np.int64) * 2 - 64
+    ends = np.cumsum(disp, axis=1) + pos[:, None]
+    starts = (ends - disp).ravel()
+    near = np.flatnonzero((starts >= engine._lo - 64)
+                          & (starts <= engine._hi + 64))
+    byts = words.ravel()[near].astype(">u8").view(np.uint8).reshape(-1, 8)
+    bdisp = experiments._BYTE_DISP[byts]
+    bstart = np.cumsum(bdisp, axis=1) - bdisp + starts[near, None]
+    keep = np.flatnonzero(
+        (bstart + experiments._BYTE_MIN[byts] <= engine._hi)
+        & (bstart + experiments._BYTE_MAX[byts] >= engine._lo))
+    sites = experiments._BYTE_PATH[byts.ravel()[keep]] + bstart.ravel()[keep, None]
+    rows, word = np.divmod(near[keep // 8], words.shape[1])
+    steps = (word * 64 + keep % 8 * 8)[:, None] + np.arange(8)
+    return ends[:, -1], sites.ravel(), np.repeat(rows, 8), steps.ravel()
 
 
 def first_excursion(cfg, rep: int, slot_cap: int | None = None):

@@ -292,6 +292,9 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
     ("walk", walk_config({"replica": 1.5})),
     ("walk", walk_config({"replica": "abc"})),
     ("walk", walk_config({"replica": -3})),
+    ("tail", walk_config({"replicas": 10**12})),
+    ("unbiased", walk_config({"replicas": 10**12})),
+    ("unbiased", walk_config({"lags": [1, 10**12]})),
 ], ids=["gauge-param-zero-den", "gauge-param-text", "comparator-no-kind",
         "negative-n-swaps", "replicas-text", "measure-text-weight",
         "lags-not-a-list", "thresholds-not-an-object", "r-levels-zero",
@@ -301,7 +304,9 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
         "fractional-max-horizon", "fractional-horizon", "fractional-lag",
         "fractional-r-levels", "unknown-threshold", "walk-horizon-too-long",
         "ergodic-horizon-too-long", "fractional-gauge-param",
-        "fractional-replica", "replica-text", "negative-replica"])
+        "fractional-replica", "replica-text", "negative-replica",
+        "tail-too-many-replicas", "unbiased-too-many-replicas",
+        "lag-too-long"])
 def test_malformed_inputs_are_config_errors(tmp_path, capsys, command, obj):
     cfg = write_json(tmp_path, "cfg.json", obj)
     assert main(["--output-dir", str(tmp_path / "o"), command, cfg]) == EXIT_CONFIG

@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import nullcontext
 from fractions import Fraction
 from unittest import mock
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import doubling_first_excursion, first_excursion, step_first_hit
+from helpers import (doubling_first_excursion, first_excursion, pm64_near,
+                     step_first_hit)
 from shiftlab import experiments, walk
 from shiftlab.embedding import compute_t_star
 from shiftlab.errors import ConfigError, HorizonExceededError
@@ -18,6 +20,7 @@ from shiftlab.experiments import (DEFAULT_THRESHOLDS, ExperimentConfig,
                                   run_unbiased_test)
 from shiftlab.gauges import capped, log1p, power
 from shiftlab.measures import DiscreteMeasure, split_measures
+from shiftlab.rng import STREAM_FWD, STREAM_START
 from shiftlab.walk import WalkConfig, build_ledger, sample_walk
 
 
@@ -415,6 +418,90 @@ def test_engine_matches_step_oracle(pair, exact, seed, first, n, h0, hmax,
         for v in visits[1:]:
             for x, y in zip(visits[0], v, strict=True):
                 np.testing.assert_array_equal(x, y)
+
+
+# Words of u up-steps, ups first (they reach start + u) or last (they reach
+# start + u - 64), so a word at the bound of the filter has a kept byte.
+_WORDS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 64).map(lambda u: ((1 << u) - 1) << (64 - u)),
+    st.integers(0, 64).map(lambda u: (1 << u) - 1))
+
+
+@st.composite
+def word_blocks(draw):
+    """(engine, words, pos): rows of words, each row placed so that one of
+    its words starts at a bound of the new or the old near-word rule, one
+    site past it, or anywhere near the hull."""
+    a = draw(st.integers(-40, 40))
+    b = draw(st.integers(-40, 40).filter(lambda x: x != a))
+    engine = FirstHitEngine(0, split_measures(DiscreteMeasure.delta(a),
+                                              DiscreteMeasure.delta(b)))
+    lo, hi = engine._lo, engine._hi
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_WORDS, min_size=n, max_size=n),
+                         min_size=1, max_size=4))
+    words = np.array(rows, dtype=np.uint64)
+    pos = []
+    for row in rows:
+        j = draw(st.integers(0, n - 1))
+        ups = [bin(w).count("1") for w in row]
+        before = sum(2 * u - 64 for u in ups[:j])     # start of word j
+        # start + u of word j at lo or hi + 64, or start at lo - 64 or hi + 64.
+        start = draw(st.sampled_from((
+            lo - ups[j], hi + 64 - ups[j], lo - 64, hi + 64,
+            draw(st.integers(lo - 200, hi + 200)))))
+        pos.append(start + draw(st.sampled_from((-1, 0, 1))) - before)
+    return engine, words, np.array(pos, dtype=np.int64)
+
+
+@given(word_blocks())
+@settings(max_examples=300, deadline=None)
+def test_near_keeps_the_bytes_of_the_pm64_rule(block):
+    # The popcount bound drops only words no kept byte can come from.
+    engine, words, pos = block
+    for got, want in zip(engine._near(words, pos), pm64_near(engine, words, pos),
+                         strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_engine_builds_start_streams_only_for_a_start_draw(monkeypatch,
+                                                           delta_pair):
+    built = []
+
+    class Recorded(experiments.BitStream):
+        def __init__(self, seed, *ids):
+            built.append(ids)
+            super().__init__(seed, *ids)
+
+    monkeypatch.setattr(experiments, "BitStream", Recorded)
+    two_atoms = split_measures(*(DiscreteMeasure.from_atoms(
+        [(s, Fraction(1, 2)), (s + 2, Fraction(1, 2))]) for s in (0, 1)))
+    for pair, starts in ((delta_pair, 0), (two_atoms, 5)):
+        built.clear()
+        list(FirstHitEngine(3, pair).run_replicas(range(5), 64, 1 << 12))
+        assert sum(ids[1] == STREAM_START for ids in built) == starts
+        assert sum(ids[1] == STREAM_FWD for ids in built) == 5
+
+
+@pytest.mark.parametrize("target", ["point", "symmetric"])
+def test_finder_memory_tripwire(target, delta_pair, symmetric_pair):
+    # One finder pass of 1000 replicas at cap 2^18, seed 7, events on and
+    # outputs kept, under tracemalloc.  Peaks measured with numpy 2.4:
+    # 1.7 and 2.0 MiB at cohort 128 / 2048 words per call, 2.6 and 3.0 MiB
+    # at cohort 256 / 16384 words (point, symmetric).  Early rounds are
+    # almost all near the hull, so a call's arrays grow with its words.
+    pair = delta_pair if target == "point" else symmetric_pair
+    cfg = make_cfg(pair, "tail", seed=7, replicas=1000, hf=1024,
+                   max_horizon=1 << 18)
+    tracemalloc.start()
+    try:
+        outs = list(experiments._t_star_finder(cfg, events=True)(range(1000)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(outs) == 1000
+    assert peak <= 4 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS), measure_pairs()),

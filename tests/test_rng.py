@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 
 from helpers import fraction_draw_start, fraction_draw_u_flag, uniform_fraction
 from shiftlab.embedding import draw_u_flag
+from shiftlab import rng
 from shiftlab.errors import InvariantError
 from shiftlab.measures import DiscreteMeasure, split_measures
 from shiftlab.rng import (BitStream, STREAM_BWD, STREAM_FWD, STREAM_START,
@@ -164,3 +165,78 @@ def test_stream_key_is_numpys_implicit_key(seed, ids):
 def test_stream_key_matches_numpy_on_any_seed(seed, rep, role):
     assert np.array_equal(BitStream(seed, rep, role).take_words(2),
                           _implicit_key_words(seed, (rep, role), 2))
+
+
+def _used_generator():
+    """A released stream's generator, with its counter and buffer moved on
+    and a half-word pending, on top of the free list."""
+    st = BitStream(99, 1, STREAM_FWD)
+    st.take_words(5)
+    np.random.Generator(st._bg).integers(0, 7, size=3, dtype=np.uint32)
+    bg = st._bg
+    assert bg.state["has_uint32"] == 1 and bg.state["buffer_pos"] < 4
+    st.release()
+    assert rng._FREE[-1] is bg
+    return bg
+
+
+_READS = {
+    "bits": lambda st, n: st.take_bits(n).tolist(),
+    "words": lambda st, n: st.take_words(n).tolist(),
+    "uniforms": lambda st, n: st.uniform_index(n),
+}
+
+
+def _fresh_reads(seed, ids, kind, sizes):
+    """What a stream yields on a fresh np.random.Philox with its key."""
+    words = _implicit_key_words(seed, ids, 16)
+    if kind == "uniforms":
+        return [(int(w) * n) >> 64 for w, n in zip(words, sizes)]
+    flat = (np.unpackbits(words.astype(">u8").view(np.uint8)) if kind == "bits"
+            else words)
+    cuts = np.cumsum(sizes)
+    return [x.tolist() for x in np.split(flat, cuts)[:-1]]
+
+
+@pytest.mark.parametrize("seed, ids", [
+    (11, (0, STREAM_FWD)),      # both low: the exact key
+    (2**63 + 1, (4, 0)),        # both high: the exact key
+    (2**63 + 1, (4, 1)),        # one high: the float-rounded key
+    (5, (4, 0)),                # the other one high
+])
+@pytest.mark.parametrize("kind, sizes", [
+    ("bits", (3, 61, 1, 130, 7)), ("words", (1, 5, 3, 0, 2)),
+    ("uniforms", (3, 2**64, 7, 2**70 + 1))])
+def test_reused_generator_draws_like_a_fresh_one(monkeypatch, seed, ids, kind,
+                                                 sizes):
+    monkeypatch.setattr(rng, "_FREE", [])
+    used = _used_generator()
+    st = BitStream(seed, *ids)
+    got = [_READS[kind](st, n) for n in sizes]
+    assert st._bg is used and not rng._FREE
+    assert got == _fresh_reads(seed, ids, kind, sizes)
+
+
+def test_new_generator_draws_like_a_fresh_one(monkeypatch):
+    monkeypatch.setattr(rng, "_FREE", [])
+    st = BitStream(2**63 + 1, 4, 1)
+    assert np.array_equal(st.take_words(9),
+                          _implicit_key_words(2**63 + 1, (4, 1), 9))
+
+
+@pytest.mark.parametrize("kind", sorted(_READS))
+def test_released_stream_cannot_be_read(monkeypatch, kind):
+    monkeypatch.setattr(rng, "_FREE", [])
+    st = BitStream(3, 2, STREAM_FWD)
+    _READS[kind](st, 5)
+    bg = st._bg
+    st.release()
+    st.release()                    # a second release hands back nothing
+    assert st._bg is None and rng._FREE == [bg]
+    for other in _READS.values():
+        with pytest.raises(InvariantError, match="no more"):
+            other(st, 5)
+    unread = BitStream(3, 2, STREAM_BWD)
+    unread.release()
+    with pytest.raises(InvariantError, match="no more"):
+        _READS[kind](unread, 5)
