@@ -25,7 +25,7 @@ from .measures import as_int
 from .stable_alloc import PointConfig, compute_N, stable_allocation
 from .transport import (TransportMatrix, inequality_check, repair_sweep,
                         stable_indicator)
-from .walk import build_ledger, sample_walk
+from .walk import MAX_DENSE_STEPS, build_ledger, sample_walk
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -82,6 +82,9 @@ def _cmd_walk(args, obj: dict, out_dir: Path) -> int:
         raise ConfigError(f"malformed replica: {exc}") from exc
     if replica < 0:
         raise ConfigError(f"replica must be >= 0, got {replica}")
+    if cfg.walk.horizon_fwd + cfg.walk.horizon_bwd > MAX_DENSE_STEPS:
+        raise ConfigError("walk needs horizon_fwd + horizon_bwd <= 2^24 dense "
+                          f"steps, got {cfg.walk.horizon_fwd + cfg.walk.horizon_bwd}")
     path = sample_walk(cfg.walk, replica=replica)
     ledger = build_ledger(path, cfg.pair)
     out_dir.mkdir(parents=True, exist_ok=True)

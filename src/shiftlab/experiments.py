@@ -8,9 +8,9 @@ the horizon from ``horizon_fwd`` up to ``max_horizon`` and skipping whole
 embedding times can be sampled up to 2^24 steps without retaining whole
 paths; once a replica hits, its generator is re-keyed for another.
 Censored replicas (T* past ``max_horizon``) are reported, never dropped.
-The same scan yields atom visits: compare and excursion-cost read each
-excursion from them, and ergodic its long two-sided path, as event ledgers;
-no experiment builds a dense ledger.
+The same scan yields atom visits: compare scores a cohort's excursions in
+one batch from them, excursion-cost reads each one and ergodic its long
+two-sided path as event ledgers; no experiment builds a dense ledger.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .comparators import (Comparator, apply_comparator, check_matching,
-                          extract_slots, lifo_matching, matching_cost)
+from .comparators import (Cohort, Comparator, apply_comparator, check_matching,
+                          extract_slots, matching_cost)
 from .embedding import (Excursion, balanced, check_mode, draw_u_flag,
                         excursion_mass, require_mode, tau_star_map)
 # perfbench/tracing.LAYERS patches these in this namespace.
@@ -37,8 +37,8 @@ from .measures import MeasurePair, as_int, measure_from_spec, split_measures
 from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 from .stable_alloc import PointConfig
 from .transport import inequality_check, sample_feasible_matrix, stable_indicator
-from .walk import (MAX_HORIZON_STEPS, MAX_REPLICAS, EventLedger, WalkConfig,
-                   draw_start, inverse_local_time, sample_walk, site_weights)
+from .walk import (MAX_DENSE_STEPS, MAX_HORIZON_STEPS, MAX_REPLICAS, EventLedger,
+                   WalkConfig, draw_start, inverse_local_time, sample_walk, site_weights)
 
 EXPERIMENTS = ("embed_law", "unbiased", "cost_compare", "excursion_cost",
                "ergodic", "tail")
@@ -78,12 +78,16 @@ class ExperimentConfig:
         if not 1 <= self.replicas <= MAX_REPLICAS:
             raise ConfigError(
                 f"replicas must be >= 1 and <= 2^24, got {self.replicas}")
-        if self.max_horizon < 1:
-            raise ConfigError(f"max_horizon must be >= 1, got {self.max_horizon}")
+        if not 1 <= self.max_horizon <= MAX_HORIZON_STEPS:
+            raise ConfigError(
+                f"max_horizon must be >= 1 and <= 2^30, got {self.max_horizon}")
         if not (self.lags and 1 <= min(self.lags)
                 and max(self.lags) <= MAX_HORIZON_STEPS):
             raise ConfigError(
                 f"lags must be nonempty, >= 1 and <= 2^30, got {list(self.lags)}")
+        dense = self.max_horizon + max(self.lags)      # unbiased's dense path
+        if self.experiment == "unbiased" and dense > MAX_DENSE_STEPS:
+            raise ConfigError(f"unbiased needs max_horizon + max lag <= 2^24, got {dense}")
         if self.r_levels < 1:
             raise ConfigError(f"r_levels must be >= 1, got {self.r_levels}")
 
@@ -386,8 +390,8 @@ def _t_star_finder(cfg: ExperimentConfig, events: bool = False):
                                             cfg.max_horizon, events)
 
 
-def _mean_se(xs: list[float]) -> tuple[float, float]:
-    if not xs:
+def _mean_se(xs) -> tuple[float, float]:
+    if len(xs) == 0:
         return float("nan"), float("nan")
     arr = np.asarray(xs, dtype=float)
     se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
@@ -518,49 +522,50 @@ def _first_excursion(cfg: ExperimentConfig, out: dict,
 
 
 def run_cost_compare(cfg: ExperimentConfig) -> StatReport:
-    """Pathwise excursion-cost dominance of tau* over comparator rematchings."""
+    """Pathwise excursion-cost dominance of tau* over comparator rematchings,
+    scored one engine cohort of used excursions at a time."""
     tol = cfg.thresholds["margin_tol"]
-    per: dict[tuple[str, str], list[float]] = {}
-    diffs: dict[tuple[str, str], list[float]] = {}
-    violations = 0
-    skipped = 0
-    used = 0
+    per, diffs = {}, {}                    # (kind, gauge) -> value arrays
+    violations = skipped = 0
     find = _t_star_finder(cfg, events=True)
-    dt = float(cfg.walk.dt)
-    for out in find(range(cfg.replicas)):
-        got = _first_excursion(cfg, out)
-        if got is None:
-            skipped += 1
+    kinds = [comp.kind for comp in cfg.comparators]
+    keys = [(kind, g.label) for kind in kinds for g in cfg.gauges]
+    for start in range(0, cfg.replicas, _COHORT):
+        outs = list(find(range(cfg.replicas)[start:start + _COHORT]))
+        visits = [out["events"] for out in outs if out["t_star"]]  # T* > 0
+        skipped += len(outs) - len(visits)
+        if not visits:
             continue
-        ledger, exc = got
-        used += 1
-        unit = 1 / ledger.q
-        mass = float(exc.mass)
-        slots = extract_slots(ledger, exc)
-        stable = lifo_matching(ledger, exc)
-        c_stable = [matching_cost(stable, g, dt, unit) for g in cfg.gauges]
-        for comp in cfg.comparators:
-            pairs = apply_comparator(comp, exc, slots, stable)
-            check_matching(slots, pairs)
-            costs = c_stable if comp.kind == "stable" else [
-                matching_cost(pairs, g, dt, unit) for g in cfg.gauges]
-            for g, c_stable_g, c_comp in zip(cfg.gauges, c_stable, costs):
-                if c_comp < c_stable_g - tol:
-                    violations += 1
-                key = (comp.kind, g.label)
-                per.setdefault(key, []).append(c_comp / mass)
-                diffs.setdefault(key, []).append((c_comp - c_stable_g) / mass)
+        cohort = Cohort(visits, cfg.pair)
+        stable = cohort.stable()
+        matchings = [apply_comparator(comp, cohort, stable) for comp in cfg.comparators]
+        for pairs in matchings:
+            check_matching(cohort, pairs)
+        # The stable costs serve every comparator; "stable" reuses them.
+        c_stable, *rest = matching_cost(
+            [stable] + [m for m in matchings if m is not stable],
+            cohort.counts, cfg.gauges, cfg.walk.dt, 1 / cohort.q)
+        rest = iter(rest)
+        c_all = np.stack([c_stable if m is stable else next(rest)
+                          for m in matchings])     # (comparator, gauge, path)
+        violations += int(np.count_nonzero(c_all < c_stable - tol))
+        # Per path, a key's values in (comparator, gauge) config order.
+        psi = (c_all / cohort.mass).reshape(len(keys), -1)
+        diff = ((c_all - c_stable) / cohort.mass).reshape(len(keys), -1)
+        for key in dict.fromkeys(keys):
+            sel = [r for r, k in enumerate(keys) if k == key]
+            per.setdefault(key, []).append(psi[sel].T.ravel())
+            diffs.setdefault(key, []).append(diff[sel].T.ravel())
     rows = []
     for (kind, glabel), vals in sorted(per.items()):
-        mean, se = _mean_se(vals)
-        dmean, dse = _mean_se(diffs[kind, glabel])
+        mean, se = _mean_se(np.concatenate(vals))
+        dmean, dse = _mean_se(np.concatenate(diffs[kind, glabel]))
         rows.append({"comparator": kind, "gauge": glabel,
                      "mean_psi": mean, "se": se,
                      "paired_diff_mean": dmean, "paired_diff_se": dse})
     data = {
-        "replicas": cfg.replicas, "paths_used": used, "paths_skipped": skipped,
-        "pathwise_violations": violations,
-        "comparators": [c.kind for c in cfg.comparators],
+        "replicas": cfg.replicas, "paths_used": cfg.replicas - skipped,
+        "paths_skipped": skipped, "pathwise_violations": violations, "comparators": kinds,
         "seed": cfg.walk.seed,
     }
     return StatReport("cost_compare", cfg.digest(), data, {"costs": rows})

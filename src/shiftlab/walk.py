@@ -21,8 +21,11 @@ from .measures import DiscreteMeasure, MeasurePair, as_int
 from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 
 # Caps checked before any path is allocated; configs use up to 2^18 steps
-# per horizon and 4000 replicas per experiment.
+# per horizon and 4000 replicas per experiment.  Dense paths (unbiased's to
+# max_horizon + max lag, walk's over both horizons) take 18 B per step at
+# peak (unbiased) and 57.5 B per step (walk's ledger) under tracemalloc.
 MAX_HORIZON_STEPS = 1 << 30
+MAX_DENSE_STEPS = 1 << 24
 MAX_REPLICAS = 1 << 24
 
 

@@ -9,8 +9,12 @@ experiments._first_excursion on one replica; dense_first_excursion
 at each doubling) are references for the event-ledger
 experiments._first_excursion; excursion_from and cost_of_tau_star_rescan
 take tau* from the per-step compute_tau_star instead of the kernel;
-queue_fifo_matching is the list-queue reference for
-comparators.fifo_matching; bisect_compute_N and
+per_path_cost_compare is experiments.run_cost_compare one excursion at a
+time, on the per-path matchings, checks and costs (fifo_matching,
+random_rematch, apply_comparator, check_matching, matching_cost) the
+cohort-level ones replaced; cohort_of builds a comparators.Cohort from
+dense ledgers; queue_fifo_matching is the list-queue
+reference for fifo_matching; bisect_compute_N and
 scan_find_crossing are the per-point and per-cell references for the merged
 compute_N sweep and the index-list find_crossing; FractionMatrix with
 fraction_sample_feasible_matrix and fraction_repair_trace are the
@@ -30,11 +34,12 @@ from fractions import Fraction
 import numpy as np
 
 from shiftlab import experiments
-from shiftlab.comparators import extract_slots
+from shiftlab.comparators import Cohort, extract_slots
 from shiftlab.embedding import (Excursion, compute_t_star, compute_tau_star,
                                 draw_u_flag, excursion_mass, first_balance,
-                                mu_charged_steps)
-from shiftlab.errors import ConfigError, HorizonExceededError, TruncationError
+                                match_slots, mu_charged_steps)
+from shiftlab.errors import (ConfigError, HorizonExceededError,
+                             InvariantError, TruncationError)
 from shiftlab.gauges import eval_gauge
 from shiftlab.rng import STREAM_FWD, STREAM_START, STREAM_UFLAG, BitStream
 from shiftlab.stable_alloc import stable_allocation
@@ -216,6 +221,123 @@ def queue_fifo_matching(ledger, exc) -> list[tuple[int, int]]:
             pairs.append((queue.pop(0), t))
     pairs.sort()
     return pairs
+
+
+def fifo_matching(slots) -> list[tuple[int, int]]:
+    """Each target slot takes the oldest waiting source slot."""
+    sources, targets = slots
+    pairs: list[tuple[int, int]] = []
+    head = si = 0                  # the waiting queue is sources[head:si]
+    for t in targets:
+        while si < len(sources) and sources[si] < t:
+            si += 1
+        if head < si:
+            pairs.append((sources[head], t))
+            head += 1
+    return pairs
+
+
+def random_rematch(stable, exc, seed: int, n_swaps: int = 8):
+    """Random forward-preserving transpositions of the stable pairs, one
+    uniform_index draw per index."""
+    if len(stable) < 2:
+        return stable
+    rng = BitStream(seed, 0x5EAC, exc.left, exc.right)
+    pairs = list(stable)
+    for _ in range(n_swaps):
+        i = rng.uniform_index(len(pairs))
+        j = rng.uniform_index(len(pairs))
+        if i == j:
+            continue
+        (s1, t1), (s2, t2) = pairs[i], pairs[j]
+        if t2 > s1 and t1 > s2:
+            pairs[i], pairs[j] = (s1, t2), (s2, t1)
+    pairs.sort()
+    return pairs
+
+
+def apply_comparator(comp, exc, slots, stable):
+    """One excursion's matching under ``comp``."""
+    if comp.kind == "stable":
+        return stable
+    if comp.kind == "fifo_rematch":
+        return fifo_matching(slots)
+    return random_rematch(stable, exc, comp.seed, comp.n_swaps)
+
+
+def matching_cost(pairs, g, dt, unit_mass) -> float:
+    """Sum of unit_mass * psi((t - s) * dt) over the pairs, left to right."""
+    u, d = float(unit_mass), float(dt)
+    total = 0.0
+    for s, t in pairs:
+        total += u * eval_gauge(g, (t - s) * d)
+    return total
+
+
+def check_matching(slots, pairs) -> None:
+    """One excursion's slot coverage and forward-looking pairs."""
+    sources, targets = slots
+    if sorted(s for s, _ in pairs) != sources:
+        raise InvariantError("matching does not cover the mu-slots exactly")
+    if sorted(t for _, t in pairs) != targets:
+        raise InvariantError("matching does not cover the nu-slots exactly")
+    for s, t in pairs:
+        if not (t > s):
+            raise InvariantError(f"pair ({s}, {t}) is not forward-looking")
+
+
+def cohort_of(items, pair):
+    """comparators.Cohort of the excursions [0, exc.right] of dense
+    ledgers, given as (ledger, exc) pairs."""
+    visits = []
+    for led, exc in items:
+        steps, _, _ = led.events(0, exc.right)
+        visits.append((steps, led.pos_all[steps + led.hb]))
+    return Cohort(visits, pair)
+
+
+def per_path_cost_compare(cfg) -> "experiments.StatReport":
+    """experiments.run_cost_compare with one ledger, kernel call, check and
+    cost sum per excursion."""
+    tol = cfg.thresholds["margin_tol"]
+    per, diffs = {}, {}
+    violations = skipped = used = 0
+    dt = float(cfg.walk.dt)
+    for out in experiments._t_star_finder(cfg, events=True)(range(cfg.replicas)):
+        got = experiments._first_excursion(cfg, out)
+        if got is None:
+            skipped += 1
+            continue
+        ledger, exc = got
+        used += 1
+        unit, mass = 1 / ledger.q, float(exc.mass)
+        slots = extract_slots(ledger, exc)
+        stable = match_slots(ledger, exc.left, exc.right)
+        c_stable = [matching_cost(stable, g, dt, unit) for g in cfg.gauges]
+        for comp in cfg.comparators:
+            pairs = apply_comparator(comp, exc, slots, stable)
+            check_matching(slots, pairs)
+            for g, c_stable_g in zip(cfg.gauges, c_stable):
+                c_comp = matching_cost(pairs, g, dt, unit)
+                violations += c_comp < c_stable_g - tol
+                key = (comp.kind, g.label)
+                per.setdefault(key, []).append(c_comp / mass)
+                diffs.setdefault(key, []).append((c_comp - c_stable_g) / mass)
+    rows = []
+    for (kind, glabel), vals in sorted(per.items()):
+        mean, se = experiments._mean_se(vals)
+        dmean, dse = experiments._mean_se(diffs[kind, glabel])
+        rows.append({"comparator": kind, "gauge": glabel,
+                     "mean_psi": mean, "se": se,
+                     "paired_diff_mean": dmean, "paired_diff_se": dse})
+    data = {
+        "replicas": cfg.replicas, "paths_used": used, "paths_skipped": skipped,
+        "pathwise_violations": violations,
+        "comparators": [c.kind for c in cfg.comparators],
+        "seed": cfg.walk.seed,
+    }
+    return experiments.StatReport("cost_compare", cfg.digest(), data,
+                                  {"costs": rows})
 
 
 def doubling_first_excursion(cfg, rep: int, slot_cap: int | None = None):

@@ -239,12 +239,17 @@ def test_excursion_cost_off_equality_is_invariant_error(tmp_path, capsys,
 def test_compare_with_a_broken_comparator_is_invariant_error(tmp_path, capsys,
                                                              monkeypatch):
     # A matching the program built itself that misses a slot is a bug, not
-    # bad input.
-    from shiftlab import comparators
+    # bad input: here FIFO drops the cohort's last slot.
+    from shiftlab import experiments
 
-    fifo = comparators.fifo_matching
-    monkeypatch.setattr(comparators, "fifo_matching",
-                        lambda slots: fifo(slots)[:-1])
+    apply = experiments.apply_comparator
+
+    def drop_fifo_slot(comp, cohort, stable):
+        pairs = apply(comp, cohort, stable)
+        return (tuple(a[:-1] for a in pairs) if comp.kind == "fifo_rematch"
+                else pairs)
+
+    monkeypatch.setattr(experiments, "apply_comparator", drop_fifo_slot)
     cfg = write_json(tmp_path, "cfg.json", walk_config())
     assert main(["--output-dir", str(tmp_path / "o"), "compare",
                  cfg]) == EXIT_INVARIANT
@@ -295,6 +300,10 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
     ("tail", walk_config({"replicas": 10**12})),
     ("unbiased", walk_config({"replicas": 10**12})),
     ("unbiased", walk_config({"lags": [1, 10**12]})),
+    ("tail", walk_config({"max_horizon": 10**15})),
+    ("unbiased", walk_config({"max_horizon": 1 << 24, "lags": [1]})),
+    ("walk", walk_config({"walk": {"horizon_fwd": 1 << 23,
+                                   "horizon_bwd": (1 << 23) + 1, "seed": 1}})),
 ], ids=["gauge-param-zero-den", "gauge-param-text", "comparator-no-kind",
         "negative-n-swaps", "replicas-text", "measure-text-weight",
         "lags-not-a-list", "thresholds-not-an-object", "r-levels-zero",
@@ -306,7 +315,8 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
         "ergodic-horizon-too-long", "fractional-gauge-param",
         "fractional-replica", "replica-text", "negative-replica",
         "tail-too-many-replicas", "unbiased-too-many-replicas",
-        "lag-too-long"])
+        "lag-too-long", "max-horizon-too-long", "unbiased-dense-path-too-long",
+        "walk-dense-path-too-long"])
 def test_malformed_inputs_are_config_errors(tmp_path, capsys, command, obj):
     cfg = write_json(tmp_path, "cfg.json", obj)
     assert main(["--output-dir", str(tmp_path / "o"), command, cfg]) == EXIT_CONFIG

@@ -20,18 +20,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ScriptedPath, dense_first_excursion, first_excursion,
-                     queue_fifo_matching)
-from test_experiments import _FIXTURE_PAIRS, make_cfg, measure_pairs
+from helpers import (ScriptedPath, dense_first_excursion, fifo_matching,
+                     first_excursion, per_path_cost_compare,
+                     queue_fifo_matching, random_rematch)
+from test_experiments import _FIXTURE_PAIRS, _patched, make_cfg, measure_pairs
 
 from shiftlab import cli, comparators, embedding, experiments, walk
-from shiftlab.comparators import extract_slots, fifo_matching
+from shiftlab.comparators import (COMPARATOR_KINDS, Cohort, Comparator,
+                                  apply_comparator, extract_slots)
 from shiftlab.embedding import (Excursion, excursion_mass, match_slots,
                                 mu_charged_steps, tau_star_map)
 from shiftlab.errors import ConfigError, HorizonExceededError
-from shiftlab.experiments import (FirstHitEngine, run_cost_compare,
-                                  run_excursion_cost)
-from shiftlab.gauges import default_gauges
+from shiftlab.experiments import (ExperimentConfig, FirstHitEngine,
+                                  run_cost_compare, run_excursion_cost)
+from shiftlab.gauges import capped, default_gauges, log1p, power, rational
 from shiftlab.measures import DiscreteMeasure, split_measures
 from shiftlab.walk import (EventLedger, WalkConfig, build_ledger,
                            inverse_local_time, sample_walk)
@@ -176,22 +178,6 @@ def test_event_ledger_refuses_a_non_orthogonal_pair():
         match_slots(led, 0, 2)
 
 
-def test_cost_compare_costs_each_matching_once_per_gauge(monkeypatch,
-                                                         symmetric_pair):
-    # Four gauges: the stable matching once, then fifo and random rematch;
-    # the "stable" comparator reuses the stable costs.
-    calls = []
-    real = experiments.matching_cost
-    monkeypatch.setattr(experiments, "matching_cost",
-                        lambda *args: calls.append(args) or real(*args))
-    cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=20,
-                   hf=1 << 12, max_horizon=1 << 15, gauges=default_gauges())
-    rep = run_cost_compare(cfg)
-    assert rep.data["comparators"] == ["stable", "fifo_rematch",
-                                       "random_feasible_rematch"]
-    assert len(calls) == 12 * rep.data["paths_used"] > 0
-
-
 def _count_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
@@ -200,13 +186,58 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_compare_extracts_the_slots_once_per_path(monkeypatch, symmetric_pair):
-    # fifo_matching and check_matching read the one slot list.
+def _used_cohorts(cfg, size):
+    """Per cohort of ``size`` replicas, the (ledger, exc) of its used paths."""
+    got = [first_excursion(cfg, rep) for rep in range(cfg.replicas)]
+    cohorts = [list(filter(None, got[i:i + size]))
+               for i in range(0, len(got), size)]
+    return [c for c in cohorts if c]
+
+
+def test_cost_compare_costs_each_matching_once_per_gauge(monkeypatch,
+                                                         symmetric_pair):
+    # One cost call per cohort for the stable matching, fifo and random
+    # rematch (the "stable" comparator reuses the stable costs), and psi
+    # once per gauge for each distinct gap of the cohort's matchings.
+    monkeypatch.setattr(experiments, "_COHORT", 7)
+    costs = _count_calls(monkeypatch, experiments, "matching_cost")
+    psi = _count_calls(monkeypatch, comparators, "eval_gauge")
+    cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=20,
+                   hf=1 << 12, max_horizon=1 << 15, gauges=default_gauges())
+    rep = run_cost_compare(cfg)
+    assert rep.data["comparators"] == ["stable", "fifo_rematch",
+                                       "random_feasible_rematch"]
+    random = cfg.comparators[2]
+    cohorts = _used_cohorts(cfg, 7)
+    assert len(costs) == len(cohorts) == 3
+    assert all(len(call[0]) == 3 for call in costs)
+    gaps = 0
+    for cohort in cohorts:
+        seen = set()
+        for led, exc in cohort:
+            stable = match_slots(led, 0, exc.right)
+            for pairs in (stable, fifo_matching(extract_slots(led, exc)),
+                          random_rematch(stable, exc, random.seed,
+                                         random.n_swaps)):
+                seen |= {t - s for s, t in pairs}
+        gaps += len(seen)
+    assert len(psi) == len(cfg.gauges) * gaps > 0
+
+
+def test_compare_builds_the_slots_once_per_cohort(monkeypatch,
+                                                  symmetric_pair):
+    # FIFO and the checks read the cohort's one slot list; no per-path
+    # slot list is extracted.
+    monkeypatch.setattr(experiments, "_COHORT", 7)
     slots = _count_calls(monkeypatch, experiments, "extract_slots")
+    built = _count_calls(monkeypatch, experiments, "Cohort")
     cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=20,
                    hf=1 << 12, max_horizon=1 << 15)
     used = run_cost_compare(cfg).data["paths_used"]
-    assert len(slots) == used > 0
+    assert [len(visits) for visits, _ in built] == [
+        len(c) for c in _used_cohorts(cfg, 7)]
+    assert sum(len(visits) for visits, _ in built) == used > 0
+    assert slots == []
 
 
 def test_excursion_cost_builds_its_points_from_the_slots(monkeypatch,
@@ -221,17 +252,126 @@ def test_excursion_cost_builds_its_points_from_the_slots(monkeypatch,
     assert not any(kernels)
 
 
-@given(measure_pairs(), st.lists(st.sampled_from((-1, 1)), min_size=1,
-                                 max_size=120), st.data())
+@given(st.one_of(st.sampled_from(_FIXTURE_PAIRS + (_MULTI_SLOT,)),
+                 measure_pairs()).filter(
+                     lambda p: p.orthogonal and p.exact_mode_ok),
+       st.integers(0, 10**6), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_fifo_matching_equals_the_queue_oracle(pair, seed, replicas):
+    # On a cohort of excursions [0, T*], the k-th target of each takes its
+    # k-th source: the queue oracle's matching, excursion by excursion.
+    cfg = make_cfg(pair, "cost_compare", seed=seed, replicas=replicas, hf=16,
+                   max_horizon=1 << 10)
+    items = list(filter(None, (first_excursion(cfg, rep)
+                               for rep in range(replicas))))
+    if not items:
+        return
+    cohort = Cohort([out["events"] for out in experiments._t_star_finder(
+        cfg, events=True)(range(replicas)) if out["t_star"]], pair)
+    fifo = apply_comparator(Comparator("fifo_rematch"), cohort,
+                            cohort.stable())
+    want = [p for led, exc in items for p in queue_fifo_matching(led, exc)]
+    assert list(zip(*(a.tolist() for a in fifo))) == want
+
+
+def _compare_cfg(pair, seed, replicas, hf, hmax, dx=Fraction(1), **kw):
+    walk_cfg = WalkConfig(dx=Fraction(dx), horizon_fwd=hf, horizon_bwd=4,
+                          seed=seed, start_law=pair.mu)
+    mode = "exact" if pair.exact_mode_ok else "crossing"
+    return ExperimentConfig(walk=walk_cfg, pair=pair, replicas=replicas,
+                            experiment="cost_compare", mode=mode,
+                            max_horizon=hmax, **{"gauges": default_gauges(), **kw})
+
+
+def _outcome(run, cfg):
+    try:
+        rep = run(cfg)
+    except ConfigError as exc:
+        return "ConfigError", str(exc)
+    return rep.to_json(), json.dumps(rep.tables)
+
+
+_COMPARATOR_LISTS = st.lists(
+    st.builds(Comparator, st.sampled_from(COMPARATOR_KINDS),
+              st.integers(0, 9), st.integers(0, 12)), min_size=1, max_size=4)
+_GAUGE_SETS = st.lists(st.sampled_from(
+    (power(Fraction(1, 2)), power(1), log1p(), capped(3), rational())),
+    min_size=1, max_size=4).map(tuple)
+
+
+@given(st.one_of(st.sampled_from(_FIXTURE_PAIRS + (_MULTI_SLOT,)),
+                 measure_pairs()).filter(
+                     lambda p: p.orthogonal and p.exact_mode_ok),
+       st.integers(0, 10**6), st.integers(1, 40), st.sampled_from((1, 16, 64)),
+       st.sampled_from((64, 1 << 10, 1 << 12)),
+       st.sampled_from((1, Fraction(1, 3), Fraction(2, 7))),
+       _COMPARATOR_LISTS, _GAUGE_SETS, st.sampled_from((1, 3, None)))
 @settings(max_examples=120, deadline=None)
-def test_fifo_matching_equals_the_queue_oracle(pair, steps, data):
-    start = data.draw(st.sampled_from([s for s, _ in pair.mu.atoms]))
-    positions = np.concatenate([[start], start + np.cumsum(steps)])
-    led = build_ledger(ScriptedPath(positions), pair)
-    left = data.draw(st.integers(0, len(steps)))
-    right = data.draw(st.integers(left, len(steps)))
-    exc = Excursion(left, right, excursion_mass(led, left, right))
-    assert fifo_matching(extract_slots(led, exc)) == queue_fifo_matching(led, exc)
+def test_batched_compare_equals_the_per_path_oracle(pair, seed, replicas, hf,
+                                                    hmax, dx, comps, gauges,
+                                                    cohort):
+    # Report and tables byte-equal to one excursion at a time, whatever
+    # the cohort size (None keeps the module default).
+    cfg = _compare_cfg(pair, seed, replicas, hf, hmax, dx,
+                       comparators=tuple(comps), gauges=gauges)
+    with _patched("_COHORT", cohort):
+        got = _outcome(run_cost_compare, cfg)
+    assert got == _outcome(per_path_cost_compare, cfg)
+
+
+@given(measure_pairs(), st.integers(0, 10**6), st.integers(1, 30),
+       st.sampled_from((1, 3, None)))
+@settings(max_examples=100, deadline=None)
+def test_batched_compare_fails_like_the_oracle_on_any_pair(pair, seed,
+                                                           replicas, cohort):
+    # A non-orthogonal or non-exact pair raises the oracle's ConfigError
+    # once an excursion is used, and nothing while none is.
+    cfg = _compare_cfg(pair, seed, replicas, 16, 1 << 10)
+    with _patched("_COHORT", cohort):
+        got = _outcome(run_cost_compare, cfg)
+    assert got == _outcome(per_path_cost_compare, cfg)
+
+
+_RANDOM = Comparator("random_feasible_rematch", seed=7)
+_EDGE_CONFIGS = {
+    "no-stable": (None, dict(comparators=(Comparator("fifo_rematch"), _RANDOM))),
+    "two-random-seeds": (None, dict(comparators=(
+        _RANDOM, Comparator("stable"),
+        Comparator("random_feasible_rematch", seed=8, n_swaps=3)))),
+    "no-swaps": (None, dict(comparators=(
+        Comparator("random_feasible_rematch", seed=7, n_swaps=0),))),
+    "one-comparator": (None, dict(comparators=(Comparator("fifo_rematch"),))),
+    "all-censored": (split_measures(DiscreteMeasure.delta(0),
+                                    DiscreteMeasure.delta(5)), dict(hmax=4)),
+    "u-flag-0": (split_measures(DiscreteMeasure.delta(0),
+                                DiscreteMeasure.delta(0)), {}),
+    "multi-slot-dx": (_MULTI_SLOT, dict(dx=Fraction(1, 3))),
+    "non-orthogonal": (split_measures(
+        DiscreteMeasure.from_atoms([(0, Fraction(1, 2)), (1, Fraction(1, 2))]),
+        DiscreteMeasure.from_atoms([(-1, Fraction(1, 2)), (1, Fraction(1, 2))])),
+        {}),
+    "non-exact": (split_measures(DiscreteMeasure.delta(0), DiscreteMeasure.from_atoms(
+        [(-1, Fraction(1, 3)), (1, Fraction(2, 3))])), {}),
+}
+
+
+@pytest.mark.parametrize("cohort", [1, 3, None])
+@pytest.mark.parametrize("name", sorted(_EDGE_CONFIGS))
+def test_batched_compare_edge_configs(name, cohort, symmetric_pair):
+    pair, kw = _EDGE_CONFIGS[name]
+    kw = {"hf": 16, "hmax": 1 << 10, **kw}
+    cfg = _compare_cfg(pair or symmetric_pair, 5, 60, **kw)
+    with _patched("_COHORT", cohort):
+        got = _outcome(run_cost_compare, cfg)
+    assert got == _outcome(per_path_cost_compare, cfg)
+    if name.startswith("non-"):
+        assert got[0] == "ConfigError"
+        return
+    data = json.loads(got[0])["data"]
+    if name in ("all-censored", "u-flag-0"):
+        assert data["paths_used"] == 0 and data["paths_skipped"] == 60
+    else:
+        assert data["paths_used"] > 20
 
 
 # sha256 of report.json and the tables; later changes must keep these

@@ -18,7 +18,7 @@ from shiftlab.experiments import (DEFAULT_THRESHOLDS, ExperimentConfig,
                                   run_embed_law, run_ergodic,
                                   run_excursion_cost, run_tail,
                                   run_unbiased_test)
-from shiftlab.gauges import capped, log1p, power
+from shiftlab.gauges import capped, default_gauges, log1p, power
 from shiftlab.measures import DiscreteMeasure, split_measures
 from shiftlab.rng import STREAM_FWD, STREAM_START
 from shiftlab.walk import WalkConfig, build_ledger, sample_walk
@@ -234,8 +234,11 @@ def test_cost_compare_no_violations(symmetric_pair):
         assert row["paired_diff_mean"] >= -1e-12
 
 
-def test_cost_compare_matches_each_path_once(monkeypatch, symmetric_pair):
+def test_cost_compare_matches_each_cohort_once(monkeypatch, symmetric_pair):
+    # One kernel call per cohort with a used path, over all of the cohort's
+    # events; the random rematch permutes those pairs.
     from shiftlab import comparators
+    monkeypatch.setattr(experiments, "_COHORT", 7)
     calls = []
     kernel = comparators.match_slots
     monkeypatch.setattr(comparators, "match_slots",
@@ -244,7 +247,12 @@ def test_cost_compare_matches_each_path_once(monkeypatch, symmetric_pair):
                    hf=1 << 12, max_horizon=1 << 15)
     rep = run_cost_compare(cfg)
     assert "random_feasible_rematch" in rep.data["comparators"]
-    assert len(calls) == rep.data["paths_used"] > 0
+    outs = list(experiments._t_star_finder(cfg, events=True)(range(20)))
+    events = [sum(len(o["events"][0]) for o in outs[i:i + 7] if o["t_star"])
+              for i in range(0, 20, 7)]
+    assert [(left, right + 1) for _, left, right in calls] == [
+        (0, n) for n in events if n]
+    assert len(calls) == 3 and rep.data["paths_used"] > 0
 
 
 def test_excursion_cost_nonnegative(symmetric_pair):
@@ -504,6 +512,24 @@ def test_finder_memory_tripwire(target, delta_pair, symmetric_pair):
     assert peak <= 4 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
+def test_compare_memory_tripwire(symmetric_pair):
+    # Criterion 6's shape: cost_compare of 1000 replicas, horizon_fwd 4096,
+    # cap 2^18, seed 21, under tracemalloc.  Peaks measured with numpy 2.4:
+    # 5.60 MiB scoring one excursion at a time, 6.29 MiB scoring a cohort
+    # at a time.  Both peak inside the engine's scan; the rise is the
+    # previous cohort's visits and arrays, held while the next one scans.
+    cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=1000,
+                   hf=1 << 12, max_horizon=1 << 18, gauges=default_gauges())
+    tracemalloc.start()
+    try:
+        rep = run_cost_compare(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.data["paths_used"] > 900
+    assert peak <= 8 << 20, f"peak {peak / 2**20:.2f} MiB"
+
+
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS), measure_pairs()),
        st.integers(0, 10**6), st.integers(0, 30),
        st.sampled_from((1, 64, 1000)), st.sampled_from((777, 4096)),
@@ -556,3 +582,16 @@ def test_config_rejects_unknown_threshold_keys(symmetric_pair):
     for key in ("sigm", "ks_alpha"):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(dict(obj, thresholds={key: 0.1}))
+
+
+def test_config_caps_max_horizon_and_unbiased_dense_paths(symmetric_pair):
+    # Both limits hold at the boundary and fail one step past it.
+    make_cfg(symmetric_pair, "tail", max_horizon=walk.MAX_HORIZON_STEPS)
+    with pytest.raises(ConfigError, match="2\\^30"):
+        make_cfg(symmetric_pair, "tail", max_horizon=walk.MAX_HORIZON_STEPS + 1)
+    limit = walk.MAX_DENSE_STEPS
+    make_cfg(symmetric_pair, "unbiased", max_horizon=limit - 16, lags=(1, 16))
+    make_cfg(symmetric_pair, "tail", max_horizon=limit, lags=(1, 16))
+    with pytest.raises(ConfigError, match="2\\^24"):
+        make_cfg(symmetric_pair, "unbiased", max_horizon=limit - 15,
+                 lags=(16, 1))
