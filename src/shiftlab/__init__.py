@@ -8,9 +8,8 @@ from .errors import (ConfigError, FeasibilityError, HorizonExceededError,
                      ShiftLabError, SizeLimitError, TruncationError)
 from .gauges import Gauge, capped, default_gauges, eval_gauge, log1p, power, rational
 from .measures import DiscreteMeasure, MeasurePair, split_measures
-from .walk import LocalTimeLedger, WalkConfig, WalkPath, build_ledger, sample_walk
-from .embedding import (EmbeddingResult, Excursion, compute_t_star,
-                        compute_tau_star, cost_of_tau_star, decompose_excursions)
+from .walk import EventLedger, WalkConfig, WalkPath, build_ledger, sample_walk
+from .embedding import EmbeddingResult, Excursion, compute_t_star
 from .stable_alloc import (PointConfig, StableMatch, compute_N,
                            quantile_discretize, stable_allocation,
                            tau_n_convergence_test)
@@ -28,9 +27,8 @@ __all__ = [
     "SizeLimitError", "TruncationError",
     "Gauge", "capped", "default_gauges", "eval_gauge", "log1p", "power", "rational",
     "DiscreteMeasure", "MeasurePair", "split_measures",
-    "LocalTimeLedger", "WalkConfig", "WalkPath", "build_ledger", "sample_walk",
-    "EmbeddingResult", "Excursion", "compute_t_star", "compute_tau_star",
-    "cost_of_tau_star", "decompose_excursions",
+    "EventLedger", "WalkConfig", "WalkPath", "build_ledger", "sample_walk",
+    "EmbeddingResult", "Excursion", "compute_t_star",
     "PointConfig", "StableMatch", "compute_N", "quantile_discretize",
     "stable_allocation", "tau_n_convergence_test",
     "CostReport", "TransportMatrix", "find_crossing", "inequality_check",

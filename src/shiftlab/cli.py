@@ -12,7 +12,10 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (ConfigError, FeasibilityError, HorizonExceededError,
                      InvariantError, ShiftLabError, SizeLimitError,
@@ -25,7 +28,7 @@ from .measures import as_int
 from .stable_alloc import PointConfig, compute_N, stable_allocation
 from .transport import (TransportMatrix, inequality_check, repair_sweep,
                         stable_indicator)
-from .walk import MAX_DENSE_STEPS, build_ledger, sample_walk
+from .walk import MAX_DENSE_STEPS, sample_walk, site_weights
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -86,14 +89,24 @@ def _cmd_walk(args, obj: dict, out_dir: Path) -> int:
         raise ConfigError("walk needs horizon_fwd + horizon_bwd <= 2^24 dense "
                           f"steps, got {cfg.walk.horizon_fwd + cfg.walk.horizon_bwd}")
     path = sample_walk(cfg.walk, replica=replica)
-    ledger = build_ledger(path, cfg.pair)
+    hb, q = path.horizon_bwd, cfg.pair.denominator
+    pos = path.full_positions()
+    masses = []                            # L^mu, L^nu numerators over q
+    for m in (cfg.pair.mu, cfg.pair.nu):
+        # L(n) is the mass over [min(n, 0), max(n, 0)]: sums out of step 0.
+        w = site_weights(pos, m, q)
+        masses.append(np.concatenate([np.cumsum(w[hb::-1])[:0:-1],
+                                      np.cumsum(w[hb:])]).tolist())
     out_dir.mkdir(parents=True, exist_ok=True)
     tdir = out_dir / "tables"
     tdir.mkdir(exist_ok=True)
     with open(tdir / "path.csv", "w") as fobj:
         path.to_csv(fobj)
     with open(tdir / "ledger.csv", "w") as fobj:
-        ledger.to_csv(fobj)
+        fobj.write("step,Lmu,Lnu,D\n")
+        for n, a, b in zip(range(-hb, path.horizon_fwd + 1), *masses):
+            lmu, lnu = Fraction(a, q), Fraction(b, q)
+            fobj.write(f"{n},{lmu},{lnu},{lmu - lnu}\n")
     report = StatReport("walk", cfg.digest(), {
         "start": path.start,
         "horizon_fwd": path.horizon_fwd,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import Excursion, Ledger, match_slots
+from .embedding import Excursion, match_slots
 from .errors import ConfigError, InvariantError
 from .gauges import Gauge, eval_gauge
 from .measures import MeasurePair
@@ -37,14 +37,16 @@ class Comparator:
     def __post_init__(self):
         if self.kind not in COMPARATOR_KINDS:
             raise ConfigError(f"unknown comparator kind {self.kind!r}")
-        if self.n_swaps < 0:
-            raise ConfigError(f"n_swaps must be >= 0, got {self.n_swaps}")
+        if not 0 <= self.n_swaps <= 1 << 20:
+            raise ConfigError(f"n_swaps must lie in [0, 2^20], got {self.n_swaps}")
+        if not 0 <= self.seed < 1 << 63:
+            raise ConfigError(f"comparator seed must lie in [0, 2^63), got {self.seed}")
 
 
 Pairs = tuple[np.ndarray, np.ndarray]     # (source steps, target steps)
 
 
-def extract_slots(ledger: Ledger, exc: Excursion) -> tuple[list[int], list[int]]:
+def extract_slots(ledger: EventLedger, exc: Excursion) -> tuple[list[int], list[int]]:
     """(source_steps, target_steps) with multiplicity, chronological order."""
     steps, wmu, wnu = ledger.events(exc.left, exc.right)
     return np.repeat(steps, wmu).tolist(), np.repeat(steps, wnu).tolist()

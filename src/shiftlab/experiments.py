@@ -10,7 +10,8 @@ paths; once a replica hits, its generator is re-keyed for another.
 Censored replicas (T* past ``max_horizon``) are reported, never dropped.
 The same scan yields atom visits: compare scores a cohort's excursions in
 one batch from them, excursion-cost reads each one and ergodic its long
-two-sided path as event ledgers; no experiment builds a dense ledger.
+two-sided path as event ledgers.  unbiased reads the increments around T*
+as popcounts of seeked stream words.  No experiment builds a dense path.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ from .embedding import (Excursion, balanced, check_mode, draw_u_flag,
                         excursion_mass, require_mode, tau_star_map)
 # perfbench/tracing.LAYERS patches these in this namespace.
 from .embedding import compute_t_star, match_slots  # noqa: F401
-from .walk import build_ledger  # noqa: F401
+from .walk import build_ledger, sample_walk  # noqa: F401
 from .errors import ConfigError, InvariantError
 from .gauges import Gauge, default_gauges, eval_gauge, gauges_from_json
 from .measures import MeasurePair, as_int, measure_from_spec, split_measures
 from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 from .stable_alloc import PointConfig
 from .transport import inequality_check, sample_feasible_matrix, stable_indicator
-from .walk import (MAX_DENSE_STEPS, MAX_HORIZON_STEPS, MAX_REPLICAS, EventLedger,
-                   WalkConfig, draw_start, inverse_local_time, sample_walk, site_weights)
+from .walk import (MAX_HORIZON_STEPS, MAX_REPLICAS, EventLedger, WalkConfig,
+                   draw_start, inverse_local_time, site_weights)
 
 EXPERIMENTS = ("embed_law", "unbiased", "cost_compare", "excursion_cost",
                "ergodic", "tail")
@@ -85,11 +86,8 @@ class ExperimentConfig:
                 and max(self.lags) <= MAX_HORIZON_STEPS):
             raise ConfigError(
                 f"lags must be nonempty, >= 1 and <= 2^30, got {list(self.lags)}")
-        dense = self.max_horizon + max(self.lags)      # unbiased's dense path
-        if self.experiment == "unbiased" and dense > MAX_DENSE_STEPS:
-            raise ConfigError(f"unbiased needs max_horizon + max lag <= 2^24, got {dense}")
-        if self.r_levels < 1:
-            raise ConfigError(f"r_levels must be >= 1, got {self.r_levels}")
+        if not 1 <= self.r_levels <= 64:
+            raise ConfigError(f"r_levels must lie in [1, 64], got {self.r_levels}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
@@ -442,41 +440,66 @@ def run_embed_law(cfg: ExperimentConfig) -> StatReport:
     return StatReport("embed_law", cfg.digest(), data, {"law": rows})
 
 
+def _displacement(seed: int, ids: tuple[int, ...], a: int, b: int) -> int:
+    """Net displacement of the +-1 steps [a, b) of stream (seed, *ids):
+    2 popcount - (b - a) over its seeked words, where step i is bit
+    63 - i % 64 of word i // 64, as ``take_steps`` reads it."""
+    if a == b:
+        return 0
+    stream = BitStream(seed, *ids)
+    stream.skip_words(a // 64)
+    words = stream.take_words(-(-b // 64) - a // 64)
+    stream.release()
+    up = int(np.bitwise_count(words).sum())
+    up -= (int(words[0]) >> (64 - a % 64)).bit_count()       # steps before a
+    up -= (int(words[-1]) & ((1 << -b % 64) - 1)).bit_count()  # steps from b on
+    return 2 * up - (b - a)
+
+
 def run_unbiased_test(cfg: ExperimentConfig) -> StatReport:
     """Increment law of the shifted walk (B_{T*+t} - B_{T*}).
 
-    Each completed replica's path is sampled to T* + max lag; censored
-    replicas are counted and left out.
+    Every increment around a completed replica's T* is the displacement of
+    a step range of its forward or backward stream, and every control
+    sample that of the next steps of stream (seed, 0xC117, 0), each read
+    from seeked words, so no path is built and memory does not grow with
+    T* or the lags.  Censored replicas are counted and left out.
     """
     # Only this experiment needs scipy.stats (0.6 s and 70 MiB to import).
     from scipy import stats as sstats
 
     lags = cfg.lags
-    window = max(lags)
+    seed = cfg.walk.seed
     per_lag_fwd = {k: [] for k in lags}
     per_lag_bwd = {k: [] for k in lags}
     control = {k: [] for k in lags}
     plus_count = 0
     step_count = 0
     censored = 0
-    ctrl_stream = BitStream(cfg.walk.seed, 0xC117, 0)
+    cursor = 0                             # control steps read so far
     t_star = _t_star_finder(cfg)
     for rep, out in enumerate(t_star(range(cfg.replicas))):
         if out["censored"]:
             censored += 1
             continue
         t = out["t_star"]
-        path = sample_walk(cfg.walk, replica=rep)
-        path.extend_fwd(t + window)
-        base = path.positions(t)
-        plus_count += int(path.positions(t + 1) - base == 1)
+
+        def fwd(a: int, b: int) -> int:
+            return _displacement(seed, (rep, STREAM_FWD), a, b)
+
+        plus_count += int(fwd(t, t + 1) == 1)
         step_count += 1
         for k in lags:
-            per_lag_fwd[k].append((path.positions(t + k) - base) / math.sqrt(k))
-            if t - k >= -path.horizon_bwd:
-                per_lag_bwd[k].append((base - path.positions(t - k)) / math.sqrt(k))
-            ctrl = ctrl_stream.take_steps(k).sum()
-            control[k].append(float(ctrl) / math.sqrt(k))
+            per_lag_fwd[k].append(fwd(t, t + k) / math.sqrt(k))
+            # B_T* - B_{T*-k}; before step 0 the path is the backward walk.
+            if t >= k:
+                per_lag_bwd[k].append(fwd(t - k, t) / math.sqrt(k))
+            elif t - k >= -cfg.walk.horizon_bwd:
+                bwd = _displacement(seed, (rep, STREAM_BWD), 0, k - t)
+                per_lag_bwd[k].append((fwd(0, t) - bwd) / math.sqrt(k))
+            ctrl = _displacement(seed, (0xC117, 0), cursor, cursor + k)
+            control[k].append(ctrl / math.sqrt(k))
+            cursor += k
     rows = []
     for k in lags:
         ks_f = sstats.ks_2samp(per_lag_fwd[k], control[k]) if per_lag_fwd[k] else None
@@ -521,41 +544,50 @@ def _first_excursion(cfg: ExperimentConfig, out: dict,
     return ledger, exc
 
 
+def _score_cohort(cfg: ExperimentConfig, outs, keys: list, per: dict,
+                  diffs: dict) -> tuple[int, int]:
+    """(skipped, violations) of one engine cohort, whose outputs of
+    ``_t_star_finder(cfg, events=True)`` ``outs`` yields; appends each used
+    path's psi and paired differences per key to ``per`` and ``diffs``.
+    A call of its own, so the cohort's arrays die before the next scan."""
+    outs = list(outs)
+    visits = [out["events"] for out in outs if out["t_star"]]  # T* > 0
+    if not visits:
+        return len(outs), 0
+    cohort = Cohort(visits, cfg.pair)
+    stable = cohort.stable()
+    matchings = [apply_comparator(comp, cohort, stable) for comp in cfg.comparators]
+    for pairs in matchings:
+        check_matching(cohort, pairs)
+    # The stable costs serve every comparator; "stable" reuses them.
+    c_stable, *rest = matching_cost(
+        [stable] + [m for m in matchings if m is not stable],
+        cohort.counts, cfg.gauges, cfg.walk.dt, 1 / cohort.q)
+    rest = iter(rest)
+    c_all = np.stack([c_stable if m is stable else next(rest)
+                      for m in matchings])     # (comparator, gauge, path)
+    tol = cfg.thresholds["margin_tol"]
+    violations = int(np.count_nonzero(c_all < c_stable - tol))
+    # Per path, a key's values in (comparator, gauge) config order.
+    psi = (c_all / cohort.mass).reshape(len(keys), -1)
+    diff = ((c_all - c_stable) / cohort.mass).reshape(len(keys), -1)
+    for key in dict.fromkeys(keys):
+        sel = [r for r, k in enumerate(keys) if k == key]
+        per.setdefault(key, []).append(psi[sel].T.ravel())
+        diffs.setdefault(key, []).append(diff[sel].T.ravel())
+    return len(outs) - len(visits), violations
+
+
 def run_cost_compare(cfg: ExperimentConfig) -> StatReport:
     """Pathwise excursion-cost dominance of tau* over comparator rematchings,
     scored one engine cohort of used excursions at a time."""
-    tol = cfg.thresholds["margin_tol"]
     per, diffs = {}, {}                    # (kind, gauge) -> value arrays
-    violations = skipped = 0
     find = _t_star_finder(cfg, events=True)
     kinds = [comp.kind for comp in cfg.comparators]
     keys = [(kind, g.label) for kind in kinds for g in cfg.gauges]
-    for start in range(0, cfg.replicas, _COHORT):
-        outs = list(find(range(cfg.replicas)[start:start + _COHORT]))
-        visits = [out["events"] for out in outs if out["t_star"]]  # T* > 0
-        skipped += len(outs) - len(visits)
-        if not visits:
-            continue
-        cohort = Cohort(visits, cfg.pair)
-        stable = cohort.stable()
-        matchings = [apply_comparator(comp, cohort, stable) for comp in cfg.comparators]
-        for pairs in matchings:
-            check_matching(cohort, pairs)
-        # The stable costs serve every comparator; "stable" reuses them.
-        c_stable, *rest = matching_cost(
-            [stable] + [m for m in matchings if m is not stable],
-            cohort.counts, cfg.gauges, cfg.walk.dt, 1 / cohort.q)
-        rest = iter(rest)
-        c_all = np.stack([c_stable if m is stable else next(rest)
-                          for m in matchings])     # (comparator, gauge, path)
-        violations += int(np.count_nonzero(c_all < c_stable - tol))
-        # Per path, a key's values in (comparator, gauge) config order.
-        psi = (c_all / cohort.mass).reshape(len(keys), -1)
-        diff = ((c_all - c_stable) / cohort.mass).reshape(len(keys), -1)
-        for key in dict.fromkeys(keys):
-            sel = [r for r, k in enumerate(keys) if k == key]
-            per.setdefault(key, []).append(psi[sel].T.ravel())
-            diffs.setdefault(key, []).append(diff[sel].T.ravel())
+    skipped, violations = map(sum, zip(*(
+        _score_cohort(cfg, find(range(cfg.replicas)[i:i + _COHORT]), keys, per, diffs)
+        for i in range(0, cfg.replicas, _COHORT))))
     rows = []
     for (kind, glabel), vals in sorted(per.items()):
         mean, se = _mean_se(np.concatenate(vals))

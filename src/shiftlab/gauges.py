@@ -1,8 +1,8 @@
 """Concave cost gauges: a fixed family of nonnegative concave functions with psi(0)=0.
 
 The four families (fractional power, log1p, capped linear, t/(1+t)) are
-concave by construction, so grid checks can only fail through bugs, not
-through user input.
+concave by construction, so the tests' grid checks can only fail through
+bugs, not through user input.
 """
 
 from __future__ import annotations
@@ -10,16 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConfigError
 from .measures import as_int
 
 GAUGE_KINDS = ("power", "log1p", "capped", "rational")
-
-# Slack for float round-off in the grid checks; the properties themselves
-# are exact for every built-in family.
-_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,36 +112,6 @@ def eval_gauge(g: Gauge, t) -> float:
     if g.kind == "capped":
         return min(t, g._p)
     return t / (1.0 + t)
-
-
-def check_gauge_properties(g: Gauge, grid: Sequence[float]) -> dict:
-    """Scan a sample grid for nonnegativity, midpoint concavity and subadditivity.
-
-    Returns {"concave_ok", "subadditive_ok", "nonnegative_ok"}.  The scan is
-    O(len(grid)^2) over all pairs.
-    """
-    if len(grid) == 0:
-        raise ConfigError("grid must be nonempty")
-    pts = sorted(float(t) for t in grid)
-    if pts[0] < 0:
-        raise ConfigError("grid points must be nonnegative")
-    vals = [eval_gauge(g, t) for t in pts]
-    nonneg = all(v >= 0.0 for v in vals)
-    concave = True
-    subadd = True
-    for i, s in enumerate(pts):
-        for j in range(i, len(pts)):
-            t = pts[j]
-            mid = eval_gauge(g, (s + t) / 2.0)
-            if mid < (vals[i] + vals[j]) / 2.0 - _CHECK_TOL:
-                concave = False
-            if eval_gauge(g, s + t) > vals[i] + vals[j] + _CHECK_TOL:
-                subadd = False
-    return {
-        "concave_ok": concave,
-        "subadditive_ok": subadd,
-        "nonnegative_ok": nonneg,
-    }
 
 
 def gauges_from_json(items: Iterable[dict]) -> tuple[Gauge, ...]:

@@ -7,12 +7,12 @@ auxiliary draws all get their own stream id and can therefore run in any
 order, or in parallel, without coordination.
 
 One stream serves one consumer kind: bits (``take_bits``/``take_steps``),
-raw words (``take_words``) or uniforms (``uniform_index``).  The bit kind
-buffers unread bits and the others read the raw words directly, so mixing
-kinds would make the output depend on how requests are chunked; asking a
-stream for a second kind raises.  Generators are re-keyed: a released
-stream's generator serves the next stream to draw, at a fifth of the cost of
-building one.
+raw words (``take_words``, and ``skip_words`` to seek) or uniforms
+(``uniform_index``).  The bit kind buffers unread bits and the others read
+the raw words directly, so mixing kinds would make the output depend on
+how requests are chunked; asking a stream for a second kind raises.
+Generators are re-keyed: a released stream's generator serves the next
+stream to draw, at a fifth of the cost of building one.
 """
 
 from __future__ import annotations
@@ -108,6 +108,19 @@ class BitStream:
         if self._kind != "words":
             self._claim("words")
         return self._bg.random_raw(n)
+
+    def skip_words(self, n: int) -> None:
+        """Move on as ``take_words(n)`` would, by a jump of the counter."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if self._kind != "words":
+            self._claim("words")
+        # ``advance`` drops the buffered rest of a 4-word block: read it.
+        rest = min(n, 4 - self._bg.state["buffer_pos"])
+        self._bg.random_raw(rest)
+        if n - rest >= 4:
+            self._bg.advance((n - rest) // 4)
+        self._bg.random_raw((n - rest) % 4)
 
     def uniform_index(self, n: int) -> int:
         """floor(u * n) for one uniform u = word / 2^64 on [0, 1), exactly."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, HorizonExceededError, TruncationError
 from .embedding import mu_charged_steps, parenthesis_match, tau_star_map
-from .walk import LocalTimeLedger
+from .walk import EventLedger
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def _quantile_points(steps, weights, q: int, thresholds, last: Fraction
     return pts
 
 
-def quantile_discretize(ledger: LocalTimeLedger, exc, n: int) -> dict:
+def quantile_discretize(ledger: EventLedger, exc, n: int) -> dict:
     """n-quantile points of ell^mu (descending) and ell^nu (ascending) in exc.
 
     Quantile thresholds are spaced exactly M/n apart in rational arithmetic;
@@ -261,7 +261,7 @@ def quantile_discretize(ledger: LocalTimeLedger, exc, n: int) -> dict:
             "a": tuple(a_desc), "b": tuple(b_asc)}
 
 
-def tau_n_convergence_test(ledger: LocalTimeLedger, exc,
+def tau_n_convergence_test(ledger: EventLedger, exc,
                            n_list: Sequence[int]) -> dict:
     """sup |tau_n(g_n(a)) - tau*(a)| over mu-charged a in exc, per n.
 

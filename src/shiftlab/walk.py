@@ -3,7 +3,9 @@
 The walk is the Brownian surrogate: lattice spacing dx, time step dt = dx^2.
 Local time at a site is its visit count; the additive functionals L^mu, L^nu
 mix visit counts with rational measure weights, tracked as integer
-numerators over the pair's common denominator q.
+numerators over the pair's common denominator q.  A path's ledger is its
+atom visits alone (``EventLedger``), whether they come from a dense
+``WalkPath`` or from the first-hit engine's scan.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from .measures import DiscreteMeasure, MeasurePair, as_int
 from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 
 # Caps checked before any path is allocated; configs use up to 2^18 steps
-# per horizon and 4000 replicas per experiment.  Dense paths (unbiased's to
-# max_horizon + max lag, walk's over both horizons) take 18 B per step at
-# peak (unbiased) and 57.5 B per step (walk's ledger) under tracemalloc.
+# per horizon and 4000 replicas per experiment.  Only the walk command
+# builds a dense path, over both horizons: 57.5 B per step under
+# tracemalloc.
 MAX_HORIZON_STEPS = 1 << 30
 MAX_DENSE_STEPS = 1 << 24
 MAX_REPLICAS = 1 << 24
@@ -164,86 +166,12 @@ def site_weights(pos: np.ndarray, m: DiscreteMeasure, q: int) -> np.ndarray:
     return w
 
 
-class LocalTimeLedger:
-    """Per-site visit counts and the functionals L^mu, L^nu, D = L^mu - L^nu.
-
-    Internally everything is an integer-numerator prefix sum over the signed
-    step range; public accessors return exact Fractions.
-    """
-
-    def __init__(self, path: WalkPath, pair: MeasurePair):
-        self.path = path
-        self.pair = pair
-        self.q = pair.denominator
-        self.hb = path.horizon_bwd
-        self.hf = path.horizon_fwd
-        self.pos_all = path.full_positions()
-        self.wmu = site_weights(self.pos_all, pair.mu, self.q)
-        self.wnu = site_weights(self.pos_all, pair.nu, self.q)
-        # Exclusive prefix sums: mass over steps [s, t] = P[idx(t)+1] - P[idx(s)].
-        self.Pmu = np.concatenate([[0], np.cumsum(self.wmu, dtype=np.int64)])
-        self.Pnu = np.concatenate([[0], np.cumsum(self.wnu, dtype=np.int64)])
-        self.X = self.Pmu - self.Pnu
-
-    def idx(self, n: int) -> int:
-        i = n + self.hb
-        if i < 0 or i >= len(self.pos_all):
-            raise HorizonExceededError(f"step {n} outside ledger range")
-        return i
-
-    def events(self, left: int, right: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(steps, wmu, wnu) of the steps in [left, right] that carry mass."""
-        lo, hi = self.idx(left), self.idx(right) + 1
-        rel = np.flatnonzero(self.wmu[lo:hi] + self.wnu[lo:hi])
-        return rel + left, self.wmu[lo + rel], self.wnu[lo + rel]
-
-    def range_mass(self, prefix: np.ndarray, s: int, t: int) -> int:
-        """Integer numerator of the functional mass over steps [s, t]."""
-        if s > t:
-            raise ConfigError("empty step range")
-        return int(prefix[self.idx(t) + 1] - prefix[self.idx(s)])
-
-    def visits(self, x: int, n: int) -> int:
-        if n >= 0:
-            seg = self.pos_all[self.idx(0):self.idx(n) + 1]
-        else:
-            seg = self.pos_all[self.idx(n):self.idx(0) + 1]
-        return int(np.count_nonzero(seg == x))
-
-    def _functional(self, prefix: np.ndarray, n: int) -> Fraction:
-        return Fraction(self.range_mass(prefix, min(n, 0), max(n, 0)), self.q)
-
-    def Lmu(self, n: int) -> Fraction:
-        return self._functional(self.Pmu, n)
-
-    def Lnu(self, n: int) -> Fraction:
-        return self._functional(self.Pnu, n)
-
-    def D(self, n: int) -> Fraction:
-        return self.Lmu(n) - self.Lnu(n)
-
-    # C(t) = shifted inclusive prefix of the difference process; comparisons
-    # of C values express all interval-balance conditions.
-    def C(self, t: int) -> int:
-        return int(self.X[self.idx(t) + 1])
-
-    def to_csv(self, fobj) -> None:
-        fobj.write("step,Lmu,Lnu,D\n")
-        for n in range(-self.hb, self.hf + 1):
-            fobj.write(f"{n},{self.Lmu(n)},{self.Lnu(n)},{self.D(n)}\n")
-
-
-def build_ledger(path: WalkPath, pair: MeasurePair) -> LocalTimeLedger:
-    return LocalTimeLedger(path, pair)
-
-
 class EventLedger:
     """The mass-carrying steps of a path on [-hb, hf], nothing else.
 
     Built from atom visits: increasing signed steps and their sites, on
-    [0, steps[-1]] by default.  ``events`` has the contract of
-    ``LocalTimeLedger.events``, so the ledger functions run on either one.
+    [0, steps[-1]] by default.  The ledger functions read it through
+    ``events``; L^mu, L^nu and C are sums of its weights.
     """
 
     def __init__(self, steps: np.ndarray, sites: np.ndarray, pair: MeasurePair,
@@ -264,7 +192,17 @@ class EventLedger:
         return self.steps[lo:hi], self.wmu[lo:hi], self.wnu[lo:hi]
 
 
-def inverse_local_time(ledger: LocalTimeLedger | EventLedger,
+def build_ledger(path: WalkPath, pair: MeasurePair) -> EventLedger:
+    """The event ledger of a dense path's atom visits over [-hb, hf]."""
+    pos = path.full_positions()
+    hit = np.flatnonzero(np.isin(pos, pair.mu.support + pair.nu.support))
+    ledger = EventLedger(hit - path.horizon_bwd, pos[hit], pair,
+                         path.horizon_bwd, path.horizon_fwd)
+    ledger.path = path
+    return ledger
+
+
+def inverse_local_time(ledger: EventLedger,
                        functional: Functional, r: Fraction | int) -> int:
     """Generalized inverse S^r of the chosen additive functional.
 
@@ -272,7 +210,7 @@ def inverse_local_time(ledger: LocalTimeLedger | EventLedger,
     reaches r (so the attained mass lies in [r, r + w), w the largest atom
     weight of mu and nu).  For r = 0 returns the last step before the
     functional first increases.  Negative r mirrors the construction in
-    backward time.  Runs on the ``events`` of either ledger.
+    backward time.
     """
     r = Fraction(r)
     side, horizon = ("forward", ledger.hf) if r >= 0 else ("backward", ledger.hb)

@@ -1,27 +1,33 @@
-"""Hand-built walk paths and reference simulations for tests.
+"""Hand-built walk paths, dense oracles and reference simulations for tests.
 
 ScriptedPath mimics the WalkPath interface but replays a fixed position
 sequence, so ledger and embedding behavior can be checked against hand
-counts.  step_first_hit is the step-by-step first-hit simulation that the
-word-skipping FirstHitEngine must reproduce exactly; first_excursion runs
-experiments._first_excursion on one replica; dense_first_excursion
-(one dense path and ledger) and doubling_first_excursion (a ledger rebuilt
-at each doubling) are references for the event-ledger
-experiments._first_excursion; excursion_from and cost_of_tau_star_rescan
-take tau* from the per-step compute_tau_star instead of the kernel;
-per_path_cost_compare is experiments.run_cost_compare one excursion at a
-time, on the per-path matchings, checks and costs (fifo_matching,
-random_rematch, apply_comparator, check_matching, matching_cost) the
-cohort-level ones replaced; cohort_of builds a comparators.Cohort from
-dense ledgers; queue_fifo_matching is the list-queue
-reference for fifo_matching; bisect_compute_N and
-scan_find_crossing are the per-point and per-cell references for the merged
-compute_N sweep and the index-list find_crossing; FractionMatrix with
-fraction_sample_feasible_matrix and fraction_repair_trace are the
-Fraction-mass references for the integer masses of TransportMatrix;
-uniform_fraction, fraction_draw_start and fraction_draw_u_flag are the
-Fraction references for the integer uniform draws; pm64_near is the
-near-word rule the popcount bound of FirstHitEngine._near replaced.
+counts.  LocalTimeLedger is the dense ledger (prefix sums over every step)
+that walk.build_ledger's event ledger replaced; compute_tau_star (tau* by
+a per-step scan), decompose_excursions (the sigma/rho level chain and its
+excursion partition), cost_of_tau_star (the kernel's cost of an
+excursion) and check_gauge_properties (grid checks of concavity) are the
+oracles that run on it.  step_first_hit is the step-by-step first-hit
+simulation that the word-skipping FirstHitEngine must reproduce exactly;
+first_excursion runs experiments._first_excursion on one replica;
+dense_first_excursion (one dense path and ledger) and
+doubling_first_excursion (a ledger rebuilt at each doubling) are
+references for the event-ledger experiments._first_excursion;
+excursion_from and cost_of_tau_star_rescan take tau* from the per-step
+compute_tau_star instead of the kernel; per_path_cost_compare is
+experiments.run_cost_compare one excursion at a time, on the per-path
+matchings, checks and costs (fifo_matching, random_rematch,
+apply_comparator, check_matching, matching_cost) the cohort-level ones
+replaced; cohort_of builds a comparators.Cohort from ledgers of dense
+paths; queue_fifo_matching is the list-queue reference for fifo_matching;
+bisect_compute_N and scan_find_crossing are the per-point and per-cell
+references for the merged compute_N sweep and the index-list
+find_crossing; FractionMatrix with fraction_sample_feasible_matrix and
+fraction_repair_trace are the Fraction-mass references for the integer
+masses of TransportMatrix; uniform_fraction, fraction_draw_start and
+fraction_draw_u_flag are the Fraction references for the integer uniform
+draws; pm64_near is the near-word rule the popcount bound of
+FirstHitEngine._near replaced.
 """
 
 from __future__ import annotations
@@ -30,21 +36,24 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from shiftlab import experiments
 from shiftlab.comparators import Cohort, extract_slots
-from shiftlab.embedding import (Excursion, compute_t_star, compute_tau_star,
+from shiftlab.embedding import (Excursion, _match_ledger, compute_t_star,
                                 draw_u_flag, excursion_mass, first_balance,
-                                match_slots, mu_charged_steps)
+                                match_slots, mu_charged_steps, require_mode,
+                                tau_star_map)
 from shiftlab.errors import (ConfigError, HorizonExceededError,
                              InvariantError, TruncationError)
-from shiftlab.gauges import eval_gauge
+from shiftlab.gauges import Gauge, eval_gauge
+from shiftlab.measures import MeasurePair
 from shiftlab.rng import STREAM_FWD, STREAM_START, STREAM_UFLAG, BitStream
 from shiftlab.stable_alloc import stable_allocation
 from shiftlab.transport import Crossing
-from shiftlab.walk import build_ledger, draw_start, sample_walk
+from shiftlab.walk import WalkPath, draw_start, sample_walk, site_weights
 
 
 @dataclass
@@ -84,6 +93,228 @@ class ScriptedPath:
 
     def full_positions(self) -> np.ndarray:
         return np.concatenate([self._bwd[:0:-1], self._fwd])
+
+
+# ---------------------------------------------------------------------------
+# the dense ledger and its per-step oracles
+
+class LocalTimeLedger:
+    """Per-site visit counts and the functionals L^mu, L^nu, D = L^mu - L^nu.
+
+    Internally everything is an integer-numerator prefix sum over the signed
+    step range; public accessors return exact Fractions.  The dense ledger
+    ``walk.build_ledger``'s event ledger replaced; its ``events`` has the
+    same contract, so the ledger functions run on it too.
+    """
+
+    def __init__(self, path: WalkPath, pair: MeasurePair):
+        self.path = path
+        self.pair = pair
+        self.q = pair.denominator
+        self.hb = path.horizon_bwd
+        self.hf = path.horizon_fwd
+        self.pos_all = path.full_positions()
+        self.wmu = site_weights(self.pos_all, pair.mu, self.q)
+        self.wnu = site_weights(self.pos_all, pair.nu, self.q)
+        # Exclusive prefix sums: mass over steps [s, t] = P[idx(t)+1] - P[idx(s)].
+        self.Pmu = np.concatenate([[0], np.cumsum(self.wmu, dtype=np.int64)])
+        self.Pnu = np.concatenate([[0], np.cumsum(self.wnu, dtype=np.int64)])
+        self.X = self.Pmu - self.Pnu
+
+    def idx(self, n: int) -> int:
+        i = n + self.hb
+        if i < 0 or i >= len(self.pos_all):
+            raise HorizonExceededError(f"step {n} outside ledger range")
+        return i
+
+    def events(self, left: int, right: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(steps, wmu, wnu) of the steps in [left, right] that carry mass."""
+        lo, hi = self.idx(left), self.idx(right) + 1
+        rel = np.flatnonzero(self.wmu[lo:hi] + self.wnu[lo:hi])
+        return rel + left, self.wmu[lo + rel], self.wnu[lo + rel]
+
+    def range_mass(self, prefix: np.ndarray, s: int, t: int) -> int:
+        """Integer numerator of the functional mass over steps [s, t]."""
+        if s > t:
+            raise ConfigError("empty step range")
+        return int(prefix[self.idx(t) + 1] - prefix[self.idx(s)])
+
+    def visits(self, x: int, n: int) -> int:
+        if n >= 0:
+            seg = self.pos_all[self.idx(0):self.idx(n) + 1]
+        else:
+            seg = self.pos_all[self.idx(n):self.idx(0) + 1]
+        return int(np.count_nonzero(seg == x))
+
+    def _functional(self, prefix: np.ndarray, n: int) -> Fraction:
+        return Fraction(self.range_mass(prefix, min(n, 0), max(n, 0)), self.q)
+
+    def Lmu(self, n: int) -> Fraction:
+        return self._functional(self.Pmu, n)
+
+    def Lnu(self, n: int) -> Fraction:
+        return self._functional(self.Pnu, n)
+
+    def D(self, n: int) -> Fraction:
+        return self.Lmu(n) - self.Lnu(n)
+
+    # C(t) = shifted inclusive prefix of the difference process; comparisons
+    # of C values express all interval-balance conditions.
+    def C(self, t: int) -> int:
+        return int(self.X[self.idx(t) + 1])
+
+    def to_csv(self, fobj) -> None:
+        fobj.write("step,Lmu,Lnu,D\n")
+        for n in range(-self.hb, self.hf + 1):
+            fobj.write(f"{n},{self.Lmu(n)},{self.Lnu(n)},{self.D(n)}\n")
+
+
+_MAX_LEVELS = 64              # size cap of decompose_excursions' level grid
+
+
+@dataclass(frozen=True)
+class ExcursionChain:
+    levels: tuple[Fraction, ...]
+    sigma: tuple[int, ...]
+    rho: tuple[int, ...]
+
+
+def compute_tau_star(ledger: LocalTimeLedger, s: int) -> int:
+    """Smallest t > s with equal mu- and nu-mass over [s, t] (exact mode)."""
+    require_mode(ledger.pair, "exact")
+    i_s = ledger.idx(s)
+    target = ledger.X[i_s]                 # C(s-1)
+    c_later = ledger.X[i_s + 2:]           # C(s+1), ...
+    hits = np.flatnonzero(c_later == target)
+    if hits.size == 0:
+        raise HorizonExceededError(
+            f"tau*({s}) not reached within forward horizon", horizon=ledger.hf)
+    return s + 1 + int(hits[0])
+
+
+def decompose_excursions(ledger: LocalTimeLedger, up_to_level: Fraction):
+    """rho(u)/sigma(u) for a grid of levels plus the excursion partition.
+
+    The level grid is the attainable multiples of 1/q up to ``up_to_level``
+    (thinned to at most ``_MAX_LEVELS`` entries).  The partition lists the
+    maximal excursions [a, tau*(a)] covering all mu-charged steps of
+    [sigma(u_max), rho(u_max)], scanned left to right.
+
+    Discrete convention: sigma(u) is the first backward time at or below the
+    nominal level C(0) - u*q (backward down-moves have mu-atom size and can
+    skip a level exactly), and rho(u) is the first forward hit of the level
+    actually attained at sigma(u).  Forward down-moves are unit in exact
+    mode, so that hit exists and tau*(sigma(u)) = rho(u) holds exactly;
+    u = 0 degenerates to [0, 0].  The partition takes tau* from the
+    balancing kernel (``tau_star_map``), so it needs an orthogonal pair.
+    """
+    require_mode(ledger.pair, "exact")
+    up_to_level = Fraction(up_to_level)
+    if up_to_level < 0:
+        raise ConfigError("level must be nonnegative")
+    q = ledger.q
+    i0 = ledger.idx(0)
+    c0 = ledger.X[i0 + 1]                  # C(0)
+    c_fwd = ledger.X[i0 + 1:]              # C(0), C(1), ...
+    c_bwd = ledger.X[i0::-1]               # C(-1), C(-2), ... = X[i0], X[i0-1], ...
+
+    units = int(up_to_level * q)
+    ks = list(range(0, units + 1))
+    if len(ks) > _MAX_LEVELS:
+        stride = -(-len(ks) // _MAX_LEVELS)
+        ks = ks[::stride]
+        if ks[-1] != units:
+            ks.append(units)
+
+    levels, sigmas, rhos = [], [], []
+    for k in ks:
+        u = Fraction(k, q)
+        if k == 0:
+            levels.append(u)
+            sigmas.append(0)
+            rhos.append(0)
+            continue
+        j = first_balance(c_bwd, c0 - k, "crossing")
+        rho = None if j is None else first_balance(c_fwd, c_bwd[j], "exact")
+        if rho is None:
+            raise HorizonExceededError(
+                f"level {u} not attained on both sides",
+                attained=levels[-1] if levels else Fraction(0))
+        levels.append(u)
+        rhos.append(rho)
+        # sigma(u) = max{t <= 0 : C(t-1) <= level}; c_bwd[j] = C(-1-j).
+        sigmas.append(-j)
+    chain = ExcursionChain(levels=tuple(levels), sigma=tuple(sigmas),
+                           rho=tuple(rhos))
+
+    # Greedy partition of the outermost interval into excursions [a, tau*(a)].
+    left, right = chain.sigma[-1], chain.rho[-1]
+    excursions = []
+    if right > left:
+        charged = mu_charged_steps(ledger, left, right)
+        tau, _ = tau_star_map(ledger, left, right)
+        pos = 0
+        while pos < len(charged):
+            a = int(charged[pos])
+            b = tau.get(a)                 # None: tau*(a) beyond the horizon
+            if b is None or b > right:
+                raise InvariantError("excursion escapes the sigma/rho window")
+            excursions.append(Excursion(a, b, excursion_mass(ledger, a, b)))
+            pos = int(np.searchsorted(charged, b))
+    return chain, excursions
+
+
+def cost_of_tau_star(ledger: LocalTimeLedger, exc: Excursion, g: Gauge) -> float:
+    """Sum over mu-charged steps s in [left, right) of mu(x_s) psi((tau*(s)-s) dt).
+
+    One pass of the balancing kernel over the excursion; cross-checked
+    against ``cost_of_tau_star_rescan``.
+    """
+    pairs, unmatched = _match_ledger(ledger, exc.left, exc.right)
+    if any(s < exc.right for s in unmatched):
+        raise HorizonExceededError(
+            "tau* leaves the ledger range for some charged step in the excursion",
+            horizon=ledger.hf)
+    dt = float(ledger.path.cfg.dt)
+    total = 0.0
+    for s, t in dict(pairs).items():
+        w = float(ledger.wmu[ledger.idx(s)]) / ledger.q
+        total += w * eval_gauge(g, (t - s) * dt)
+    return total
+
+
+_CHECK_TOL = 1e-9             # float slack of check_gauge_properties
+
+
+def check_gauge_properties(g: Gauge, grid: Sequence[float]) -> dict:
+    """Scan a sample grid for nonnegativity, midpoint concavity and subadditivity.
+
+    Returns {"concave_ok", "subadditive_ok", "nonnegative_ok"}.  The scan is
+    O(len(grid)^2) over all pairs.
+    """
+    if len(grid) == 0:
+        raise ConfigError("grid must be nonempty")
+    pts = sorted(float(t) for t in grid)
+    if pts[0] < 0:
+        raise ConfigError("grid points must be nonnegative")
+    vals = [eval_gauge(g, t) for t in pts]
+    nonneg = all(v >= 0.0 for v in vals)
+    concave = True
+    subadd = True
+    for i, s in enumerate(pts):
+        for j in range(i, len(pts)):
+            t = pts[j]
+            mid = eval_gauge(g, (s + t) / 2.0)
+            if mid < (vals[i] + vals[j]) / 2.0 - _CHECK_TOL:
+                concave = False
+            if eval_gauge(g, s + t) > vals[i] + vals[j] + _CHECK_TOL:
+                subadd = False
+    return {
+        "concave_ok": concave,
+        "subadditive_ok": subadd,
+        "nonnegative_ok": nonneg,
+    }
 
 
 def step_first_hit(engine, replica: int, h0: int, hmax: int,
@@ -183,7 +414,7 @@ def dense_first_excursion(cfg, rep: int, slot_cap: int | None = None):
         return None
     path = sample_walk(cfg.walk, replica=rep)
     path.extend_fwd(t)
-    ledger = build_ledger(path, cfg.pair)
+    ledger = LocalTimeLedger(path, cfg.pair)
     exc = Excursion(left=0, right=t, mass=excursion_mass(ledger, 0, t))
     if slot_cap is not None and exc.mass * ledger.q > slot_cap:
         return None
@@ -287,12 +518,12 @@ def check_matching(slots, pairs) -> None:
 
 
 def cohort_of(items, pair):
-    """comparators.Cohort of the excursions [0, exc.right] of dense
-    ledgers, given as (ledger, exc) pairs."""
+    """comparators.Cohort of the excursions [0, exc.right] of ledgers of
+    dense paths, given as (ledger, exc) pairs."""
     visits = []
     for led, exc in items:
         steps, _, _ = led.events(0, exc.right)
-        visits.append((steps, led.pos_all[steps + led.hb]))
+        visits.append((steps, led.path.full_positions()[steps + led.hb]))
     return Cohort(visits, pair)
 
 
@@ -351,7 +582,7 @@ def doubling_first_excursion(cfg, rep: int, slot_cap: int | None = None):
     horizon = cfg.walk.horizon_fwd
     path = sample_walk(cfg.walk, replica=rep)
     while True:
-        ledger = build_ledger(path, cfg.pair)
+        ledger = LocalTimeLedger(path, cfg.pair)
         try:
             res = compute_t_star(ledger, cfg.pair, mode="exact")
             break

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -36,6 +37,38 @@ def test_walk_command_writes_tables(tmp_path, capsys):
     assert (tmp_path / "out" / "tables" / "path.csv").exists()
     assert (tmp_path / "out" / "tables" / "ledger.csv").exists()
     assert "report written" in capsys.readouterr().out
+
+
+_WALK_PINS = {
+    # A two-atom mu of weights 3/4 and 1/4 (three slots at site 0), a
+    # three-atom nu and dx = 1/3.
+    "multi-slot": ({
+        "mu": {"denominator": 4, "atoms": [[0, 3], [2, 1]]},
+        "nu": {"denominator": 4, "atoms": [[-1, 1], [1, 2], [3, 1]]},
+        "walk": {"dx": "1/3", "horizon_fwd": 300, "horizon_bwd": 300,
+                 "seed": 11}}, (
+        "8d9cc2eadd4c46cc23179299526f5cbb7a99afb83cc4f4e3d002fac2dbc9747e",
+        "186a49c7e60712226aec146e9c92c39ff9d0ed88325ab1ad1812560196fb95ff",
+        "695926e44fd87174fff4ffbefdf69ed33fe4f43c709a6de05d398d99bf2b67bf")),
+    "unequal-horizons": ({
+        "mu": {"denominator": 1, "atoms": [[0, 1]]},
+        "nu": {"denominator": 2, "atoms": [[-1, 1], [1, 1]]},
+        "walk": {"dx": "1", "horizon_fwd": 777, "horizon_bwd": 41, "seed": 5},
+        "replica": 3}, (
+        "354ab6ff6e8153586f0642b20840e2164438aa533d67d976e32b17d67a59f6a2",
+        "3fe051909cf70618f26784f0a45d90c40288d94b36947a08a39185cc2fb5ca8f",
+        "023e57945e78f423ea4c4d3b3fd9ab1ec131aeb2a14c40daa74a21279abc2812")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WALK_PINS))
+def test_walk_command_bytes_are_pinned(tmp_path, name):
+    obj, pins = _WALK_PINS[name]
+    cfg = write_json(tmp_path, "cfg.json", obj)
+    assert main(["--output-dir", str(tmp_path / "o"), "walk", cfg]) == EXIT_OK
+    got = tuple(hashlib.sha256((tmp_path / "o" / f).read_bytes()).hexdigest()
+                for f in ("report.json", "tables/path.csv", "tables/ledger.csv"))
+    assert got == pins
 
 
 def test_embed_command_and_report_content(tmp_path):
@@ -301,9 +334,13 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
     ("unbiased", walk_config({"replicas": 10**12})),
     ("unbiased", walk_config({"lags": [1, 10**12]})),
     ("tail", walk_config({"max_horizon": 10**15})),
-    ("unbiased", walk_config({"max_horizon": 1 << 24, "lags": [1]})),
     ("walk", walk_config({"walk": {"horizon_fwd": 1 << 23,
                                    "horizon_bwd": (1 << 23) + 1, "seed": 1}})),
+    ("ergodic", walk_config({"r_levels": 65})),
+    ("compare", walk_config({"comparators": [
+        {"kind": "random_feasible_rematch", "n_swaps": (1 << 20) + 1}]})),
+    ("compare", walk_config({"comparators": [
+        {"kind": "random_feasible_rematch", "seed": 1 << 63}]})),
 ], ids=["gauge-param-zero-den", "gauge-param-text", "comparator-no-kind",
         "negative-n-swaps", "replicas-text", "measure-text-weight",
         "lags-not-a-list", "thresholds-not-an-object", "r-levels-zero",
@@ -315,8 +352,8 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
         "ergodic-horizon-too-long", "fractional-gauge-param",
         "fractional-replica", "replica-text", "negative-replica",
         "tail-too-many-replicas", "unbiased-too-many-replicas",
-        "lag-too-long", "max-horizon-too-long", "unbiased-dense-path-too-long",
-        "walk-dense-path-too-long"])
+        "lag-too-long", "max-horizon-too-long", "walk-dense-path-too-long",
+        "too-many-r-levels", "too-many-swaps", "comparator-seed-past-63-bits"])
 def test_malformed_inputs_are_config_errors(tmp_path, capsys, command, obj):
     cfg = write_json(tmp_path, "cfg.json", obj)
     assert main(["--output-dir", str(tmp_path / "o"), command, cfg]) == EXIT_CONFIG

@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ScriptedPath, cost_of_tau_star_rescan, excursion_from
+from helpers import (LocalTimeLedger, ScriptedPath, compute_tau_star,
+                     cost_of_tau_star, cost_of_tau_star_rescan,
+                     decompose_excursions, excursion_from)
 
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.gauges import capped, default_gauges, power
 from shiftlab.measures import DiscreteMeasure, split_measures
-from shiftlab.embedding import (Excursion, compute_t_star, compute_tau_star,
-                                cost_of_tau_star, decompose_excursions,
-                                excursion_mass, match_slots, mu_charged_steps,
-                                tau_star_map)
+from shiftlab.embedding import (Excursion, compute_t_star, excursion_mass,
+                                match_slots, mu_charged_steps, tau_star_map)
 from shiftlab.walk import WalkConfig, build_ledger, sample_walk
 
 
@@ -32,6 +32,17 @@ def test_t_star_horizon_exceeded_reports_min():
     with pytest.raises(HorizonExceededError) as err:
         compute_t_star(led, pair)
     assert err.value.attained == Fraction(1)  # min of D over n >= 1
+    # D(1) = D(0) = 1 until the mu-visit at step 4 raises it to 2.
+    with pytest.raises(HorizonExceededError) as err:
+        compute_t_star(build_ledger(ScriptedPath([0, -1, -2, -1, 0, -1]), pair), pair)
+    assert err.value.attained == Fraction(1)
+    # Step 1 visits a mu-atom, so D(0) = 1/2 lies outside [1, hf].
+    pair = split_measures(
+        DiscreteMeasure.from_atoms([(0, Fraction(1, 2)), (1, Fraction(1, 2))]),
+        DiscreteMeasure.from_atoms([(-5, Fraction(1, 2)), (5, Fraction(1, 2))]))
+    with pytest.raises(HorizonExceededError) as err:
+        compute_t_star(build_ledger(ScriptedPath([0, 1, 2, 1, 2]), pair), pair)
+    assert err.value.attained == Fraction(1)
 
 
 def test_t_star_identical_measures_u_zero():
@@ -42,12 +53,10 @@ def test_t_star_identical_measures_u_zero():
     assert res.t_star == 0 and res.site == 0 and res.u_flag == 0
 
 
-def test_t_star_result_json():
-    pair = delta01()
-    led = build_ledger(ScriptedPath([0, 1]), pair)
-    obj = compute_t_star(led, pair).to_json(Fraction(1, 4))
-    assert obj == {"t_star_steps": 1, "t_star_time": 0.25, "site": 1,
-                   "mode": "exact", "u_flag": 1, "censored": False}
+def test_t_star_needs_a_start_at_a_mu_atom():
+    # D must start above 0 for the first balance to be an atom visit.
+    with pytest.raises(ConfigError, match="start"):
+        compute_t_star(build_ledger(ScriptedPath([5, 6, 7]), delta01()), delta01())
 
 
 def test_exact_mode_requires_unit_nu_atoms():
@@ -63,14 +72,14 @@ def test_exact_mode_requires_unit_nu_atoms():
 
 def test_tau_star_hand_count():
     pair = delta01()
-    led = build_ledger(ScriptedPath([0, 1, 2, 1]), pair)
+    led = LocalTimeLedger(ScriptedPath([0, 1, 2, 1]), pair)
     assert compute_tau_star(led, 0) == 1
 
 
 def test_tau_star_strictly_forward(symmetric_pair):
     cfg = WalkConfig(dx=Fraction(1), horizon_fwd=2048, horizon_bwd=4, seed=1,
                      start_law=symmetric_pair.mu)
-    led = build_ledger(sample_walk(cfg), symmetric_pair)
+    led = LocalTimeLedger(sample_walk(cfg), symmetric_pair)
     t = compute_tau_star(led, 0)
     assert t > 0
     assert compute_tau_star(led, t) > t if led.wmu[led.idx(t)] > 0 else True
@@ -81,12 +90,14 @@ def test_minimality_and_support_invariants(symmetric_pair):
                      seed=5, start_law=symmetric_pair.mu)
     checked = 0
     for rep in range(30):
-        led = build_ledger(sample_walk(cfg, rep), symmetric_pair)
+        path = sample_walk(cfg, rep)
         try:
-            res = compute_t_star(led, symmetric_pair)
+            res = compute_t_star(build_ledger(path, symmetric_pair),
+                                 symmetric_pair)
         except HorizonExceededError:
             continue
         checked += 1
+        led = LocalTimeLedger(path, symmetric_pair)
         assert res.site in symmetric_pair.nu.support
         base = led.C(-1)
         for n in range(1, res.t_star):
@@ -98,7 +109,7 @@ def test_minimality_and_support_invariants(symmetric_pair):
 
 def test_cost_single_pair_fixture():
     pair = delta01()
-    led = build_ledger(ScriptedPath([0, 1]), pair)
+    led = LocalTimeLedger(ScriptedPath([0, 1]), pair)
     exc = Excursion(0, 1, excursion_mass(led, 0, 1))
     assert exc.mass == 1
     assert cost_of_tau_star(led, exc, power(1)) == pytest.approx(1.0)
@@ -109,11 +120,13 @@ def test_cost_cap_bound_and_oracle_agreement(symmetric_pair):
                      seed=0, start_law=symmetric_pair.mu)
     done = 0
     for rep in (0, 1, 11, 18, 34):
-        led = build_ledger(sample_walk(cfg, rep), symmetric_pair)
+        path = sample_walk(cfg, rep)
         try:
-            res = compute_t_star(led, symmetric_pair)
+            res = compute_t_star(build_ledger(path, symmetric_pair),
+                                 symmetric_pair)
         except HorizonExceededError:
             continue
+        led = LocalTimeLedger(path, symmetric_pair)
         exc = Excursion(0, res.t_star, excursion_mass(led, 0, res.t_star))
         for g in default_gauges():
             a = cost_of_tau_star(led, exc, g)
@@ -128,16 +141,18 @@ def test_cost_cap_bound_and_oracle_agreement(symmetric_pair):
 def test_tau_star_map_matches_per_step_oracle(symmetric_pair):
     cfg = WalkConfig(dx=Fraction(1), horizon_fwd=4096, horizon_bwd=256,
                      seed=2, start_law=symmetric_pair.mu)
-    led = build_ledger(sample_walk(cfg), symmetric_pair)
+    path = sample_walk(cfg)
+    led = build_ledger(path, symmetric_pair)
+    dense = LocalTimeLedger(path, symmetric_pair)
     tau, unresolved = tau_star_map(led, -led.hb, 512)
     charged = {int(s) for s in mu_charged_steps(led, -led.hb, 512)}
     assert set(tau) | set(unresolved) == charged
     assert not set(tau) & set(unresolved)
     for s in list(tau)[:200]:
-        assert tau[s] == compute_tau_star(led, s)
+        assert tau[s] == compute_tau_star(dense, s)
     for s in unresolved:
         with pytest.raises(HorizonExceededError):
-            compute_tau_star(led, s)
+            compute_tau_star(dense, s)
 
 
 def test_match_slots_balanced_fixture():
@@ -154,7 +169,8 @@ def test_match_slots_equals_tau_star_for_unit_weights():
     cfg = WalkConfig(dx=Fraction(1), horizon_fwd=1 << 13, horizon_bwd=4,
                      seed=4, start_law=pair.mu)
     for rep in range(20):
-        led = build_ledger(sample_walk(cfg, rep), pair)
+        path = sample_walk(cfg, rep)
+        led = build_ledger(path, pair)
         try:
             res = compute_t_star(led, pair)
             break
@@ -163,14 +179,15 @@ def test_match_slots_equals_tau_star_for_unit_weights():
     else:
         pytest.fail("no completed replica in the fixture range")
     pairs = dict(match_slots(led, 0, res.t_star))
+    dense = LocalTimeLedger(path, pair)
     for s in pairs:
-        assert pairs[s] == compute_tau_star(led, s)
+        assert pairs[s] == compute_tau_star(dense, s)
 
 
 def test_decompose_excursions_degenerate_level(symmetric_pair):
     cfg = WalkConfig(dx=Fraction(1), horizon_fwd=4096, horizon_bwd=4096,
                      seed=0, start_law=symmetric_pair.mu)
-    led = build_ledger(sample_walk(cfg), symmetric_pair)
+    led = LocalTimeLedger(sample_walk(cfg), symmetric_pair)
     chain, excs = decompose_excursions(led, Fraction(0))
     assert chain.levels == (Fraction(0),)
     assert chain.sigma == (0,) and chain.rho == (0,)
@@ -180,7 +197,7 @@ def test_decompose_excursions_degenerate_level(symmetric_pair):
 def test_decompose_excursions_chain_properties(symmetric_pair):
     cfg = WalkConfig(dx=Fraction(1), horizon_fwd=1 << 16, horizon_bwd=1 << 16,
                      seed=1, start_law=symmetric_pair.mu)
-    led = build_ledger(sample_walk(cfg), symmetric_pair)
+    led = LocalTimeLedger(sample_walk(cfg), symmetric_pair)
     for level in (8, 4, 2, 1):
         try:
             chain, excs = decompose_excursions(led, Fraction(level))
@@ -215,7 +232,7 @@ def test_decompose_excursions_chain_properties(symmetric_pair):
 def test_decompose_excursions_matches_the_rescan(symmetric_pair, seed):
     cfg = WalkConfig(dx=Fraction(1), horizon_fwd=1 << 14, horizon_bwd=1 << 14,
                      seed=seed, start_law=symmetric_pair.mu)
-    led = build_ledger(sample_walk(cfg), symmetric_pair)
+    led = LocalTimeLedger(sample_walk(cfg), symmetric_pair)
     for level in (4, 2, 1):
         try:
             chain, excs = decompose_excursions(led, Fraction(level))
@@ -238,14 +255,14 @@ def test_decompose_excursions_needs_an_orthogonal_pair():
         DiscreteMeasure.from_atoms([(-1, Fraction(1, 2)), (1, Fraction(1, 2))]))
     cfg = WalkConfig(dx=Fraction(1), horizon_fwd=4096, horizon_bwd=4096,
                      seed=0, start_law=pair.mu)
-    led = build_ledger(sample_walk(cfg), pair)
+    led = LocalTimeLedger(sample_walk(cfg), pair)
     with pytest.raises(ConfigError, match="orthogonal"):
         decompose_excursions(led, Fraction(1, 2))
 
 
 def test_single_excursion_path():
     pair = delta01()
-    led = build_ledger(ScriptedPath([0, 1]), pair)
+    led = LocalTimeLedger(ScriptedPath([0, 1]), pair)
     exc = excursion_from(led, 0)
     assert (exc.left, exc.right) == (0, 1)
     assert exc.mass == 1

@@ -20,10 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ScriptedPath, dense_first_excursion, fifo_matching,
+from helpers import (LocalTimeLedger, dense_first_excursion, fifo_matching,
                      first_excursion, per_path_cost_compare,
                      queue_fifo_matching, random_rematch)
-from test_experiments import _FIXTURE_PAIRS, _patched, make_cfg, measure_pairs
+from test_experiments import (_FIXTURE_PAIRS, _patched, make_cfg, measure_pairs,
+                              run_every_experiment)
 
 from shiftlab import cli, comparators, embedding, experiments, walk
 from shiftlab.comparators import (COMPARATOR_KINDS, Cohort, Comparator,
@@ -35,8 +36,8 @@ from shiftlab.experiments import (ExperimentConfig, FirstHitEngine,
                                   run_cost_compare, run_excursion_cost)
 from shiftlab.gauges import capped, default_gauges, log1p, power, rational
 from shiftlab.measures import DiscreteMeasure, split_measures
-from shiftlab.walk import (EventLedger, WalkConfig, build_ledger,
-                           inverse_local_time, sample_walk)
+from shiftlab.walk import (EventLedger, WalkConfig, inverse_local_time,
+                           sample_walk)
 
 # mu = delta_0 opens three slots per visit.
 _MULTI_SLOT = split_measures(DiscreteMeasure.delta(0), DiscreteMeasure.from_atoms(
@@ -44,12 +45,13 @@ _MULTI_SLOT = split_measures(DiscreteMeasure.delta(0), DiscreteMeasure.from_atom
 
 
 def dense_events(pair, seed, rep, t):
-    """(ledger, (steps, wmu, wnu)) of the dense path of ``rep`` on [0, t]."""
+    """(dense ledger, (steps, wmu, wnu)) of the dense path of ``rep`` on
+    [0, t]."""
     walk = WalkConfig(dx=Fraction(1), horizon_fwd=1, horizon_bwd=1, seed=seed,
                       start_law=pair.mu)
     path = sample_walk(walk, rep)
     path.extend_fwd(t)
-    led = build_ledger(path, pair)
+    led = LocalTimeLedger(path, pair)
     return led, led.events(0, t)
 
 
@@ -131,7 +133,7 @@ def _inverse_or_censored(ledger, functional, r):
 def test_long_path_events_equal_the_dense_ledger(pair, seed, hf, hb, data):
     cfg = make_cfg(pair, "ergodic", seed=seed, replicas=1, hf=hf, hb=hb)
     led = experiments._long_path(cfg)
-    dense = build_ledger(sample_walk(cfg.walk, 0), pair)
+    dense = LocalTimeLedger(sample_walk(cfg.walk, 0), pair)
     assert (led.hb, led.hf) == (dense.hb, dense.hf) == (hb, hf)
     assert -hb <= led.steps[0] and led.steps[-1] <= hf
     for x, y in zip(led.events(-hb, hf), dense.events(-hb, hf)):
@@ -158,15 +160,16 @@ def test_long_path_events_equal_the_dense_ledger(pair, seed, hf, hb, data):
 
 
 def test_ergodic_builds_no_dense_path(monkeypatch, symmetric_pair):
+    # Nor does any other experiment: all six read words, never a WalkPath.
     def refuse(*args, **kwargs):
-        raise AssertionError("dense path or ledger built")
+        raise AssertionError("dense path built")
 
     monkeypatch.setattr(walk.WalkPath, "__init__", refuse)
-    monkeypatch.setattr(walk.LocalTimeLedger, "__init__", refuse)
     cfg = make_cfg(symmetric_pair, "ergodic", seed=2, replicas=1, hf=3001,
                    hb=1999, max_horizon=1 << 12)
     rep = experiments.run_ergodic(cfg, ensemble_replicas=50)
     assert len(rep.data["summary"]) == len(cfg.gauges)
+    run_every_experiment(symmetric_pair)
 
 
 def test_event_ledger_refuses_a_non_orthogonal_pair():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import check_gauge_properties
+
 from shiftlab.errors import ConfigError
-from shiftlab.gauges import (Gauge, capped, check_gauge_properties,
-                             default_gauges, eval_gauge, gauges_from_json,
-                             log1p, power, rational)
+from shiftlab.gauges import (Gauge, capped, default_gauges, eval_gauge,
+                             gauges_from_json, log1p, power, rational)
 
 
 def test_zero_at_origin():

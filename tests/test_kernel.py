@@ -1,10 +1,11 @@
 """The balancing kernel against the per-step oracles.
 
 ``parenthesis_match`` is the one LIFO matching behind ``match_slots``,
-``tau_star_map``, ``cost_of_tau_star``, ``extract_slots`` and
-``stable_allocation``.  These tests compare its derivations with
-``compute_tau_star`` and ``cost_of_tau_star_rescan`` on random orthogonal
-exact pairs, including mu-atoms that open several slots per visit.
+``tau_star_map``, ``extract_slots`` and ``stable_allocation``, and the
+tests' ``cost_of_tau_star``.  These tests compare its derivations on the
+event ledger with ``compute_tau_star`` and ``cost_of_tau_star_rescan`` on
+the dense one, for random orthogonal exact pairs, including mu-atoms that
+open several slots per visit.
 """
 
 from fractions import Fraction
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ScriptedPath, cost_of_tau_star_rescan, excursion_from
+from helpers import (LocalTimeLedger, ScriptedPath, compute_tau_star,
+                     cost_of_tau_star, cost_of_tau_star_rescan, excursion_from)
 
-from shiftlab.embedding import (Excursion, compute_tau_star, cost_of_tau_star,
-                                excursion_mass, match_slots, mu_charged_steps,
-                                parenthesis_match, tau_star_map)
+from shiftlab.embedding import (Excursion, excursion_mass, match_slots,
+                                mu_charged_steps, parenthesis_match,
+                                tau_star_map)
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.gauges import default_gauges
 from shiftlab.measures import DiscreteMeasure, split_measures
@@ -63,7 +65,8 @@ def test_non_orthogonal_pair_is_rejected():
 
 @st.composite
 def orthogonal_exact_ledgers(draw):
-    """A ledger of an orthogonal pair with unit nu-atoms and any mu-atoms."""
+    """The event and dense ledgers of a path, for an orthogonal pair with
+    unit nu-atoms and any mu-atoms."""
     q = draw(st.integers(1, 4))
     sites = draw(st.permutations(range(-3, 4)))
     nu_sites = sites[:q]
@@ -78,12 +81,14 @@ def orthogonal_exact_ledgers(draw):
     cfg = WalkConfig(dx=Fraction(1), horizon_fwd=draw(st.sampled_from([256, 2048])),
                      horizon_bwd=64, seed=draw(st.integers(0, 10**6)),
                      start_law=mu)
-    return build_ledger(sample_walk(cfg, draw(st.integers(0, 50))), pair)
+    path = sample_walk(cfg, draw(st.integers(0, 50)))
+    return build_ledger(path, pair), LocalTimeLedger(path, pair)
 
 
 @given(orthogonal_exact_ledgers(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_kernel_derivations_match_per_step_oracle(led, data):
+def test_kernel_derivations_match_per_step_oracle(ledgers, data):
+    led, dense = ledgers
     left = data.draw(st.integers(-led.hb, 0))
     right = data.draw(st.integers(left, led.hf))
     charged = [int(s) for s in mu_charged_steps(led, left, right)]
@@ -92,10 +97,10 @@ def test_kernel_derivations_match_per_step_oracle(led, data):
     assert sorted(set(tau) | set(unresolved)) == charged
     for s in charged:
         if s in tau:
-            assert tau[s] == compute_tau_star(led, s)
+            assert tau[s] == compute_tau_star(dense, s)
         else:
             with pytest.raises(HorizonExceededError):
-                compute_tau_star(led, s)
+                compute_tau_star(dense, s)
 
     # A step's slots are all matched inside [left, right] exactly when its
     # tau* lies there, and its last slot then closes at tau*.
@@ -104,7 +109,7 @@ def test_kernel_derivations_match_per_step_oracle(led, data):
         assert left <= s < t <= right
         slots.setdefault(s, []).append(t)
     for s in charged:
-        w = int(led.wmu[led.idx(s)])
+        w = int(dense.wmu[dense.idx(s)])
         t = tau.get(s)
         if t is not None and t <= right:
             assert len(slots[s]) == w and max(slots[s]) == t
@@ -112,7 +117,7 @@ def test_kernel_derivations_match_per_step_oracle(led, data):
             assert len(slots.get(s, [])) < w
 
     for s in list(tau)[:5]:
-        exc = excursion_from(led, s)
+        exc = excursion_from(dense, s)
         for g in default_gauges():
-            assert cost_of_tau_star(led, exc, g) == pytest.approx(
-                cost_of_tau_star_rescan(led, exc, g), abs=1e-10)
+            assert cost_of_tau_star(dense, exc, g) == pytest.approx(
+                cost_of_tau_star_rescan(dense, exc, g), abs=1e-10)

@@ -36,6 +36,7 @@ _DRAWS = {
     "bits": lambda st: st.take_bits(3),
     "steps": lambda st: st.take_steps(3),
     "words": lambda st: st.take_words(3),
+    "skip": lambda st: st.skip_words(3),
     "fraction": lambda st: st.uniform_index(1 << 64),   # the word over 2^64
     "index": lambda st: st.uniform_index(3),
 }
@@ -43,7 +44,8 @@ _DRAWS = {
 
 @pytest.mark.parametrize("first, second", [
     ("bits", "words"), ("steps", "index"), ("words", "fraction"),
-    ("index", "bits"), ("fraction", "words")])
+    ("index", "bits"), ("fraction", "words"), ("skip", "bits"),
+    ("skip", "index"), ("index", "skip")])
 def test_one_consumer_kind_per_stream(first, second):
     st = BitStream(4, 1, STREAM_FWD)
     _DRAWS[first](st)
@@ -165,6 +167,37 @@ def test_stream_key_is_numpys_implicit_key(seed, ids):
 def test_stream_key_matches_numpy_on_any_seed(seed, rep, role):
     assert np.array_equal(BitStream(seed, rep, role).take_words(2),
                           _implicit_key_words(seed, (rep, role), 2))
+
+
+# One (seed, ids) of each _claim key branch: both key values below 2^63,
+# both above, and one of each (numpy's float-rounded key).
+_KEY_CASES = ((11, (0, STREAM_FWD)), (2**63 + 1, (4, 0)), (2**63 + 1, (4, 1)),
+              (5, (4, 0)))
+
+
+@given(hst.one_of(hst.sampled_from(_KEY_CASES),
+                  hst.tuples(hst.integers(0, 2**64 - 1),
+                             hst.tuples(hst.integers(0, 2**20),
+                                        hst.integers(0, 3)))),
+       hst.lists(hst.tuples(hst.booleans(),
+                            hst.one_of(hst.integers(0, 9), hst.integers(0, 3000))),
+                 min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_seeked_reads_equal_sequential_reads(key, ops):
+    # Any mix of skips and reads, of odd lengths and from odd offsets, after
+    # partial reads of a Philox block or not, reads what take_words does.
+    seed, ids = key
+    total = sum(n for _, n in ops)
+    want = BitStream(seed, *ids).take_words(total + 5)
+    st = BitStream(seed, *ids)
+    at = 0
+    for skip, n in ops:
+        if skip:
+            st.skip_words(n)
+        else:
+            assert np.array_equal(st.take_words(n), want[at:at + n])
+        at += n
+    assert np.array_equal(st.take_words(5), want[at:])
 
 
 def _used_generator():

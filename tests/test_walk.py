@@ -3,13 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import ScriptedPath
+from helpers import LocalTimeLedger, ScriptedPath
 
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.measures import DiscreteMeasure, split_measures
 from shiftlab.rng import BitStream, STREAM_START
-from shiftlab.walk import (LocalTimeLedger, WalkConfig, build_ledger,
-                           draw_start, inverse_local_time, sample_walk)
+from shiftlab.walk import (WalkConfig, build_ledger, draw_start,
+                           inverse_local_time, sample_walk)
 
 
 def test_config_validation(delta_pair):
@@ -68,7 +68,7 @@ def test_draw_start_inverse_cdf():
 def test_ledger_hand_counts(delta_pair):
     # mu = delta_0, nu = delta_1 on the scripted path 0,1,0,1.
     path = ScriptedPath([0, 1, 0, 1])
-    led = build_ledger(path, delta_pair)
+    led = LocalTimeLedger(path, delta_pair)
     assert led.visits(0, 3) == 2 and led.visits(1, 3) == 2
     assert [str(led.D(n)) for n in range(4)] == ["1", "0", "1", "0"]
     assert led.Lmu(3) == 2 and led.Lnu(3) == 2
@@ -76,7 +76,7 @@ def test_ledger_hand_counts(delta_pair):
 
 def test_ledger_negative_steps(delta_pair):
     path = ScriptedPath([0, 1], [0, 1, 0])
-    led = build_ledger(path, delta_pair)
+    led = LocalTimeLedger(path, delta_pair)
     # Backward functionals cover steps [n, 0].
     assert led.Lmu(-2) == 2 and led.Lnu(-2) == 1
     assert led.D(-2) == 1
@@ -86,7 +86,7 @@ def test_ledger_brute_force_oracle(symmetric_pair, small_walk_cfg):
     cfg = WalkConfig(dx=Fraction(1), horizon_fwd=128, horizon_bwd=32, seed=3,
                      start_law=symmetric_pair.mu)
     path = sample_walk(cfg)
-    led = build_ledger(path, symmetric_pair)
+    led = LocalTimeLedger(path, symmetric_pair)
     for n in (-32, -7, 0, 1, 17, 128):
         rng = range(0, n + 1) if n >= 0 else range(n, 1)
         lmu = sum((symmetric_pair.mu.weight(path.positions(k)) for k in rng),
@@ -96,10 +96,14 @@ def test_ledger_brute_force_oracle(symmetric_pair, small_walk_cfg):
         assert led.Lmu(n) == lmu
         assert led.Lnu(n) == lnu
         assert led.D(n) == lmu - lnu
+    # build_ledger's events are the dense ledger's.
+    for x, y in zip(build_ledger(path, symmetric_pair).events(-32, 128),
+                    led.events(-32, 128)):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_ledger_range_errors(delta_pair):
-    led = build_ledger(ScriptedPath([0, 1, 0]), delta_pair)
+    led = LocalTimeLedger(ScriptedPath([0, 1, 0]), delta_pair)
     with pytest.raises(HorizonExceededError):
         led.Lmu(3)
     with pytest.raises(HorizonExceededError):
@@ -122,7 +126,7 @@ def test_inverse_local_time_semantics(delta_pair):
 
 def test_to_csv(delta_pair, tmp_path):
     path = ScriptedPath([0, 1, 0])
-    led = build_ledger(path, delta_pair)
+    led = LocalTimeLedger(path, delta_pair)
     f = tmp_path / "ledger.csv"
     with open(f, "w") as fobj:
         led.to_csv(fobj)
