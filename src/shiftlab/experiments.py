@@ -8,10 +8,10 @@ the horizon from ``horizon_fwd`` up to ``max_horizon`` and skipping whole
 embedding times can be sampled up to 2^24 steps without retaining whole
 paths; once a replica hits, its generator is re-keyed for another.
 Censored replicas (T* past ``max_horizon``) are reported, never dropped.
-The same scan yields atom visits: compare scores a cohort's excursions in
-one batch from them, excursion-cost reads each one and ergodic its long
-two-sided path as event ledgers.  unbiased reads the increments around T*
-as popcounts of seeked stream words.  No experiment builds a dense path.
+The same scan yields atom visits: compare and excursion-cost read each
+engine cohort's excursions as one ``Cohort``, ergodic its long two-sided
+path as an event ledger.  unbiased reads the increments around T* as
+popcounts of seeked stream words.  No experiment builds a dense path.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .comparators import (Cohort, Comparator, apply_comparator, check_matching,
-                          extract_slots, matching_cost)
-from .embedding import (Excursion, balanced, check_mode, draw_u_flag,
-                        excursion_mass, require_mode, tau_star_map)
+                          matching_cost)
+from .embedding import (balanced, check_mode, draw_u_flag, require_mode,
+                        tau_star_map)
 # perfbench/tracing.LAYERS patches these in this namespace.
 from .embedding import compute_t_star, match_slots  # noqa: F401
 from .walk import build_ledger, sample_walk  # noqa: F401
@@ -76,6 +76,11 @@ class ExperimentConfig:
         if not set(self.thresholds) <= set(DEFAULT_THRESHOLDS):
             raise ConfigError(f"thresholds take only {sorted(DEFAULT_THRESHOLDS)}, "
                               f"got {sorted(self.thresholds)}")
+        t = {**DEFAULT_THRESHOLDS, **self.thresholds}
+        if not (0 < t["sigma"] < math.inf and 0 <= t["censor_flag"] <= 1
+                and 0 <= t["margin_tol"] <= 1e-6):
+            raise ConfigError("thresholds need sigma finite and > 0, censor_flag in "
+                              f"[0, 1] and margin_tol in [0, 1e-6], got {t}")
         if not 1 <= self.replicas <= MAX_REPLICAS:
             raise ConfigError(
                 f"replicas must be >= 1 and <= 2^24, got {self.replicas}")
@@ -88,6 +93,12 @@ class ExperimentConfig:
                 f"lags must be nonempty, >= 1 and <= 2^30, got {list(self.lags)}")
         if not 1 <= self.r_levels <= 64:
             raise ConfigError(f"r_levels must lie in [1, 64], got {self.r_levels}")
+        # A repeat pools its samples in one row (and parameters share labels).
+        for name, items in (("lags", self.lags),
+                            ("gauge labels", [g.label for g in self.gauges]),
+                            ("comparator kinds", [c.kind for c in self.comparators])):
+            if len(set(items)) < len(items):
+                raise ConfigError(f"{name} must be distinct, got {list(items)}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
@@ -525,23 +536,13 @@ def run_unbiased_test(cfg: ExperimentConfig) -> StatReport:
     return StatReport("unbiased", cfg.digest(), data, {"lags": rows})
 
 
-def _first_excursion(cfg: ExperimentConfig, out: dict,
-                     slot_cap: int | None = None):
-    """Event ledger and excursion [0, T*] of one replica, or None.
-
-    ``out`` is the replica's output of ``_t_star_finder(cfg, events=True)``.
-    None when the replica is censored, when T* = 0 (U-flag 0), or when the
-    excursion carries more than ``slot_cap`` mu-slots.  The ledger holds the
-    atom visits the first-hit scan saw.
-    """
-    t = out["t_star"]
-    if not t:                              # censored (None) or T* = 0
-        return None
-    ledger = EventLedger(*out["events"], cfg.pair)
-    exc = Excursion(left=0, right=t, mass=excursion_mass(ledger, 0, t))
-    if slot_cap is not None and exc.mass * ledger.q > slot_cap:
-        return None
-    return ledger, exc
+def _engine_cohorts(cfg: ExperimentConfig):
+    """(replica ids, their lazy outputs of ``_t_star_finder(cfg, events=True)``)
+    per engine cohort.  The engine scans a cohort as its outputs are read, so
+    a consumer that reads them in a call of its own frees them before the next."""
+    find, reps = _t_star_finder(cfg, events=True), range(cfg.replicas)
+    for i in range(0, cfg.replicas, _COHORT):
+        yield reps[i:i + _COHORT], find(reps[i:i + _COHORT])
 
 
 def _score_cohort(cfg: ExperimentConfig, outs, keys: list, per: dict,
@@ -568,13 +569,11 @@ def _score_cohort(cfg: ExperimentConfig, outs, keys: list, per: dict,
                       for m in matchings])     # (comparator, gauge, path)
     tol = cfg.thresholds["margin_tol"]
     violations = int(np.count_nonzero(c_all < c_stable - tol))
-    # Per path, a key's values in (comparator, gauge) config order.
     psi = (c_all / cohort.mass).reshape(len(keys), -1)
     diff = ((c_all - c_stable) / cohort.mass).reshape(len(keys), -1)
-    for key in dict.fromkeys(keys):
-        sel = [r for r, k in enumerate(keys) if k == key]
-        per.setdefault(key, []).append(psi[sel].T.ravel())
-        diffs.setdefault(key, []).append(diff[sel].T.ravel())
+    for key, p, d in zip(keys, psi, diff):
+        per.setdefault(key, []).append(p)
+        diffs.setdefault(key, []).append(d)
     return len(outs) - len(visits), violations
 
 
@@ -582,12 +581,11 @@ def run_cost_compare(cfg: ExperimentConfig) -> StatReport:
     """Pathwise excursion-cost dominance of tau* over comparator rematchings,
     scored one engine cohort of used excursions at a time."""
     per, diffs = {}, {}                    # (kind, gauge) -> value arrays
-    find = _t_star_finder(cfg, events=True)
     kinds = [comp.kind for comp in cfg.comparators]
     keys = [(kind, g.label) for kind in kinds for g in cfg.gauges]
     skipped, violations = map(sum, zip(*(
-        _score_cohort(cfg, find(range(cfg.replicas)[i:i + _COHORT]), keys, per, diffs)
-        for i in range(0, cfg.replicas, _COHORT))))
+        _score_cohort(cfg, outs, keys, per, diffs)
+        for _, outs in _engine_cohorts(cfg))))
     rows = []
     for (kind, glabel), vals in sorted(per.items()):
         mean, se = _mean_se(np.concatenate(vals))
@@ -612,49 +610,47 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
             "and target steps)")
     require_mode(cfg.pair, "exact")        # unit nu-slots: T* balances
     tol = cfg.thresholds["margin_tol"]
-    min_margin = math.inf
-    skipped = 0
-    equality_checked = 0
+    used = 0                               # excursions checked at equality
     rows = []
-    find = _t_star_finder(cfg, events=True)
     dt = cfg.walk.dt
-    for rep, out in enumerate(find(range(cfg.replicas))):
-        got = _first_excursion(cfg, out, slot_cap)
-        if got is None:
-            skipped += 1
+    for reps, outs in _engine_cohorts(cfg):
+        paths = [(rep, out["events"]) for rep, out in zip(reps, outs) if out["t_star"]]
+        if not paths:                      # censored or T* = 0
             continue
-        # The excursion balances at T*, so its slots are exactly the stable
-        # matching's.  Step s is the point s * dt, an integer numerator over
-        # dt's denominator; the a-sequence descends.
-        sources, targets = extract_slots(*got)
-        pcfg = PointConfig(tuple(s * dt.numerator for s in reversed(sources)),
-                           tuple(t * dt.numerator for t in targets),
-                           dt.denominator, allow_ties=True)
-        n = len(sources)
-        # Stable indicator: exact equality of both sides.  Its check gives
-        # each gauge's rhs once; the sampler has validated its matrices.
-        pi0 = stable_indicator(pcfg, n)
-        rhs = []
-        for g in cfg.gauges:
-            rep0 = inequality_check(pi0, g)
-            if abs(rep0.margin) > 1e-9 * max(1.0, rep0.rhs):
-                raise InvariantError(
-                    f"stable indicator not at equality (margin {rep0.margin})")
-            rhs.append(rep0.rhs)
-        equality_checked += 1
-        for mi in range(matrices_per_excursion):
-            pi = sample_feasible_matrix(pcfg, n, seed=cfg.walk.seed * 1000 + rep * 10 + mi)
-            for g, rhs_g in zip(cfg.gauges, rhs):
-                lhs = pi.cost(g)
-                min_margin = min(min_margin, lhs - rhs_g)
-                rows.append({"replica": rep, "matrix": mi, "gauge": g.label,
-                             "lhs": lhs, "rhs": rhs_g, "margin": lhs - rhs_g})
-    checked = len(rows)
+        # Each excursion balances at its T*, so its slots, [a, b) of the
+        # cohort's, are exactly the stable matching's.  Step s is the point
+        # s * dt, an integer numerator over dt's denominator.
+        cohort = Cohort([visits for _, visits in paths], cfg.pair)
+        ends = np.cumsum(cohort.counts).tolist()
+        for (rep, _), a, b in zip(paths, [0] + ends, ends):
+            if b - a > slot_cap:
+                continue
+            sources, targets = (x[a:b].tolist() for x in cohort.slots)
+            pcfg = PointConfig(tuple(s * dt.numerator for s in reversed(sources)),
+                               tuple(t * dt.numerator for t in targets),
+                               dt.denominator, allow_ties=True)   # a descends
+            # Stable indicator: exact equality of both sides.  Its check gives
+            # each gauge's rhs once; the sampler has validated its matrices.
+            pi0 = stable_indicator(pcfg, b - a)
+            eq = [inequality_check(pi0, g) for g in cfg.gauges]
+            off = [r.margin for r in eq if abs(r.margin) > 1e-9 * max(1.0, r.rhs)]
+            if off:
+                raise InvariantError(f"stable indicator not at equality (margin {off[0]})")
+            rhs = [r.rhs for r in eq]
+            used += 1
+            for mi in range(matrices_per_excursion):
+                pi = sample_feasible_matrix(
+                    pcfg, b - a, seed=cfg.walk.seed * 1000 + rep * 10 + mi)
+                for g, rhs_g in zip(cfg.gauges, rhs):
+                    lhs = pi.cost(g)
+                    rows.append({"replica": rep, "matrix": mi, "gauge": g.label,
+                                 "lhs": lhs, "rhs": rhs_g, "margin": lhs - rhs_g})
+    min_margin = min((row["margin"] for row in rows), default=None)
     data = {
-        "replicas": cfg.replicas, "excursions_used": equality_checked,
-        "skipped": skipped, "checks": checked,
-        "min_margin": (None if checked == 0 else min_margin),
-        "all_nonnegative": (checked > 0 and min_margin >= -tol),
+        "replicas": cfg.replicas, "excursions_used": used,
+        "skipped": cfg.replicas - used, "checks": len(rows),
+        "min_margin": min_margin,
+        "all_nonnegative": min_margin is not None and min_margin >= -tol,
         "seed": cfg.walk.seed,
     }
     return StatReport("excursion_cost", cfg.digest(), data,

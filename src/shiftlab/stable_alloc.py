@@ -5,8 +5,8 @@ right, every a opens and every b closes the most recent unmatched a.  The
 sweep is the balancing kernel ``parenthesis_match`` of
 ``shiftlab.embedding`` run on the points as one-slot events.  The
 module also computes the horizon N through the integer step function f, the
-local-time quantile discretization of an excursion, and the convergence
-harness comparing the discretized allocation tau_n against tau*.
+integer local-time quantile discretization of an excursion, and the
+convergence harness comparing the discretized allocation tau_n against tau*.
 """
 
 from __future__ import annotations
@@ -182,83 +182,60 @@ def compute_N(cfg: PointConfig) -> dict:
     raise TruncationError("b-truncation too short to reach f(b_n) = M - 1")
 
 
-def _quantile_points(steps, weights, q: int, thresholds, last: Fraction
-                     ) -> list[Fraction]:
-    """For each threshold, the first step whose cumulated weight/q reaches it.
-
-    The final point is ``last`` by construction, and so is any point the
-    weights never reach.
-    """
-    cum = np.cumsum(weights).tolist()
-    pts = []
-    for thr in thresholds:
-        k = bisect.bisect_left(cum, thr * q)
-        pts.append(Fraction(int(steps[k])) if k < len(cum) else last)
-    pts[-1] = last
-    return pts
-
-
 def quantile_discretize(ledger: EventLedger, exc, n: int) -> dict:
     """n-quantile points of ell^mu (descending) and ell^nu (ascending) in exc.
 
-    Quantile thresholds are spaced exactly M/n apart in rational arithmetic;
-    an atom larger than M/n yields repeated points at its step (left to
-    right).  Beyond the excursion the sequences are padded with mesh
-    (right - left)/n so the padding vanishes as n grows.
+    Quantile i on each side is the first step whose cumulated weight
+    numerator reaches ceil(i m/n), i.e. i M/n of the mu-mass M = m/q; an
+    atom larger than M/n yields repeated points at its step (left to right).
+    Beyond the excursion the sequences are padded with mesh (right - left)/n
+    so the padding vanishes as n grows.  Points are numerators over n.
 
-    Returns {"config", "g_n", "h_n", "n", "mesh"} where g_n/h_n are the
-    rounding maps a -> a_i, b -> b_j (callables on step values).
+    Returns {"config", "g_n", "h_n", "n", "mesh", "a", "b"} where g_n/h_n are
+    the rounding maps a -> a_i, b -> b_j (callables on step values).
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    M = exc.mass
-    if M == 0:
+    m = int(exc.mass * ledger.q)
+    if m == 0:
         raise ConfigError("empty excursion (zero mu-mass)")
-    left, right = Fraction(exc.left), Fraction(exc.right)
-    q = ledger.q
-    thresholds = [i * M / n for i in range(1, n + 1)]
-    steps, wmu, wnu = ledger.events(exc.left, exc.right)
-    # Descending mu-quantiles: a_i = largest step t with mass([t, right)) >= i*M/n.
-    before = steps < exc.right
-    a_pts = _quantile_points(steps[before][::-1], wmu[before][::-1], q,
-                             thresholds, left)      # a_n = b_0
-    # Ascending nu-quantiles: mass((left, b_j]) >= j*M/n, b_n = right.
-    b_pts = _quantile_points(steps, wnu, q, thresholds, right)  # b_n = a_0
+    left, right = exc.left, exc.right
+    steps, wmu, wnu = ledger.events(left, right)
+    levels = [-(-i * m // n) for i in range(1, n)]     # quantile n: the far end
 
-    mesh = (right - left) / n
-    pad = 2 * n + 4
-    a_full = a_pts + [left - k * mesh for k in range(1, pad + 1)]
-    b_full = b_pts + [right + k * mesh for k in range(1, pad + 1)]
-    cfg = PointConfig.make(a_full, b_full, allow_ties=True)
+    def quantiles(steps, weights, end: int) -> list[int]:
+        """Per level, the first step whose cumulated weight reaches it, or end."""
+        k = np.searchsorted(np.cumsum(weights), levels)
+        return np.append(steps, end)[k].tolist() + [end]
 
-    a_desc = a_pts              # a_1 >= a_2 >= ... >= a_n = left
-    b_asc = b_pts
+    # a_i = largest step t with mass([t, right)) >= i M/n, a_n = b_0 = left;
+    # b_j = least step with mass((left, b_j]) >= j M/n, b_n = a_0 = right.
+    before = steps < right
+    a = quantiles(steps[before][::-1], wmu[before][::-1], left)
+    b = quantiles(steps, wnu, right)
+    span, pad = right - left, range(1, 2 * n + 5)
+    cfg = PointConfig(tuple(x * n for x in a) + tuple(left * n - k * span for k in pad),
+                      tuple(x * n for x in b) + tuple(right * n + k * span for k in pad),
+                      n, allow_ties=True)
+    a_asc = a[::-1]
 
-    def g_n(aval) -> Fraction:
-        """a -> a_i for a in [a_i, a_{i-1}); the largest quantile point <= a.
+    def g_n(aval) -> int:
+        """a -> a_i for a in [a_i, a_{i-1}), and a_n for a < a_n.
 
         Atoms sit exactly on quantile points, so the rounding cell is closed
         at its own point (an atom must round to itself, not to the next cell
         down, or the rounding error would never vanish).
         """
-        aval = Fraction(aval)
-        for ai in a_desc:
-            if ai <= aval:
-                return ai
-        return a_desc[-1]
+        return a_asc[max(bisect.bisect_right(a_asc, aval) - 1, 0)]
 
-    def h_n(bval) -> Fraction:
-        """b -> b_j for b in (b_{j-1}, b_j]; b_0 is the left endpoint."""
-        bval = Fraction(bval)
-        prev = left
-        for bj in b_asc:
-            if prev < bval <= bj:
-                return bj
-            prev = bj
-        return b_asc[-1]
+    def h_n(bval) -> int:
+        """b -> b_j for b in (b_{j-1}, b_j]; b_0 is the left endpoint, and
+        b_n = right also stands for any b outside (left, right]."""
+        j = bisect.bisect_left(b, bval)
+        return b[j] if left < bval and j < n else right
 
-    return {"config": cfg, "g_n": g_n, "h_n": h_n, "n": n, "mesh": mesh,
-            "a": tuple(a_desc), "b": tuple(b_asc)}
+    return {"config": cfg, "g_n": g_n, "h_n": h_n, "n": n,
+            "mesh": Fraction(span, n), "a": tuple(a), "b": tuple(b)}
 
 
 def tau_n_convergence_test(ledger: EventLedger, exc,
@@ -279,21 +256,18 @@ def tau_n_convergence_test(ledger: EventLedger, exc,
     rows = []
     for n in n_list:
         disc = quantile_discretize(ledger, exc, n)
-        match = stable_allocation(disc["config"])
-        a_list = disc["config"].a
-        b_list = disc["config"].b
-        sup_dist = Fraction(0)
-        sup_round = Fraction(0)
+        a_asc, b_num = disc["a"][::-1], disc["config"].b_num
+        tau = stable_allocation(disc["config"]).tau
+        sup_dist = sup_round = 0
         for s in charged:
-            ga = disc["g_n"](s)
-            # Among tied quantile copies the lowest index is matched last in
+            # g_n(s) = a_asc[k - 1] = a_i for the least i = n - k with a_i <= s:
+            # among tied quantile copies the lowest index is matched last in
             # the sweep, which is the per-step tau* analogue at saturation.
-            i = min(k for k, av in enumerate(a_list) if av == ga)
-            tn = b_list[match.tau[i]]
-            sup_dist = max(sup_dist, abs(tn - tau_star[s]))
-            sup_round = max(sup_round, abs(Fraction(s) - ga))
-        rows.append({"n": int(n), "sup_distance": sup_dist,
-                     "sup_rounding": sup_round})
+            k = bisect.bisect_right(a_asc, s)
+            sup_dist = max(sup_dist, abs(b_num[tau[n - k]] - tau_star[s] * n))
+            sup_round = max(sup_round, s - a_asc[k - 1])
+        rows.append({"n": int(n), "sup_distance": Fraction(sup_dist, n),
+                     "sup_rounding": Fraction(sup_round)})
     dists = [r["sup_distance"] for r in rows]
     return {
         "rows": rows,

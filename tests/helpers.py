@@ -9,10 +9,10 @@ excursion partition), cost_of_tau_star (the kernel's cost of an
 excursion) and check_gauge_properties (grid checks of concavity) are the
 oracles that run on it.  step_first_hit is the step-by-step first-hit
 simulation that the word-skipping FirstHitEngine must reproduce exactly;
-first_excursion runs experiments._first_excursion on one replica;
-dense_first_excursion (one dense path and ledger) and
-doubling_first_excursion (a ledger rebuilt at each doubling) are
-references for the event-ledger experiments._first_excursion;
+cohort_excursions reads each replica's excursion [0, T*] from the Cohort
+of its engine cohort, as excursion-cost does; dense_first_excursion (one
+dense path and ledger) and doubling_first_excursion (a ledger rebuilt at
+each doubling) are references for it;
 excursion_from and cost_of_tau_star_rescan take tau* from the per-step
 compute_tau_star instead of the kernel; per_path_cost_compare is
 experiments.run_cost_compare one excursion at a time, on the per-path
@@ -27,7 +27,9 @@ fraction_repair_trace are the Fraction-mass references for the integer
 masses of TransportMatrix; uniform_fraction, fraction_draw_start and
 fraction_draw_u_flag are the Fraction references for the integer uniform
 draws; pm64_near is the near-word rule the popcount bound of
-FirstHitEngine._near replaced.
+FirstHitEngine._near replaced; fraction_quantile_discretize and
+fraction_tau_n_convergence_test are the Fraction-threshold references for
+the integer quantile window of stable_alloc.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,9 +53,10 @@ from shiftlab.errors import (ConfigError, HorizonExceededError,
 from shiftlab.gauges import Gauge, eval_gauge
 from shiftlab.measures import MeasurePair
 from shiftlab.rng import STREAM_FWD, STREAM_START, STREAM_UFLAG, BitStream
-from shiftlab.stable_alloc import stable_allocation
+from shiftlab.stable_alloc import PointConfig, stable_allocation
 from shiftlab.transport import Crossing
-from shiftlab.walk import WalkPath, draw_start, sample_walk, site_weights
+from shiftlab.walk import (EventLedger, WalkPath, draw_start, sample_walk,
+                           site_weights)
 
 
 @dataclass
@@ -397,14 +400,50 @@ def pm64_near(engine, words: np.ndarray, pos: np.ndarray):
     return ends[:, -1], sites.ravel(), np.repeat(rows, 8), steps.ravel()
 
 
-def first_excursion(cfg, rep: int, slot_cap: int | None = None):
-    """experiments._first_excursion of replica ``rep`` on its own."""
-    out = next(experiments._t_star_finder(cfg, events=True)([rep]))
-    return experiments._first_excursion(cfg, out, slot_cap)
+class CohortPath(NamedTuple):
+    """Path k of a comparators.Cohort and its (sources, targets) slot steps."""
+
+    cohort: Cohort
+    k: int
+    slots: tuple
+
+    @property
+    def t_star(self) -> int:
+        return self.cohort.t_star[self.k]
+
+    def events(self):
+        """(steps, wmu, wnu) of the path's atom visits on [0, T*]."""
+        on = self.cohort.path == self.k
+        return (self.cohort.steps[on], self.cohort.events.wmu[on],
+                self.cohort.events.wnu[on])
+
+
+def cohort_excursions(cfg, slot_cap: int | None = None) -> list:
+    """Per replica, its excursion [0, T*] as run_excursion_cost reads it: a
+    CohortPath of the Cohort of its engine cohort's paths with T* > 0, its
+    slots cut from the cohort's at cumsum(counts), or None when censored,
+    T* = 0 or past ``slot_cap`` mu-slots."""
+    got = []
+    for _, outs in experiments._engine_cohorts(cfg):
+        outs = list(outs)
+        used = [out["events"] for out in outs if out["t_star"]]
+        cohort = Cohort(used, cfg.pair) if used else None
+        ends = np.cumsum(cohort.counts if used else []).tolist()
+        paths = iter(zip(range(len(used)), [0] + ends, ends))
+        for out in outs:
+            path = next(paths) if out["t_star"] else None
+            if path is None or (slot_cap is not None
+                                and path[2] - path[1] > slot_cap):
+                got.append(None)
+                continue
+            k, a, b = path
+            got.append(CohortPath(cohort, k,
+                                  tuple(x[a:b].tolist() for x in cohort.slots)))
+    return got
 
 
 def dense_first_excursion(cfg, rep: int, slot_cap: int | None = None):
-    """experiments._first_excursion on the dense path and ledger.
+    """A replica's excursion [0, T*] on the dense path and ledger.
 
     T* comes from the engine; the path is sampled once, extended to T*, and
     gets one LocalTimeLedger.
@@ -535,11 +574,12 @@ def per_path_cost_compare(cfg) -> "experiments.StatReport":
     violations = skipped = used = 0
     dt = float(cfg.walk.dt)
     for out in experiments._t_star_finder(cfg, events=True)(range(cfg.replicas)):
-        got = experiments._first_excursion(cfg, out)
-        if got is None:
+        t = out["t_star"]
+        if not t:                          # censored (None) or T* = 0
             skipped += 1
             continue
-        ledger, exc = got
+        ledger = EventLedger(*out["events"], cfg.pair)
+        exc = Excursion(left=0, right=t, mass=excursion_mass(ledger, 0, t))
         used += 1
         unit, mass = 1 / ledger.q, float(exc.mass)
         slots = extract_slots(ledger, exc)
@@ -572,7 +612,7 @@ def per_path_cost_compare(cfg) -> "experiments.StatReport":
 
 
 def doubling_first_excursion(cfg, rep: int, slot_cap: int | None = None):
-    """experiments._first_excursion by ledger rebuilding under doubling.
+    """A replica's excursion [0, T*] by ledger rebuilding under doubling.
 
     Builds the whole ledger of the path at horizon_fwd and again after each
     doubling until compute_t_star finds T*.  The horizon stops doubling once
@@ -742,3 +782,101 @@ def fraction_draw_u_flag(pair, seed: int, replica: int, start: int) -> int:
     if p in (0, 1):
         return int(p)
     return int(uniform_fraction(BitStream(seed, replica, STREAM_UFLAG)) < p)
+
+
+def fraction_quantile_points(steps, weights, q: int, thresholds,
+                             last: Fraction) -> list[Fraction]:
+    """For each threshold, the first step whose cumulated weight/q reaches it.
+
+    The final point is ``last`` by construction, and so is any point the
+    weights never reach.
+    """
+    cum = np.cumsum(weights).tolist()
+    pts = []
+    for thr in thresholds:
+        k = bisect.bisect_left(cum, thr * q)
+        pts.append(Fraction(int(steps[k])) if k < len(cum) else last)
+    pts[-1] = last
+    return pts
+
+
+def fraction_quantile_discretize(ledger, exc, n: int) -> dict:
+    """stable_alloc.quantile_discretize with Fraction thresholds spaced M/n
+    apart, a PointConfig.make window of Fraction points and rounding maps
+    that scan the quantile points."""
+    if n < 1:
+        raise ConfigError("n must be >= 1")
+    M = exc.mass
+    if M == 0:
+        raise ConfigError("empty excursion (zero mu-mass)")
+    left, right = Fraction(exc.left), Fraction(exc.right)
+    q = ledger.q
+    thresholds = [i * M / n for i in range(1, n + 1)]
+    steps, wmu, wnu = ledger.events(exc.left, exc.right)
+    # Descending mu-quantiles: a_i = largest step t with mass([t, right)) >= i*M/n.
+    before = steps < exc.right
+    a_pts = fraction_quantile_points(steps[before][::-1], wmu[before][::-1], q,
+                                     thresholds, left)      # a_n = b_0
+    # Ascending nu-quantiles: mass((left, b_j]) >= j*M/n, b_n = right.
+    b_pts = fraction_quantile_points(steps, wnu, q, thresholds, right)
+
+    mesh = (right - left) / n
+    pad = 2 * n + 4
+    a_full = a_pts + [left - k * mesh for k in range(1, pad + 1)]
+    b_full = b_pts + [right + k * mesh for k in range(1, pad + 1)]
+    cfg = PointConfig.make(a_full, b_full, allow_ties=True)
+
+    def g_n(aval) -> Fraction:
+        """The largest quantile point <= a, or a_n."""
+        aval = Fraction(aval)
+        for ai in a_pts:
+            if ai <= aval:
+                return ai
+        return a_pts[-1]
+
+    def h_n(bval) -> Fraction:
+        """b -> b_j for b in (b_{j-1}, b_j]; b_0 is the left endpoint."""
+        bval = Fraction(bval)
+        prev = left
+        for bj in b_pts:
+            if prev < bval <= bj:
+                return bj
+            prev = bj
+        return b_pts[-1]
+
+    return {"config": cfg, "g_n": g_n, "h_n": h_n, "n": n, "mesh": mesh,
+            "a": tuple(a_pts), "b": tuple(b_pts)}
+
+
+def fraction_tau_n_convergence_test(ledger, exc, n_list) -> dict:
+    """stable_alloc.tau_n_convergence_test on fraction_quantile_discretize's
+    window, g_n's index found by a scan of the config's Fraction a-points."""
+    charged = [int(s) for s in mu_charged_steps(ledger, exc.left, exc.right)]
+    tau_star, unresolved = tau_star_map(ledger, exc.left, exc.right)
+    if unresolved:
+        raise HorizonExceededError(
+            f"tau*({unresolved[0]}) not reached within forward horizon",
+            horizon=ledger.hf)
+    rows = []
+    for n in n_list:
+        disc = fraction_quantile_discretize(ledger, exc, n)
+        match = stable_allocation(disc["config"])
+        a_list = disc["config"].a
+        b_list = disc["config"].b
+        sup_dist = Fraction(0)
+        sup_round = Fraction(0)
+        for s in charged:
+            ga = disc["g_n"](s)
+            # The lowest index among tied quantile copies.
+            i = min(k for k, av in enumerate(a_list) if av == ga)
+            tn = b_list[match.tau[i]]
+            sup_dist = max(sup_dist, abs(tn - tau_star[s]))
+            sup_round = max(sup_round, abs(Fraction(s) - ga))
+        rows.append({"n": int(n), "sup_distance": sup_dist,
+                     "sup_rounding": sup_round})
+    dists = [r["sup_distance"] for r in rows]
+    return {
+        "rows": rows,
+        "monotone_nonincreasing": all(x >= y for x, y in zip(dists, dists[1:])),
+        "final_distance": dists[-1] if dists else None,
+    }

@@ -1,8 +1,11 @@
+import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -341,6 +344,16 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
         {"kind": "random_feasible_rematch", "n_swaps": (1 << 20) + 1}]})),
     ("compare", walk_config({"comparators": [
         {"kind": "random_feasible_rematch", "seed": 1 << 63}]})),
+    ("unbiased", walk_config({"lags": [4, 4]})),
+    ("compare", walk_config({"gauges": [{"kind": "power", "param": [1, 3]},
+                                        {"kind": "power",
+                                         "param": [333333, 1000000]}]})),
+    ("compare", walk_config({"comparators": [
+        {"kind": "random_feasible_rematch", "seed": 1},
+        {"kind": "random_feasible_rematch", "seed": 2}]})),
+    ("unbiased", walk_config({"thresholds": {"sigma": -1}})),
+    ("embed", walk_config({"thresholds": {"censor_flag": -0.5}})),
+    ("compare", walk_config({"thresholds": {"margin_tol": math.inf}})),
 ], ids=["gauge-param-zero-den", "gauge-param-text", "comparator-no-kind",
         "negative-n-swaps", "replicas-text", "measure-text-weight",
         "lags-not-a-list", "thresholds-not-an-object", "r-levels-zero",
@@ -353,7 +366,9 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
         "fractional-replica", "replica-text", "negative-replica",
         "tail-too-many-replicas", "unbiased-too-many-replicas",
         "lag-too-long", "max-horizon-too-long", "walk-dense-path-too-long",
-        "too-many-r-levels", "too-many-swaps", "comparator-seed-past-63-bits"])
+        "too-many-r-levels", "too-many-swaps", "comparator-seed-past-63-bits",
+        "duplicate-lags", "duplicate-gauge-labels", "duplicate-comparator-kinds",
+        "sigma-negative", "censor-flag-negative", "margin-tol-infinite"])
 def test_malformed_inputs_are_config_errors(tmp_path, capsys, command, obj):
     cfg = write_json(tmp_path, "cfg.json", obj)
     assert main(["--output-dir", str(tmp_path / "o"), command, cfg]) == EXIT_CONFIG
@@ -369,3 +384,26 @@ def test_import_leaves_scipy_stats_unloaded():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_module_level_imports_are_used():
+    # Each is read in its module, exported in __all__, or marked as the
+    # tracer's with "# noqa: F401"; an import a change orphans fails here.
+    unused = []
+    for path in sorted(Path(shiftlab.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {name for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                 for name in ast.literal_eval(node.value)}
+        for node in tree.body:
+            marked = "# noqa: F401" in "".join(lines[node.lineno - 1:node.end_lineno])
+            if (not isinstance(node, (ast.Import, ast.ImportFrom)) or marked
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            unused += [f"{path.name}: {name}" for name in
+                       ((a.asname or a.name.split(".")[0]) for a in node.names)
+                       if name not in read]
+    assert unused == []

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (LocalTimeLedger, dense_first_excursion, fifo_matching,
-                     first_excursion, per_path_cost_compare,
-                     queue_fifo_matching, random_rematch)
+from helpers import (LocalTimeLedger, cohort_excursions, dense_first_excursion,
+                     fifo_matching, per_path_cost_compare, queue_fifo_matching,
+                     random_rematch)
 from test_experiments import (_FIXTURE_PAIRS, _patched, make_cfg, measure_pairs,
                               run_every_experiment)
 
@@ -100,20 +100,24 @@ def test_event_ledger_refuses_steps_outside_its_range(delta_pair):
 
 
 def test_event_ledger_matches_like_the_dense_one():
+    # A cohort's event ledger gives each path the stable pairs and slots of
+    # its dense ledger.
     pair = _MULTI_SLOT
     cfg = make_cfg(pair, "cost_compare", seed=3, replicas=30, hf=64,
                    max_horizon=1 << 12)
     seen = 0
-    for rep in range(30):
-        got, want = first_excursion(cfg, rep), dense_first_excursion(cfg, rep)
+    for rep, got in enumerate(cohort_excursions(cfg)):
+        want = dense_first_excursion(cfg, rep)
         assert (got is None) == (want is None)
         if got is None:
             continue
         seen += 1
-        (led, exc), (dense, want_exc) = got, want
-        assert exc == want_exc
-        assert match_slots(led, 0, exc.right) == match_slots(dense, 0, exc.right)
-        assert extract_slots(led, exc) == extract_slots(dense, exc)
+        dense, want_exc = want
+        assert got.t_star == want_exc.right
+        on = got.cohort.slot_path == got.k
+        stable = list(zip(*(x[on].tolist() for x in got.cohort.stable())))
+        assert stable == match_slots(dense, 0, want_exc.right)
+        assert got.slots == tuple(extract_slots(dense, want_exc))
     assert seen > 10
 
 
@@ -190,8 +194,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def _used_cohorts(cfg, size):
-    """Per cohort of ``size`` replicas, the (ledger, exc) of its used paths."""
-    got = [first_excursion(cfg, rep) for rep in range(cfg.replicas)]
+    """Per cohort of ``size`` replicas with a used path, the dense (ledger,
+    exc) of its used paths."""
+    got = [dense_first_excursion(cfg, rep) for rep in range(cfg.replicas)]
     cohorts = [list(filter(None, got[i:i + size]))
                for i in range(0, len(got), size)]
     return [c for c in cohorts if c]
@@ -232,7 +237,7 @@ def test_compare_builds_the_slots_once_per_cohort(monkeypatch,
     # FIFO and the checks read the cohort's one slot list; no per-path
     # slot list is extracted.
     monkeypatch.setattr(experiments, "_COHORT", 7)
-    slots = _count_calls(monkeypatch, experiments, "extract_slots")
+    slots = _count_calls(monkeypatch, comparators, "extract_slots")
     built = _count_calls(monkeypatch, experiments, "Cohort")
     cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=20,
                    hf=1 << 12, max_horizon=1 << 15)
@@ -245,14 +250,34 @@ def test_compare_builds_the_slots_once_per_cohort(monkeypatch,
 
 def test_excursion_cost_builds_its_points_from_the_slots(monkeypatch,
                                                          symmetric_pair):
-    slots = _count_calls(monkeypatch, experiments, "extract_slots")
+    # One Cohort per engine cohort with a used path and no kernel call; each
+    # used excursion of at most slot_cap mu-slots (a cap some excursion
+    # meets) gets a window of its dense ledger's slots as steps times
+    # dt = 4/49 (dx = 2/7) over 49, the a-points descending.
+    monkeypatch.setattr(experiments, "_COHORT", 7)
+    slots = _count_calls(monkeypatch, comparators, "extract_slots")
     kernels = [_count_calls(monkeypatch, module, "match_slots")
                for module in (experiments, comparators, embedding)]
-    cfg = make_cfg(symmetric_pair, "excursion_cost", seed=13, replicas=20,
-                   hf=64, max_horizon=1 << 12)
-    used = run_excursion_cost(cfg, matrices_per_excursion=1).data["excursions_used"]
-    assert len(slots) == used > 0
-    assert not any(kernels)
+    real = experiments.PointConfig
+    for pair in (symmetric_pair, _MULTI_SLOT):
+        built = _count_calls(monkeypatch, experiments, "Cohort")
+        windows = []
+        monkeypatch.setattr(experiments, "PointConfig", lambda *args, **kw: (
+            windows.append(args) or real(*args, **kw)))
+        cfg = _compare_cfg(pair, 13, 20, 64, 1 << 12, Fraction(2, 7))
+        cohorts = _used_cohorts(cfg, 7)
+        counts = sorted(exc.mass * led.q for c in cohorts for led, exc in c)
+        cap = counts[len(counts) // 2]
+        used = run_excursion_cost(cfg, matrices_per_excursion=1, slot_cap=cap
+                                  ).data["excursions_used"]
+        assert [len(visits) for visits, _ in built] == [len(c) for c in cohorts]
+        want = [extract_slots(led, exc) for c in cohorts for led, exc in c
+                if exc.mass * led.q <= cap]
+        assert len(windows) == len(want) == used > 0 and counts[-1] > cap
+        for window, (sources, targets) in zip(windows, want):
+            assert window == (tuple(4 * s for s in reversed(sources)),
+                              tuple(4 * t for t in targets), 49)
+    assert not any(kernels) and slots == []
 
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS + (_MULTI_SLOT,)),
@@ -265,7 +290,7 @@ def test_fifo_matching_equals_the_queue_oracle(pair, seed, replicas):
     # k-th source: the queue oracle's matching, excursion by excursion.
     cfg = make_cfg(pair, "cost_compare", seed=seed, replicas=replicas, hf=16,
                    max_horizon=1 << 10)
-    items = list(filter(None, (first_excursion(cfg, rep)
+    items = list(filter(None, (dense_first_excursion(cfg, rep)
                                for rep in range(replicas))))
     if not items:
         return
@@ -294,12 +319,14 @@ def _outcome(run, cfg):
     return rep.to_json(), json.dumps(rep.tables)
 
 
+# A config takes each comparator kind and gauge label once.
 _COMPARATOR_LISTS = st.lists(
     st.builds(Comparator, st.sampled_from(COMPARATOR_KINDS),
-              st.integers(0, 9), st.integers(0, 12)), min_size=1, max_size=4)
+              st.integers(0, 9), st.integers(0, 12)), min_size=1, max_size=4,
+    unique_by=lambda c: c.kind)
 _GAUGE_SETS = st.lists(st.sampled_from(
     (power(Fraction(1, 2)), power(1), log1p(), capped(3), rational())),
-    min_size=1, max_size=4).map(tuple)
+    min_size=1, max_size=4, unique_by=lambda g: g.label).map(tuple)
 
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS + (_MULTI_SLOT,)),
@@ -363,6 +390,11 @@ _EDGE_CONFIGS = {
 def test_batched_compare_edge_configs(name, cohort, symmetric_pair):
     pair, kw = _EDGE_CONFIGS[name]
     kw = {"hf": 16, "hmax": 1 << 10, **kw}
+    if name == "two-random-seeds":
+        # Refused: both would pool their samples in one row.
+        with pytest.raises(ConfigError, match="comparator kinds"):
+            _compare_cfg(pair or symmetric_pair, 5, 60, **kw)
+        return
     cfg = _compare_cfg(pair or symmetric_pair, 5, 60, **kw)
     with _patched("_COHORT", cohort):
         got = _outcome(run_cost_compare, cfg)
@@ -489,3 +521,14 @@ _GOLDEN_SLOTS = {
 @pytest.mark.parametrize("name", sorted(_GOLDEN_SLOTS))
 def test_report_bytes_are_pinned_off_the_unit_grid(tmp_path, name):
     _assert_pinned(tmp_path, *_GOLDEN_SLOTS[name])
+
+
+@pytest.mark.parametrize("cohort", [1, 7, 256])
+@pytest.mark.parametrize("name", ["excursion-cost", "excursion-cost-dx-2/7",
+                                  "excursion-cost-multi-slot-dx-1/3"])
+def test_excursion_cost_pins_hold_at_any_cohort_size(tmp_path, name, cohort):
+    # excursion-cost cuts each engine cohort's slots per path; its bytes do
+    # not depend on the cohort size.
+    pinned = _GOLDEN_SLOTS.get(name) or ("excursion-cost", *_GOLDEN[name])
+    with _patched("_COHORT", cohort):
+        _assert_pinned(tmp_path, *pinned)

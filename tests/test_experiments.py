@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from contextlib import nullcontext
 from fractions import Fraction
@@ -5,12 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (doubling_first_excursion, first_excursion, pm64_near,
+from helpers import (cohort_excursions, doubling_first_excursion, pm64_near,
                      step_first_hit)
 from shiftlab import experiments, walk
+from shiftlab.comparators import extract_slots
 from shiftlab.embedding import compute_t_star
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.experiments import (DEFAULT_THRESHOLDS, ExperimentConfig,
@@ -118,38 +120,43 @@ def test_engine_matches_step_oracle_across_chunk_caps(monkeypatch, delta_pair,
 def test_first_excursion_slot_cap_keeps_the_mass_filter(symmetric_pair):
     cfg = make_cfg(symmetric_pair, "excursion_cost", seed=13, replicas=60,
                    hf=64, max_horizon=1 << 12)
-    for rep in range(60):
-        full = first_excursion(cfg, rep)
-        capped = first_excursion(cfg, rep, slot_cap=6)
-        if full is None or full[1].mass * full[0].q > 6:
+    fulls, cappeds = cohort_excursions(cfg), cohort_excursions(cfg, slot_cap=6)
+    assert len(fulls) == len(cappeds) == 60
+    for full, capped in zip(fulls, cappeds):
+        if full is None or len(full.slots[0]) > 6:
             assert capped is None
         else:
-            assert capped[1] == full[1]
+            assert (capped.t_star, capped.slots) == (full.t_star, full.slots)
 
 
-def test_first_excursion_builds_one_ledger_per_path(monkeypatch,
-                                                    symmetric_pair):
-    # One event ledger per used path, from the engine's atom visits; no
-    # WalkPath and no dense ledger is built, however it would be reached,
-    # by these runners or any other.
+def test_first_excursions_build_one_cohort_per_engine_cohort(monkeypatch,
+                                                             symmetric_pair):
+    # compare and excursion-cost build one Cohort per engine cohort with a
+    # used path, holding each used path once, from the engine's atom
+    # visits; no WalkPath and no dense ledger is built, however it would
+    # be reached, by these runners or any other.
     built, dense = [], []
-    real = experiments.EventLedger
-    monkeypatch.setattr(experiments, "EventLedger",
-                        lambda steps, sites, pair, *rest: built.append(
-                            int(steps[-1])) or real(steps, sites, pair, *rest))
+    real = experiments.Cohort
+    monkeypatch.setattr(experiments, "Cohort", lambda visits, pair: built.append(
+        [int(steps[-1]) for steps, _ in visits]) or real(visits, pair))
     for owner, attr in ((experiments, "sample_walk"),
                         (experiments, "build_ledger"),
                         (walk, "build_ledger"),
                         (walk.WalkPath, "__init__")):
         monkeypatch.setattr(owner, attr,
                             lambda *args, attr=attr, **kw: dense.append(attr))
+    monkeypatch.setattr(experiments, "_COHORT", 7)
     cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=40,
                    hf=16, max_horizon=1 << 14)
-    got = [first_excursion(cfg, rep) for rep in range(40)]
-    used = [exc.right for _, exc in filter(None, got)]
-    assert built == used and len(used) > 20
-    assert run_cost_compare(cfg).data["paths_used"] == len(used)
+    got = cohort_excursions(cfg)
+    used = [[p.t_star for p in got[i:i + 7] if p] for i in range(0, 40, 7)]
+    used = [c for c in used if c]
+    built.clear()
+    assert run_cost_compare(cfg).data["paths_used"] == sum(map(len, used)) > 20
+    assert built == used and len(used) == 6
+    built.clear()
     assert run_excursion_cost(cfg, matrices_per_excursion=1).data["checks"] > 0
+    assert built == used
     run_every_experiment(symmetric_pair)
     assert dense == []
 
@@ -569,16 +576,19 @@ def test_compare_memory_tripwire(symmetric_pair):
     assert peak <= 6 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
-@given(st.one_of(st.sampled_from(_FIXTURE_PAIRS), measure_pairs()),
+@given(st.one_of(st.sampled_from(_FIXTURE_PAIRS), measure_pairs()).filter(
+           lambda p: p.orthogonal and p.exact_mode_ok),
        st.integers(0, 10**6), st.integers(0, 30),
        st.sampled_from((1, 64, 1000)), st.sampled_from((777, 4096)),
        st.sampled_from((None, 6)))
 @settings(max_examples=150, deadline=None)
 def test_first_excursion_matches_doubling_oracle(pair, seed, rep, hf, hmax,
                                                  slot_cap):
-    assume(pair.exact_mode_ok and pair.rho > 0)
-    cfg = make_cfg(pair, "cost_compare", seed=seed, hf=hf, max_horizon=hmax)
-    got = first_excursion(cfg, rep, slot_cap=slot_cap)
+    # Orthogonal pairs, as excursion-cost requires: there T* is a nu-visit,
+    # so the mu-slots on [0, T*] are the mass of [0, T*) that the oracle caps.
+    cfg = make_cfg(pair, "cost_compare", seed=seed, replicas=rep + 1, hf=hf,
+                   max_horizon=hmax)
+    got = cohort_excursions(cfg, slot_cap=slot_cap)[rep]
     want = doubling_first_excursion(cfg, rep, slot_cap=slot_cap)
     if want is not None and want[1].right > hmax:
         # horizon_fwd > max_horizon: the oracle stops at horizon_fwd, the
@@ -588,10 +598,12 @@ def test_first_excursion_matches_doubling_oracle(pair, seed, rep, hf, hmax,
     assert (got is None) == (want is None)
     if got is None:
         return
-    (led, exc), (want_led, want_exc) = got, want
-    assert exc == want_exc and led.q == want_led.q
-    # The event ledger holds [0, T*] = [0, exc.right].
-    for x, y in zip(led.events(0, exc.right), want_led.events(0, exc.right)):
+    want_led, want_exc = want
+    assert got.t_star == want_exc.right and got.cohort.q == want_led.q
+    assert len(got.slots[0]) == want_exc.mass * want_led.q
+    assert got.slots == tuple(extract_slots(want_led, want_exc))
+    # The cohort holds the path's atom visits on [0, T*] = [0, exc.right].
+    for x, y in zip(got.events(), want_led.events(0, want_exc.right)):
         np.testing.assert_array_equal(x, y)
 
 
@@ -601,7 +613,7 @@ def test_first_excursion_caps_at_max_horizon(symmetric_pair):
     cfg = make_cfg(symmetric_pair, "cost_compare", seed=1, hf=1000,
                    max_horizon=777)
     assert doubling_first_excursion(cfg, 6)[1].right == 957
-    assert first_excursion(cfg, 6) is None
+    assert cohort_excursions(cfg)[6] is None
 
 
 def test_config_rejects_unknown_mode_and_policy(symmetric_pair):
@@ -621,6 +633,24 @@ def test_config_rejects_unknown_threshold_keys(symmetric_pair):
     for key in ("sigm", "ks_alpha"):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(dict(obj, thresholds={key: 0.1}))
+
+
+def test_config_bounds_the_thresholds(symmetric_pair):
+    # Out of range, a threshold decides a verdict whatever the data: an
+    # infinite margin_tol passes every margin.  The bounds themselves load.
+    bad = (("sigma", math.nan), ("sigma", -1.0), ("sigma", 0.0),
+           ("sigma", math.inf), ("censor_flag", -0.5), ("censor_flag", 1.5),
+           ("censor_flag", math.nan), ("margin_tol", math.inf),
+           ("margin_tol", 2e-6), ("margin_tol", -1e-12), ("margin_tol", math.nan))
+    for key, value in bad:
+        with pytest.raises(ConfigError, match="thresholds"):
+            make_cfg(symmetric_pair, "embed_law",
+                     thresholds={**DEFAULT_THRESHOLDS, key: value})
+    for key, value in (("sigma", 1e-3), ("censor_flag", 0.0),
+                       ("censor_flag", 1.0), ("margin_tol", 0.0),
+                       ("margin_tol", 1e-6)):
+        make_cfg(symmetric_pair, "embed_law",
+                 thresholds={**DEFAULT_THRESHOLDS, key: value})
 
 
 def test_config_caps_max_horizon_but_not_unbiased_lags(symmetric_pair):
