@@ -26,6 +26,7 @@ from .rng import BitStream
 from .walk import EventLedger
 
 COMPARATOR_KINDS = ("stable", "fifo_rematch", "random_feasible_rematch")
+_SWAP_WORDS = 1 << 14         # swap words the random rematch holds at once
 
 
 @dataclass(frozen=True)
@@ -53,89 +54,86 @@ def extract_slots(ledger: EventLedger, exc: Excursion) -> tuple[list[int], list[
 
 
 class Cohort:
-    """Excursions [0, T*] from their (steps, sites) of atom visits, as one
-    event sequence keyed by event index: each balances at its T*, so their
-    kernel's stack empties at every boundary.  ``counts`` holds each one's
-    pairs in every matching, ``slots`` all (source, target) slot steps."""
+    """Excursions [0, T*] as one event sequence keyed by event index, from
+    their atom visits laid end to end: each visit's excursion (0, 1, ...),
+    step and site.  Each balances at its T*, so their kernel's stack empties
+    at every boundary.  ``counts`` holds each one's pairs in every matching."""
 
-    def __init__(self, visits, pair: MeasurePair):
-        steps, sites = (np.concatenate(a) for a in zip(*visits))
-        self.steps, self.q = steps, pair.denominator
-        self.t_star = [int(s[-1]) for s, _ in visits]
+    def __init__(self, path, steps, sites, pair: MeasurePair):
+        self.path, self.steps, self.q = path, steps, pair.denominator
+        self.t_star = steps[np.flatnonzero(np.diff(path, append=path[-1] + 1))]
         self.events = EventLedger(np.arange(len(steps)), sites, pair)
-        ids = np.arange(len(visits))
-        self.path = np.repeat(ids, [len(s) for s, _ in visits])
         wmu, wnu = self.events.wmu, self.events.wnu
-        self.counts = np.bincount(self.path, wmu, len(visits)).astype(np.int64)
+        self.counts = np.bincount(path, wmu, len(self.t_star)).astype(np.int64)
         self.mass = self.counts / self.q           # float(Fraction(count, q))
-        self.slot_path = np.repeat(ids, self.counts)
+        self.slot_path = np.repeat(np.arange(len(self.t_star)), self.counts)
         self.slots = np.repeat(steps, wmu), np.repeat(steps, wnu)
 
     def stable(self) -> Pairs:
         """Every excursion's sorted stable pairs, from one kernel call."""
-        src, tgt = np.array(match_slots(self.events, 0, len(self.steps) - 1),
-                            dtype=np.int64).reshape(-1, 2).T
-        if len(src) != len(self.slot_path) or (self.path[src] != self.path[tgt]).any():
+        pairs = match_slots(self.events, 0, len(self.steps) - 1)
+        tgt = np.fromiter((t for _, t in pairs), np.int64, len(pairs))
+        if len(tgt) != len(self.slot_path) or (self.path[tgt] != self.slot_path).any():
             raise InvariantError("the stable matching leaves slots open at T*")
-        return self.steps[src], self.steps[tgt]
-
-
-def random_rematch(pairs: list, t_star: int, seed: int, n_swaps: int = 8) -> list:
-    """Random forward-preserving transpositions of one excursion's pairs, in
-    place; swap k reads words 2k and 2k + 1 of stream (seed, 0x5EAC, 0, T*)."""
-    n = len(pairs)
-    if n < 2:
-        return pairs
-    stream = BitStream(seed, 0x5EAC, 0, t_star)
-    words = stream.take_words(2 * n_swaps).tolist()
-    stream.release()
-    for wi, wj in zip(words[::2], words[1::2]):
-        i, j = (wi * n) >> 64, (wj * n) >> 64
-        (s1, t1), (s2, t2) = pairs[i], pairs[j]
-        if t2 > s1 and t1 > s2:   # swap keeps both pairs forward-looking
-            pairs[i], pairs[j] = (s1, t2), (s2, t1)
-    pairs.sort()
-    return pairs
+        return self.slots[0], self.steps[tgt]   # all matched: sources sorted
 
 
 def apply_comparator(comp: Comparator, cohort: Cohort, stable: Pairs) -> Pairs:
-    """The comparator's matching of the cohort's slots."""
+    """The comparator's matching of the cohort's slots.  Swap k of the
+    random rematch of an excursion of n >= 2 stable pairs swaps the targets
+    of pairs floor(w n / 2^64), for words w = 2k and 2k + 1 of stream (seed,
+    0x5EAC, 0, T*), if both stay forward-looking; all excursions at once."""
     if comp.kind == "stable":
         return stable
     if comp.kind == "fifo_rematch":
         # C stays above its base before T*: the k-th target takes the k-th source.
         return cohort.slots
-    src, tgt = stable[0].tolist(), stable[1].tolist()
-    ends = np.cumsum(cohort.counts).tolist()
-    out = []
-    for t_star, a, b in zip(cohort.t_star, [0] + ends, ends):
-        out += random_rematch(list(zip(src[a:b], tgt[a:b])), t_star,
-                              comp.seed, comp.n_swaps)
-    return tuple(np.array(out, dtype=np.int64).reshape(-1, 2).T)
+    src, tgt, n_swaps = stable[0], stable[1].copy(), comp.n_swaps
+    on = np.flatnonzero(cohort.counts >= 2)
+    base = (np.cumsum(cohort.counts) - cohort.counts)[on, None]
+    n = cohort.counts[on, None].astype(np.uint64)
+    streams = [BitStream(comp.seed, 0x5EAC, 0, t) for t in cohort.t_star[on].tolist()]
+    per = max(1, _SWAP_WORDS // (2 * len(on) or 1))       # rounds per block
+    for k in range(0, n_swaps if streams else 0, per):
+        words = np.stack([s.take_words(2 * min(per, n_swaps - k)) for s in streams])
+        if k + per >= n_swaps:             # the last block: free the generators
+            for s in streams:
+                s.release()
+        # floor(w n / 2^64) exactly in uint64, from w's 32-bit halves.
+        idx = ((words >> 32) * n + ((words & 0xFFFFFFFF) * n >> 32)) >> 32
+        idx = idx.astype(np.int64) + base
+        for i, j in zip(idx[:, 0::2].T, idx[:, 1::2].T):
+            t1, t2 = tgt[i], tgt[j]
+            ok = (t2 > src[i]) & (t1 > src[j])
+            tgt[i[ok]], tgt[j[ok]] = t2[ok], t1[ok]
+    order = np.lexsort((tgt, src, cohort.slot_path))
+    return src[order], tgt[order]
 
 
 def matching_cost(matchings: list[Pairs], counts: np.ndarray,
                   gauges: tuple[Gauge, ...], dt, unit_mass) -> np.ndarray:
     """Sums of unit_mass * psi((t - s) * dt), shape (matching, gauge, path).
 
-    Path k holds the next counts[k] pairs of each matching.  psi is
-    evaluated once per distinct gap, and a loop over pair position, on
-    paths sorted by length, adds each path's terms in pair order: the IEEE
-    adds of a running total (np.sum, reduceat and fsum round differently).
+    Path k holds the next counts[k] pairs of each matching; psi is evaluated
+    once per distinct gap.  Per band of equal floor(log2 count), a cumsum
+    along rows padded to the longest adds each path's terms in order, as a
+    running total does (np.sum, reduceat and fsum round differently).
     """
     u, d = float(unit_mass), float(dt)
     uniq, inv = np.unique(np.stack([t - s for s, t in matchings]),
                           return_inverse=True)
     term = np.array([[u * eval_gauge(g, gap * d) for gap in uniq.tolist()]
                      for g in gauges])
-    vals = term[:, inv.reshape(len(matchings), -1)]   # (gauge, matching, pair)
-    order = np.argsort(-counts, kind="stable")
-    lens, starts = counts[order], (np.cumsum(counts) - counts)[order]
+    inv = inv.reshape(len(matchings), -1)
     total = np.zeros((len(gauges), len(matchings), len(counts)))
-    width = np.arange(lens.max(initial=0))
-    for j, n in enumerate(np.searchsorted(-lens, -width).tolist()):
-        total[..., :n] += vals[..., starts[:n] + j]
-    return total[..., np.argsort(order)].swapaxes(0, 1)
+    starts, band = np.cumsum(counts) - counts, np.frexp(counts)[1]
+    for b in set(band[counts > 0].tolist()):   # 1-D np.unique loads numpy.ma
+        paths = np.flatnonzero(band == b)
+        last = counts[paths] - 1
+        cols = np.minimum(np.arange(last.max() + 1), last[:, None])
+        run = np.cumsum(term[:, inv[:, starts[paths, None] + cols]], axis=-1)
+        total[..., paths] = run[..., np.arange(len(paths)), last]
+    return total.swapaxes(0, 1)
 
 
 def check_matching(cohort: Cohort, pairs: Pairs) -> None:

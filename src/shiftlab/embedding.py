@@ -140,12 +140,6 @@ def mu_charged_steps(ledger: EventLedger, left: int, right: int) -> np.ndarray:
     return steps[(wmu > 0) & (steps < right)]
 
 
-def excursion_mass(ledger: EventLedger, left: int, right: int) -> Fraction:
-    """mu-mass of visits at steps in [left, right)."""
-    steps, wmu, _ = ledger.events(left, right)
-    return Fraction(int(wmu[steps < right].sum()), ledger.q)
-
-
 def parenthesis_match(keys, opens, closes) -> tuple[list, list]:
     """The balancing kernel: LIFO (parenthesis) matching of unit slots.
 
@@ -156,10 +150,17 @@ def parenthesis_match(keys, opens, closes) -> tuple[list, list]:
     keys of the slots still open, oldest first.
     """
     pairs, stack = [], []
+    pop, pair, push = stack.pop, pairs.append, stack.append
     for key, n_open, n_close in zip(keys, opens, closes):
-        for _ in range(min(n_close, len(stack))):
-            pairs.append((stack.pop(), key))
-        stack.extend([key] * n_open)
+        if n_close == 1 and stack:         # the common events: one slot
+            pair((pop(), key))
+        elif n_close > 1:
+            for _ in range(min(n_close, len(stack))):
+                pair((pop(), key))
+        if n_open == 1:
+            push(key)
+        elif n_open:
+            stack.extend([key] * n_open)
     return pairs, stack
 
 

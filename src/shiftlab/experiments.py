@@ -253,8 +253,8 @@ class FirstHitEngine:
         The horizon doubles from h0 up to hmax.  ``horizon`` is the end of
         the block holding T*, or the last block's end when the replica is
         censored at hmax.  With ``events`` the dict also holds "events": the
-        (steps, sites) arrays of the atom visits on [0, T*], step 0
-        included, or None when censored.
+        (steps, sites) of the atom visits on [0, T*], step 0 included, as
+        views of its cohort's arrays, or None when censored.
         """
         return next(self.run_replicas([replica], h0, hmax, events))
 
@@ -264,11 +264,19 @@ class FirstHitEngine:
         if h0 < 1 <= hmax:
             raise ConfigError(f"horizon doubling needs h0 >= 1, got {h0}")
         for i in range(0, len(replicas), _COHORT):
-            yield from self._cohort(replicas[i:i + _COHORT], h0, hmax, events)
+            outs, visits = self._cohort(replicas[i:i + _COHORT], h0, hmax, events)
+            if events:                     # each row's visits, as views
+                rows, steps, sites = visits
+                ends = np.searchsorted(rows, np.arange(len(outs)), "right").tolist()
+                for o, a, b in zip(outs, [0] + ends, ends):
+                    o["events"] = None if o["censored"] else (steps[a:b], sites[a:b])
+            yield from outs
 
     def _cohort(self, reps, h0, hmax, events):
-        """run_replica's dicts for the replicas ``reps``, scanned together."""
-        outs, streams, visits = [], [], []
+        """run_replica's dicts without "events" for the replicas ``reps``,
+        scanned together, and the (rows, steps, sites) of their atom visits
+        up to each hit or scan end, by row (None without ``events``)."""
+        outs, streams = [], []
         mu = self.pair.mu
         for rep in reps:
             start = (draw_start(mu, BitStream(self.seed, rep, STREAM_START))
@@ -277,8 +285,9 @@ class FirstHitEngine:
                          "u_flag": draw_u_flag(self.pair, self.seed, rep, start)})
             # The generator is claimed at the first read and released at the hit.
             streams.append(BitStream(self.seed, rep, STREAM_FWD))
-            visits.append([([0], [start])])    # step 0: the start, a mu-atom
         pos = np.array([o["site"] for o in outs], dtype=np.int64)
+        # (rows, steps, sites) per scan call; step 0 is the start, a mu-atom.
+        visits = [(np.arange(len(outs)), np.zeros(len(outs), np.int64), pos.copy())]
         c = np.array([self.wdiff.get(p, 0) for p in pos.tolist()])  # C(0)
         live = [r for r, o in enumerate(outs) if o["u_flag"]]   # no hit yet
         found = {}                         # row -> (T*, site), block pending
@@ -292,9 +301,10 @@ class FirstHitEngine:
                 for g in range(0, len(live), per):
                     rows = live[g:g + per]
                     words = np.stack([streams[r].take_words(n) for r in rows])
-                    pos[rows], c[rows], hits = self._scan(
-                        words, pos[rows], c[rows], scanned,
-                        [visits[r] for r in rows] if events else None)
+                    pos[rows], c[rows], hits, seen = self._scan(
+                        words, pos[rows], c[rows], scanned, events)
+                    if events:
+                        visits.append((np.array(rows)[seen[0]], *seen[1:]))
                     for i, t, site in zip(*hits):
                         found[rows[i]] = (t, site)
                         streams[rows[i]].release()
@@ -309,22 +319,22 @@ class FirstHitEngine:
         for r in live + list(found):
             outs[r].update(t_star=None, site=None, censored=True, horizon=horizon)
             streams[r].release()
-        if events:
-            for o, v in zip(outs, visits):
-                o["events"] = None if o["censored"] else tuple(
-                    map(np.concatenate, zip(*v)))
-        return outs
+        if not events:
+            return outs, None
+        # Each row's visits of later calls lie later: a stable sort by row.
+        rows, steps, sites = (np.concatenate(a) for a in zip(*visits))
+        order = np.argsort(rows, kind="stable")
+        return outs, (rows[order], steps[order], sites[order])
 
     def _scan(self, words: np.ndarray, pos: np.ndarray, c: np.ndarray,
-              offset: int, visits: list | None):
+              offset: int, events: bool):
         """First balances in the rows of ``words``, each walked from its
         (pos, c).
 
-        Returns (end positions, end Cs, (rows, steps, sites)): the rows
-        that balance, each with its first balance's step, counted from
-        ``offset`` + 1, and site.  When ``visits`` holds a list per row,
-        appends to it the (steps, sites) of the row's atom visits up to its
-        balance.
+        Returns (end positions, end Cs, (rows, steps, sites), visits): the
+        rows that balance, each with its first balance's step, counted from
+        ``offset`` + 1, and site; with ``events``, the (rows, steps, sites)
+        of the atom visits up to each balance, else None.
         """
         pos_end, sites, rows, steps = self._near(words, pos)
         seg = np.searchsorted(rows, np.arange(len(words) + 1))  # row starts
@@ -332,17 +342,15 @@ class FirstHitEngine:
         c_arr = cum[1:] + np.repeat(c - cum[seg[:-1]], np.diff(seg))
         hits = np.flatnonzero(balanced(c_arr, 0, self.mode))
         hits = hits[np.diff(rows[hits], prepend=-1) != 0]      # first per row
-        if visits is not None:
+        seen = None
+        if events:
             cut = seg[1:].copy()
             cut[rows[hits]] = hits + 1
             k = np.flatnonzero(self._atom[sites - (self._lo - 8)]
                                & (np.arange(sites.size) < cut[rows]))
-            ends = np.searchsorted(rows[k], np.arange(1, len(words)))
-            for v, s, x in zip(visits, np.split(steps[k] + (offset + 1), ends),
-                               np.split(sites[k], ends)):
-                v.append((s, x))
+            seen = rows[k], steps[k] + (offset + 1), sites[k]
         found = rows[hits], steps[hits] + (offset + 1), sites[hits]
-        return pos_end, c + np.diff(cum[seg]), [x.tolist() for x in found]
+        return pos_end, c + np.diff(cum[seg]), [x.tolist() for x in found], seen
 
     def _near(self, words: np.ndarray, pos: np.ndarray):
         """The sites of the rows of ``words``, each walked from its ``pos``,
@@ -537,25 +545,31 @@ def run_unbiased_test(cfg: ExperimentConfig) -> StatReport:
 
 
 def _engine_cohorts(cfg: ExperimentConfig):
-    """(replica ids, their lazy outputs of ``_t_star_finder(cfg, events=True)``)
-    per engine cohort.  The engine scans a cohort as its outputs are read, so
-    a consumer that reads them in a call of its own frees them before the next."""
-    find, reps = _t_star_finder(cfg, events=True), range(cfg.replicas)
+    """Per engine cohort, a call that scans it under ``_t_star_finder``'s
+    horizon contract: (replica ids, their run_replica dicts, the Cohort of
+    their used paths (T* > 0) or None).  A cohort dies with its caller."""
+    engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
+
+    def scan(reps):
+        outs, (rows, steps, sites) = engine._cohort(
+            reps, cfg.walk.horizon_fwd, cfg.max_horizon, True)
+        used = np.array([bool(out["t_star"]) for out in outs])
+        on, path = used[rows], np.cumsum(used) - 1     # used rows renumbered
+        return reps, outs, (Cohort(path[rows[on]], steps[on], sites[on], cfg.pair)
+                            if used.any() else None)
+
     for i in range(0, cfg.replicas, _COHORT):
-        yield reps[i:i + _COHORT], find(reps[i:i + _COHORT])
+        yield lambda reps=range(cfg.replicas)[i:i + _COHORT]: scan(reps)
 
 
-def _score_cohort(cfg: ExperimentConfig, outs, keys: list, per: dict,
+def _score_cohort(cfg: ExperimentConfig, scan, keys: list, per: dict,
                   diffs: dict) -> tuple[int, int]:
-    """(skipped, violations) of one engine cohort, whose outputs of
-    ``_t_star_finder(cfg, events=True)`` ``outs`` yields; appends each used
-    path's psi and paired differences per key to ``per`` and ``diffs``.
-    A call of its own, so the cohort's arrays die before the next scan."""
-    outs = list(outs)
-    visits = [out["events"] for out in outs if out["t_star"]]  # T* > 0
-    if not visits:
+    """(skipped, violations) of the engine cohort ``scan`` reads, in a call
+    of its own; appends each used path's psi and paired differences per
+    key to ``per`` and ``diffs``."""
+    _, outs, cohort = scan()
+    if cohort is None:
         return len(outs), 0
-    cohort = Cohort(visits, cfg.pair)
     stable = cohort.stable()
     matchings = [apply_comparator(comp, cohort, stable) for comp in cfg.comparators]
     for pairs in matchings:
@@ -574,7 +588,7 @@ def _score_cohort(cfg: ExperimentConfig, outs, keys: list, per: dict,
     for key, p, d in zip(keys, psi, diff):
         per.setdefault(key, []).append(p)
         diffs.setdefault(key, []).append(d)
-    return len(outs) - len(visits), violations
+    return len(outs) - len(cohort.counts), violations
 
 
 def run_cost_compare(cfg: ExperimentConfig) -> StatReport:
@@ -584,8 +598,7 @@ def run_cost_compare(cfg: ExperimentConfig) -> StatReport:
     kinds = [comp.kind for comp in cfg.comparators]
     keys = [(kind, g.label) for kind in kinds for g in cfg.gauges]
     skipped, violations = map(sum, zip(*(
-        _score_cohort(cfg, outs, keys, per, diffs)
-        for _, outs in _engine_cohorts(cfg))))
+        _score_cohort(cfg, scan, keys, per, diffs) for scan in _engine_cohorts(cfg))))
     rows = []
     for (kind, glabel), vals in sorted(per.items()):
         mean, se = _mean_se(np.concatenate(vals))
@@ -613,16 +626,16 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
     used = 0                               # excursions checked at equality
     rows = []
     dt = cfg.walk.dt
-    for reps, outs in _engine_cohorts(cfg):
-        paths = [(rep, out["events"]) for rep, out in zip(reps, outs) if out["t_star"]]
-        if not paths:                      # censored or T* = 0
+    for scan in _engine_cohorts(cfg):
+        reps, outs, cohort = scan()
+        if cohort is None:                 # censored or T* = 0
             continue
         # Each excursion balances at its T*, so its slots, [a, b) of the
         # cohort's, are exactly the stable matching's.  Step s is the point
         # s * dt, an integer numerator over dt's denominator.
-        cohort = Cohort([visits for _, visits in paths], cfg.pair)
+        paths = [rep for rep, out in zip(reps, outs) if out["t_star"]]
         ends = np.cumsum(cohort.counts).tolist()
-        for (rep, _), a, b in zip(paths, [0] + ends, ends):
+        for rep, a, b in zip(paths, [0] + ends, ends):
             if b - a > slot_cap:
                 continue
             sources, targets = (x[a:b].tolist() for x in cohort.slots)
@@ -789,23 +802,27 @@ def run_tail(cfg: ExperimentConfig, n_boot: int = 100,
     while t < hmax_phys:
         grid.append(t)
         t *= 2.0
-    surv = [(g, float(np.mean(t_phys > g))) for g in grid]
+    band = np.searchsorted(grid, t_phys, "left")   # grid points below each
 
-    def fit_slope(tp: np.ndarray) -> float | None:
-        pts = [(g, float(np.mean(tp > g))) for g in grid]
-        dec = [(g, s) for g, s in pts if hmax_phys / 16.0 <= g < hmax_phys and s > 0]
+    def survival(b: np.ndarray) -> list[tuple[float, float]]:
+        # Share above g_j: n - #{band <= j} over n, as np.mean(tp > g_j) gives.
+        above = len(b) - np.cumsum(np.bincount(b, minlength=len(grid) + 1))
+        return list(zip(grid, (above[:len(grid)] / len(b)).tolist()))
+
+    def fit_slope(b: np.ndarray) -> float | None:
+        dec = [(g, s) for g, s in survival(b) if hmax_phys / 16.0 <= g < hmax_phys and s > 0]
         if len(dec) < 3:
             return None
         lg = np.log([g for g, _ in dec])
         ls = np.log([s for _, s in dec])
         return float(-np.polyfit(lg, ls, 1)[0])
 
-    alpha_hat = fit_slope(t_phys)
+    alpha_hat = fit_slope(band)
     boot_rng = np.random.Generator(np.random.Philox(key=[cfg.walk.seed, 0xB007]))
     boots = []
     for _ in range(n_boot):
         idx = boot_rng.integers(0, cfg.replicas, cfg.replicas)
-        b = fit_slope(t_phys[idx])
+        b = fit_slope(band[idx])
         if b is not None:
             boots.append(b)
     ci = (float(np.percentile(boots, 2.5)), float(np.percentile(boots, 97.5))) \
@@ -839,5 +856,5 @@ def run_tail(cfg: ExperimentConfig, n_boot: int = 100,
         "tenth_rel_change": tenth_change,
         "seed": cfg.walk.seed,
     }
-    table = [{"t": g, "survival": s} for g, s in surv]
+    table = [{"t": g, "survival": s} for g, s in survival(band)]
     return StatReport("tail", cfg.digest(), data, {"survival": table})

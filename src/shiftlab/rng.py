@@ -122,8 +122,11 @@ class BitStream:
             self._bg.advance((n - rest) // 4)
         self._bg.random_raw((n - rest) % 4)
 
-    def uniform_index(self, n: int) -> int:
-        """floor(u * n) for one uniform u = word / 2^64 on [0, 1), exactly."""
+    def uniform_index(self, n: int, count: int | None = None):
+        """floor(u * n) for one uniform u = word / 2^64 on [0, 1), exactly;
+        with ``count``, a list of the next ``count`` of them."""
         if self._kind != "uniforms":
             self._claim("uniforms")
-        return (int(self._bg.random_raw(1)[0]) * n) >> 64
+        if count is None:
+            return (int(self._bg.random_raw(1)[0]) * n) >> 64
+        return [(w * n) >> 64 for w in self._bg.random_raw(count).tolist()]

@@ -308,9 +308,10 @@ def random_interleaved_config(seed: int, n_pairs: int) -> tuple[PointConfig, int
     rng = BitStream(seed, 0xC0F19)
     values: set[int] = set()        # numerators over 4
     while len(values) < 2 * n_pairs:
-        values.add(rng.uniform_index(4 * _VALUE_RANGE))
+        # Each draw adds at most one value: the deficit never over-reads.
+        values.update(rng.uniform_index(4 * _VALUE_RANGE, 2 * n_pairs - len(values)))
     vals = sorted(values)
-    labels = [(v, rng.uniform_index(2)) for v in vals]
+    labels = list(zip(vals, rng.uniform_index(2, len(vals))))
     a_vals = [v for v, t in labels if t == 0]
     b_vals = [v for v, t in labels if t == 1]
     # Guarantee nonempty sides and right-padding so every a matches and the

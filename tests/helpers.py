@@ -2,7 +2,9 @@
 
 ScriptedPath mimics the WalkPath interface but replays a fixed position
 sequence, so ledger and embedding behavior can be checked against hand
-counts.  LocalTimeLedger is the dense ledger (prefix sums over every step)
+counts.  excursion_mass (the mu-mass of a step range) left embedding for
+here, and loop_parenthesis_match is the plain loop of the balancing kernel,
+its oracle.  LocalTimeLedger is the dense ledger (prefix sums over every step)
 that walk.build_ledger's event ledger replaced; compute_tau_star (tau* by
 a per-step scan), decompose_excursions (the sigma/rho level chain and its
 excursion partition), cost_of_tau_star (the kernel's cost of an
@@ -18,7 +20,9 @@ compute_tau_star instead of the kernel; per_path_cost_compare is
 experiments.run_cost_compare one excursion at a time, on the per-path
 matchings, checks and costs (fifo_matching, random_rematch,
 apply_comparator, check_matching, matching_cost) the cohort-level ones
-replaced; cohort_of builds a comparators.Cohort from ledgers of dense
+replaced, random_rematch being the per-excursion swap loop the cohort-wide
+rematch must equal; path_visits lays per-path visits end to end as Cohort
+takes them, and cohort_of builds a comparators.Cohort from ledgers of dense
 paths; queue_fifo_matching is the list-queue reference for fifo_matching;
 bisect_compute_N and scan_find_crossing are the per-point and per-cell
 references for the merged compute_N sweep and the index-list
@@ -45,9 +49,8 @@ import numpy as np
 from shiftlab import experiments
 from shiftlab.comparators import Cohort, extract_slots
 from shiftlab.embedding import (Excursion, _match_ledger, compute_t_star,
-                                draw_u_flag, excursion_mass, first_balance,
-                                match_slots, mu_charged_steps, require_mode,
-                                tau_star_map)
+                                draw_u_flag, first_balance, match_slots,
+                                mu_charged_steps, require_mode, tau_star_map)
 from shiftlab.errors import (ConfigError, HorizonExceededError,
                              InvariantError, TruncationError)
 from shiftlab.gauges import Gauge, eval_gauge
@@ -96,6 +99,23 @@ class ScriptedPath:
 
     def full_positions(self) -> np.ndarray:
         return np.concatenate([self._bwd[:0:-1], self._fwd])
+
+
+def excursion_mass(ledger, left: int, right: int) -> Fraction:
+    """mu-mass of visits at steps in [left, right)."""
+    steps, wmu, _ = ledger.events(left, right)
+    return Fraction(int(wmu[steps < right].sum()), ledger.q)
+
+
+def loop_parenthesis_match(keys, opens, closes) -> tuple[list, list]:
+    """embedding.parenthesis_match as the plain loop: each event's closes
+    pop min(closes, stack) slots, then its opens are pushed."""
+    pairs, stack = [], []
+    for key, n_open, n_close in zip(keys, opens, closes):
+        for _ in range(min(n_close, len(stack))):
+            pairs.append((stack.pop(), key))
+        stack.extend([key] * n_open)
+    return pairs, stack
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +444,10 @@ def cohort_excursions(cfg, slot_cap: int | None = None) -> list:
     slots cut from the cohort's at cumsum(counts), or None when censored,
     T* = 0 or past ``slot_cap`` mu-slots."""
     got = []
-    for _, outs in experiments._engine_cohorts(cfg):
-        outs = list(outs)
-        used = [out["events"] for out in outs if out["t_star"]]
-        cohort = Cohort(used, cfg.pair) if used else None
-        ends = np.cumsum(cohort.counts if used else []).tolist()
-        paths = iter(zip(range(len(used)), [0] + ends, ends))
+    for scan in experiments._engine_cohorts(cfg):
+        _, outs, cohort = scan()
+        ends = np.cumsum(cohort.counts).tolist() if cohort else []
+        paths = iter(zip(range(len(ends)), [0] + ends, ends))
         for out in outs:
             path = next(paths) if out["t_star"] else None
             if path is None or (slot_cap is not None
@@ -556,6 +574,13 @@ def check_matching(slots, pairs) -> None:
             raise InvariantError(f"pair ({s}, {t}) is not forward-looking")
 
 
+def path_visits(visits) -> tuple:
+    """Per-path (steps, sites) laid end to end, as comparators.Cohort takes
+    them: (path of each visit, steps, sites)."""
+    steps, sites = (np.concatenate(a) for a in zip(*visits))
+    return np.repeat(np.arange(len(visits)), [len(s) for s, _ in visits]), steps, sites
+
+
 def cohort_of(items, pair):
     """comparators.Cohort of the excursions [0, exc.right] of ledgers of
     dense paths, given as (ledger, exc) pairs."""
@@ -563,7 +588,7 @@ def cohort_of(items, pair):
     for led, exc in items:
         steps, _, _ = led.events(0, exc.right)
         visits.append((steps, led.path.full_positions()[steps + led.hb]))
-    return Cohort(visits, pair)
+    return Cohort(*path_visits(visits), pair)
 
 
 def per_path_cost_compare(cfg) -> "experiments.StatReport":

@@ -4,8 +4,9 @@ import math
 from fractions import Fraction
 
 from conftest import record_criterion
+from helpers import excursion_mass
 
-from shiftlab.embedding import Excursion, compute_t_star, excursion_mass
+from shiftlab.embedding import Excursion, compute_t_star
 from shiftlab.experiments import (ExperimentConfig, run_cost_compare,
                                   run_embed_law, run_ergodic, run_tail)
 from shiftlab.gauges import (capped, default_gauges, eval_gauge, log1p, power,

@@ -4,13 +4,13 @@ import pytest
 
 from helpers import (LocalTimeLedger, ScriptedPath, compute_tau_star,
                      cost_of_tau_star, cost_of_tau_star_rescan,
-                     decompose_excursions, excursion_from)
+                     decompose_excursions, excursion_from, excursion_mass)
 
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.gauges import capped, default_gauges, power
 from shiftlab.measures import DiscreteMeasure, split_measures
-from shiftlab.embedding import (Excursion, compute_t_star, excursion_mass,
-                                match_slots, mu_charged_steps, tau_star_map)
+from shiftlab.embedding import (Excursion, compute_t_star, match_slots,
+                                mu_charged_steps, tau_star_map)
 from shiftlab.walk import WalkConfig, build_ledger, sample_walk
 
 

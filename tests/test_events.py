@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (LocalTimeLedger, cohort_excursions, dense_first_excursion,
-                     fifo_matching, per_path_cost_compare, queue_fifo_matching,
+                     excursion_mass, fifo_matching, path_visits,
+                     per_path_cost_compare, queue_fifo_matching,
                      random_rematch)
 from test_experiments import (_FIXTURE_PAIRS, _patched, make_cfg, measure_pairs,
                               run_every_experiment)
@@ -29,8 +30,8 @@ from test_experiments import (_FIXTURE_PAIRS, _patched, make_cfg, measure_pairs,
 from shiftlab import cli, comparators, embedding, experiments, walk
 from shiftlab.comparators import (COMPARATOR_KINDS, Cohort, Comparator,
                                   apply_comparator, extract_slots)
-from shiftlab.embedding import (Excursion, excursion_mass, match_slots,
-                                mu_charged_steps, tau_star_map)
+from shiftlab.embedding import (Excursion, match_slots, mu_charged_steps,
+                                tau_star_map)
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.experiments import (ExperimentConfig, FirstHitEngine,
                                   run_cost_compare, run_excursion_cost)
@@ -83,6 +84,34 @@ def test_engine_events_equal_the_dense_ledger(pair, exact, seed, rep, h0, hmax,
     for x, y in zip(events.events(0, t), (steps, wmu, wnu)):
         np.testing.assert_array_equal(x, y)
     assert excursion_mass(events, 0, t) == excursion_mass(led, 0, t)
+
+
+@given(st.one_of(st.sampled_from(_FIXTURE_PAIRS + (_MULTI_SLOT,)),
+                 measure_pairs()),
+       st.booleans(), st.integers(0, 10**6), st.integers(0, 300),
+       st.integers(1, 30), st.sampled_from((1, 7, 256)),
+       st.sampled_from((64, 1000)), st.sampled_from((777, 4096)))
+@settings(max_examples=60, deadline=None)
+def test_flat_events_equal_the_per_replica_events(pair, exact, seed, first, n,
+                                                  cohort, h0, hmax):
+    # An engine cohort's one flat (rows, steps, sites) holds, row by row in
+    # replica order, the events run_replica gives a replica scanned alone.
+    mode = "exact" if exact and pair.exact_mode_ok else "crossing"
+    engine = FirstHitEngine(seed, pair, mode)
+    reps = range(first, first + n)
+    scanned = [engine._cohort(reps[i:i + cohort], h0, hmax, True)
+               for i in range(0, n, cohort)]
+    paths = []
+    for outs, (rows, steps, sites) in scanned:
+        assert (np.diff(rows) >= 0).all() and len(rows) == len(steps) == len(sites)
+        paths += [(steps[rows == k], sites[rows == k]) for k in range(len(outs))]
+    outs = [o for outs, _ in scanned for o in outs]
+    for rep, out, (steps, sites) in zip(reps, outs, paths, strict=True):
+        one = engine.run_replica(rep, h0, hmax, events=True)
+        assert {k: v for k, v in one.items() if k != "events"} == out
+        if not one["censored"]:
+            np.testing.assert_array_equal(steps, one["events"][0])
+            np.testing.assert_array_equal(sites, one["events"][1])
 
 
 def test_event_ledger_refuses_steps_outside_its_range(delta_pair):
@@ -242,9 +271,9 @@ def test_compare_builds_the_slots_once_per_cohort(monkeypatch,
     cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=20,
                    hf=1 << 12, max_horizon=1 << 15)
     used = run_cost_compare(cfg).data["paths_used"]
-    assert [len(visits) for visits, _ in built] == [
-        len(c) for c in _used_cohorts(cfg, 7)]
-    assert sum(len(visits) for visits, _ in built) == used > 0
+    paths = [int(path[-1]) + 1 for path, *_ in built]      # paths per Cohort
+    assert paths == [len(c) for c in _used_cohorts(cfg, 7)]
+    assert sum(paths) == used > 0
     assert slots == []
 
 
@@ -270,7 +299,7 @@ def test_excursion_cost_builds_its_points_from_the_slots(monkeypatch,
         cap = counts[len(counts) // 2]
         used = run_excursion_cost(cfg, matrices_per_excursion=1, slot_cap=cap
                                   ).data["excursions_used"]
-        assert [len(visits) for visits, _ in built] == [len(c) for c in cohorts]
+        assert [int(path[-1]) + 1 for path, *_ in built] == [len(c) for c in cohorts]
         want = [extract_slots(led, exc) for c in cohorts for led, exc in c
                 if exc.mass * led.q <= cap]
         assert len(windows) == len(want) == used > 0 and counts[-1] > cap
@@ -294,8 +323,8 @@ def test_fifo_matching_equals_the_queue_oracle(pair, seed, replicas):
                                for rep in range(replicas))))
     if not items:
         return
-    cohort = Cohort([out["events"] for out in experiments._t_star_finder(
-        cfg, events=True)(range(replicas)) if out["t_star"]], pair)
+    outs = experiments._t_star_finder(cfg, events=True)(range(replicas))
+    cohort = Cohort(*path_visits([o["events"] for o in outs if o["t_star"]]), pair)
     fifo = apply_comparator(Comparator("fifo_rematch"), cohort,
                             cohort.stable())
     want = [p for led, exc in items for p in queue_fifo_matching(led, exc)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from contextlib import nullcontext
@@ -137,8 +138,13 @@ def test_first_excursions_build_one_cohort_per_engine_cohort(monkeypatch,
     # be reached, by these runners or any other.
     built, dense = [], []
     real = experiments.Cohort
-    monkeypatch.setattr(experiments, "Cohort", lambda visits, pair: built.append(
-        [int(steps[-1]) for steps, _ in visits]) or real(visits, pair))
+
+    def record(*args):
+        cohort = real(*args)
+        built.append(cohort.t_star.tolist())
+        return cohort
+
+    monkeypatch.setattr(experiments, "Cohort", record)
     for owner, attr in ((experiments, "sample_walk"),
                         (experiments, "build_ledger"),
                         (walk, "build_ledger"),
@@ -387,6 +393,49 @@ def test_tail_small_run(symmetric_pair):
     assert all(x >= y for x, y in zip(surv, surv[1:]))
     assert rep.data["partial_mean_quarter"][0]["checkpoint"] == 100
     assert rep.data["quarter_increasing"] in (True, False)
+
+
+@given(st.lists(st.one_of(st.sampled_from((64, 128, 256, 512, 1024, 2048)),
+                          st.integers(1, 4095)), min_size=3, max_size=60),
+       st.integers(0, 5), st.sampled_from((Fraction(1), Fraction(1, 3))),
+       st.integers(0, 1000))
+@settings(max_examples=40, deadline=None)
+def test_tail_survival_and_bootstrap_equal_the_np_mean_counts(steps, n_cens, dx,
+                                                              seed):
+    # T* on the grid points 64 dt 2^k (ties count as not above) and around
+    # them: the banded counts give np.mean(t > g) bit for bit, in the table,
+    # the fitted exponent and every bootstrap resample.
+    cfg = make_cfg(split_measures(DiscreteMeasure.delta(0), DiscreteMeasure.delta(1)),
+                   "tail", seed=seed, replicas=len(steps) + n_cens,
+                   max_horizon=4096)
+    cfg = dataclasses.replace(cfg, walk=dataclasses.replace(cfg.walk, dx=dx))
+    outs = ([{"censored": False, "t_star": t} for t in steps]
+            + [{"censored": True, "t_star": None}] * n_cens)
+    with mock.patch.object(experiments, "_t_star_finder",
+                           lambda cfg: lambda reps: iter(outs)):
+        rep = run_tail(cfg, n_boot=30)
+    dt = float(cfg.walk.dt)
+    t_phys = np.array(steps + [cfg.max_horizon] * n_cens, dtype=np.float64) * dt
+    grid = [64.0 * dt * 2 ** k for k in range(6)]
+
+    def fit(tp):
+        pts = [(g, float(np.mean(tp > g))) for g in grid]
+        dec = [(g, s) for g, s in pts if 4096 * dt / 16 <= g and s > 0]
+        if len(dec) < 3:
+            return None
+        return float(-np.polyfit(np.log([g for g, _ in dec]),
+                                 np.log([s for _, s in dec]), 1)[0])
+
+    assert [(row["t"], row["survival"]) for row in rep.tables["survival"]] == [
+        (g, float(np.mean(t_phys > g))) for g in grid]
+    assert rep.data["alpha_hat"] == fit(t_phys)
+    boot_rng = np.random.Generator(np.random.Philox(key=[cfg.walk.seed, 0xB007]))
+    boots = [fit(t_phys[boot_rng.integers(0, len(t_phys), len(t_phys))])
+             for _ in range(30)]
+    boots = [b for b in boots if b is not None]
+    assert rep.data["alpha_ci"] == ((float(np.percentile(boots, 2.5)),
+                                     float(np.percentile(boots, 97.5)))
+                                    if boots else (None, None))
 
 
 def test_report_write(tmp_path, delta_pair):

@@ -5,7 +5,7 @@
 tests' ``cost_of_tau_star``.  These tests compare its derivations on the
 event ledger with ``compute_tau_star`` and ``cost_of_tau_star_rescan`` on
 the dense one, for random orthogonal exact pairs, including mu-atoms that
-open several slots per visit.
+open several slots per visit, and the kernel itself with its plain loop.
 """
 
 from fractions import Fraction
@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (LocalTimeLedger, ScriptedPath, compute_tau_star,
-                     cost_of_tau_star, cost_of_tau_star_rescan, excursion_from)
+                     cost_of_tau_star, cost_of_tau_star_rescan, excursion_from,
+                     excursion_mass, loop_parenthesis_match)
 
-from shiftlab.embedding import (Excursion, excursion_mass, match_slots,
-                                mu_charged_steps, parenthesis_match,
-                                tau_star_map)
+from shiftlab.embedding import (Excursion, match_slots, mu_charged_steps,
+                                parenthesis_match, tau_star_map)
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.gauges import default_gauges
 from shiftlab.measures import DiscreteMeasure, split_measures
@@ -121,3 +121,16 @@ def test_kernel_derivations_match_per_step_oracle(ledgers, data):
         for g in default_gauges():
             assert cost_of_tau_star(dense, exc, g) == pytest.approx(
                 cost_of_tau_star_rescan(dense, exc, g), abs=1e-10)
+
+
+@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 4), st.integers(0, 4),
+                          st.booleans()), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_kernel_equals_the_plain_loop(events):
+    # Random keys, repeated or not; opens of several slots; closes of
+    # several slots, also on an empty or a short stack; and events with both.
+    keys = [k for k, _, _, _ in events]
+    opens = [o for _, o, _, _ in events]
+    closes = [c if both or not o else 0 for _, o, c, both in events]
+    assert parenthesis_match(keys, opens, closes) == \
+        loop_parenthesis_match(keys, opens, closes)

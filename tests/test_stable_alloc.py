@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (bisect_compute_N, fraction_quantile_discretize,
+from helpers import (bisect_compute_N, excursion_mass,
+                     fraction_quantile_discretize,
                      fraction_tau_n_convergence_test)
 from shiftlab.errors import ConfigError, TruncationError
-from shiftlab.embedding import Excursion, compute_t_star, excursion_mass
+from shiftlab.embedding import Excursion, compute_t_star
 from shiftlab.experiments import FirstHitEngine
 from shiftlab.gauges import default_gauges, eval_gauge
 from shiftlab.measures import DiscreteMeasure, split_measures
