@@ -23,7 +23,7 @@ from .errors import (ConfigError, FeasibilityError, HorizonExceededError,
 from .experiments import (ExperimentConfig, StatReport, run_cost_compare,
                           run_embed_law, run_ergodic, run_excursion_cost,
                           run_tail, run_unbiased_test)
-from .gauges import default_gauges, gauges_from_json
+from .gauges import gauges_from_json
 from .measures import as_int
 from .stable_alloc import PointConfig, compute_N, stable_allocation
 from .transport import (TransportMatrix, inequality_check, repair_sweep,
@@ -77,7 +77,7 @@ def _write_report(report: StatReport, out_dir: Path) -> None:
     print(f"report written to {out_dir / 'report.json'}")
 
 
-def _cmd_walk(args, obj: dict, out_dir: Path) -> int:
+def _cmd_walk(obj: dict, out_dir: Path) -> int:
     cfg = ExperimentConfig.from_json(obj)
     try:
         replica = as_int(obj.get("replica", 0))
@@ -118,7 +118,7 @@ def _cmd_walk(args, obj: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_allocate(args, obj: dict, out_dir: Path) -> int:
+def _cmd_allocate(obj: dict, out_dir: Path) -> int:
     cfg = PointConfig.from_json(obj)
     match = stable_allocation(cfg)
     horizon = compute_N(cfg)
@@ -131,10 +131,6 @@ def _cmd_allocate(args, obj: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _gauges(obj: dict):
-    return gauges_from_json(obj["gauges"]) if obj.get("gauges") else default_gauges()
-
-
 def _matrix(obj: dict, cfg: PointConfig) -> TransportMatrix:
     """The config's matrix, or the stable indicator, on the window N."""
     pi = TransportMatrix.from_json(cfg, {
@@ -143,11 +139,11 @@ def _matrix(obj: dict, cfg: PointConfig) -> TransportMatrix:
     return pi if "matrix" in obj else stable_indicator(cfg, pi.N)
 
 
-def _cmd_repair(args, obj: dict, out_dir: Path) -> int:
+def _cmd_repair(obj: dict, out_dir: Path) -> int:
     cfg = PointConfig.from_json(obj)
     pi = _matrix(obj, cfg)
     pi.validate()
-    gauges = _gauges(obj)
+    gauges = gauges_from_json(obj.get("gauges"))
     sweep = repair_sweep(pi)
     trace_rows = []
     for step, mat in enumerate(sweep["trace"]):
@@ -170,66 +166,57 @@ def _cmd_repair(args, obj: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_inequality(args, obj: dict, out_dir: Path) -> int:
+def _cmd_inequality(obj: dict, out_dir: Path) -> int:
     cfg = PointConfig.from_json(obj)
     pi = _matrix(obj, cfg)
-    gauges = _gauges(obj)
+    gauges = gauges_from_json(obj.get("gauges"))
     reports = {g.label: inequality_check(pi, g=g).to_json() for g in gauges}
     report = StatReport("inequality", "-", {"cost_reports": reports})
     _write_report(report, out_dir)
     return EXIT_OK
 
 
-_EXPERIMENT_RUNNERS = {
-    "embed": ("embed_law", run_embed_law),
-    "compare": ("cost_compare", run_cost_compare),
-    "ergodic": ("ergodic", run_ergodic),
-    "tail": ("tail", run_tail),
-    "excursion-cost": ("excursion_cost", run_excursion_cost),
-    "unbiased": ("unbiased", run_unbiased_test),
+def _experiment(command: str, experiment: str, runner):
+    """The handler of ``command``, which runs ``runner`` on the config."""
+    def handler(obj: dict, out_dir: Path) -> int:
+        if obj.get("experiment", experiment) != experiment:
+            raise ConfigError(f"config names experiment {obj['experiment']!r}, "
+                              f"but '{command}' runs {experiment!r}")
+        cfg = ExperimentConfig.from_json({**obj, "experiment": experiment})
+        _write_report(runner(cfg), out_dir)
+        return EXIT_OK
+    return handler
+
+
+# Command name -> handler(config object, output directory) -> exit code.
+_COMMANDS = {
+    "walk": _cmd_walk,
+    "embed": _experiment("embed", "embed_law", run_embed_law),
+    "allocate": _cmd_allocate,
+    "repair": _cmd_repair,
+    "inequality": _cmd_inequality,
+    "compare": _experiment("compare", "cost_compare", run_cost_compare),
+    "ergodic": _experiment("ergodic", "ergodic", run_ergodic),
+    "tail": _experiment("tail", "tail", run_tail),
+    "excursion-cost": _experiment("excursion-cost", "excursion_cost",
+                                  run_excursion_cost),
+    "unbiased": _experiment("unbiased", "unbiased", run_unbiased_test),
 }
 
 
-def _cmd_experiment(name: str, obj: dict, out_dir: Path) -> int:
-    experiment, runner = _EXPERIMENT_RUNNERS[name]
-    if obj.get("experiment", experiment) != experiment:
-        raise ConfigError(f"config names experiment {obj['experiment']!r}, "
-                          f"but '{name}' runs {experiment!r}")
-    cfg = ExperimentConfig.from_json({**obj, "experiment": experiment})
-    report = runner(cfg)
-    _write_report(report, out_dir)
-    return EXIT_OK
-
-
-def build_parser() -> argparse.ArgumentParser:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="shiftlab",
         description="Simulation laboratory for optimal embeddings of random "
                     "walks by balancing allocation rules.")
     parser.add_argument("--output-dir", default=None,
                         help=f"output directory (overridden by ${OUTPUT_DIR_ENV})")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("walk", "embed", "allocate", "repair", "inequality",
-                 "compare", "ergodic", "tail", "excursion-cost", "unbiased"):
-        p = sub.add_parser(name)
-        p.add_argument("config", help="path to the JSON config document")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("config", help="path to the JSON config document")
+    args = parser.parse_args(argv)
     try:
         obj = _load_config(args.config)
-        out_dir = _output_dir(args, obj)
-        if args.command == "walk":
-            return _cmd_walk(args, obj, out_dir)
-        if args.command == "allocate":
-            return _cmd_allocate(args, obj, out_dir)
-        if args.command == "repair":
-            return _cmd_repair(args, obj, out_dir)
-        if args.command == "inequality":
-            return _cmd_inequality(args, obj, out_dir)
-        return _cmd_experiment(args.command, obj, out_dir)
+        return _COMMANDS[args.command](obj, _output_dir(args, obj))
     except ConfigError as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG

@@ -40,8 +40,8 @@ class Comparator:
             raise ConfigError(f"unknown comparator kind {self.kind!r}")
         if not 0 <= self.n_swaps <= 1 << 20:
             raise ConfigError(f"n_swaps must lie in [0, 2^20], got {self.n_swaps}")
-        if not 0 <= self.seed < 1 << 63:
-            raise ConfigError(f"comparator seed must lie in [0, 2^63), got {self.seed}")
+        if not 0 <= self.seed < 1 << 53:       # as WalkConfig's seed
+            raise ConfigError(f"comparator seed must lie in [0, 2^53), got {self.seed}")
 
 
 Pairs = tuple[np.ndarray, np.ndarray]     # (source steps, target steps)
@@ -115,25 +115,18 @@ def matching_cost(matchings: list[Pairs], counts: np.ndarray,
     """Sums of unit_mass * psi((t - s) * dt), shape (matching, gauge, path).
 
     Path k holds the next counts[k] pairs of each matching; psi is evaluated
-    once per distinct gap.  Per band of equal floor(log2 count), a cumsum
-    along rows padded to the longest adds each path's terms in order, as a
-    running total does (np.sum, reduceat and fsum round differently).
+    once per distinct gap.  One bincount per matching and gauge adds each
+    path's terms in order from 0.0, as a running total does (np.sum,
+    reduceat and fsum round differently).
     """
     u, d = float(unit_mass), float(dt)
     uniq, inv = np.unique(np.stack([t - s for s, t in matchings]),
                           return_inverse=True)
     term = np.array([[u * eval_gauge(g, gap * d) for gap in uniq.tolist()]
                      for g in gauges])
-    inv = inv.reshape(len(matchings), -1)
-    total = np.zeros((len(gauges), len(matchings), len(counts)))
-    starts, band = np.cumsum(counts) - counts, np.frexp(counts)[1]
-    for b in set(band[counts > 0].tolist()):   # 1-D np.unique loads numpy.ma
-        paths = np.flatnonzero(band == b)
-        last = counts[paths] - 1
-        cols = np.minimum(np.arange(last.max() + 1), last[:, None])
-        run = np.cumsum(term[:, inv[:, starts[paths, None] + cols]], axis=-1)
-        total[..., paths] = run[..., np.arange(len(paths)), last]
-    return total.swapaxes(0, 1)
+    path = np.repeat(np.arange(len(counts)), counts)
+    return np.array([[np.bincount(path, row[i], len(counts)) for row in term]
+                     for i in inv.reshape(len(matchings), -1)])
 
 
 def check_matching(cohort: Cohort, pairs: Pairs) -> None:

@@ -33,7 +33,7 @@ from .embedding import (balanced, check_mode, draw_u_flag, require_mode,
 from .embedding import compute_t_star, match_slots  # noqa: F401
 from .walk import build_ledger, sample_walk  # noqa: F401
 from .errors import ConfigError, InvariantError
-from .gauges import Gauge, default_gauges, eval_gauge, gauges_from_json
+from .gauges import Gauge, eval_gauge, gauges_from_json
 from .measures import MeasurePair, as_int, measure_from_spec, split_measures
 from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 from .stable_alloc import PointConfig
@@ -125,8 +125,7 @@ class ExperimentConfig:
             extra = dict(obj.get("thresholds", {}))
             return cls(
                 walk=walk, pair=pair,
-                gauges=(gauges_from_json(obj["gauges"]) if obj.get("gauges")
-                        else default_gauges()),
+                gauges=gauges_from_json(obj.get("gauges")),
                 replicas=as_int(obj.get("replicas", 1000)),
                 experiment=experiment,
                 mode=obj.get("mode", "exact"),
@@ -246,36 +245,28 @@ class FirstHitEngine:
         self._atom = wmu + wnu > 0
         self.wdiff = {int(s): int(w) for s, w in zip(grid, self._wtab) if w}
 
-    def run_replica(self, replica: int, h0: int, hmax: int,
-                    events: bool = False) -> dict:
+    def run_replica(self, replica: int, h0: int, hmax: int) -> dict:
         """Returns {"t_star", "site", "censored", "horizon", "u_flag"}.
 
         The horizon doubles from h0 up to hmax.  ``horizon`` is the end of
         the block holding T*, or the last block's end when the replica is
-        censored at hmax.  With ``events`` the dict also holds "events": the
-        (steps, sites) of the atom visits on [0, T*], step 0 included, as
-        views of its cohort's arrays, or None when censored.
+        censored at hmax.
         """
-        return next(self.run_replicas([replica], h0, hmax, events))
+        return next(self.run_replicas([replica], h0, hmax))
 
-    def run_replicas(self, replicas, h0: int, hmax: int, events: bool = False):
-        """Yields ``run_replica(rep, h0, hmax, events)`` for each of the
-        sequence ``replicas``, in order, scanned in cohorts."""
+    def run_replicas(self, replicas, h0: int, hmax: int):
+        """Yields ``run_replica(rep, h0, hmax)`` for each of the sequence
+        ``replicas``, in order, scanned in cohorts."""
         if h0 < 1 <= hmax:
             raise ConfigError(f"horizon doubling needs h0 >= 1, got {h0}")
         for i in range(0, len(replicas), _COHORT):
-            outs, visits = self._cohort(replicas[i:i + _COHORT], h0, hmax, events)
-            if events:                     # each row's visits, as views
-                rows, steps, sites = visits
-                ends = np.searchsorted(rows, np.arange(len(outs)), "right").tolist()
-                for o, a, b in zip(outs, [0] + ends, ends):
-                    o["events"] = None if o["censored"] else (steps[a:b], sites[a:b])
-            yield from outs
+            yield from self.scan_cohort(replicas[i:i + _COHORT], h0, hmax, False)[0]
 
-    def _cohort(self, reps, h0, hmax, events):
-        """run_replica's dicts without "events" for the replicas ``reps``,
-        scanned together, and the (rows, steps, sites) of their atom visits
-        up to each hit or scan end, by row (None without ``events``)."""
+    def scan_cohort(self, reps, h0: int, hmax: int, events: bool):
+        """run_replica's dicts for the replicas ``reps``, scanned together,
+        and with ``events`` the (rows, steps, sites) of their atom visits up
+        to each hit or scan end, by row, step 0 included (else None).  This
+        is the one place the engine hands out visits."""
         outs, streams = [], []
         mu = self.pair.mu
         for rep in reps:
@@ -394,7 +385,7 @@ class FirstHitEngine:
         return steps[k] + 1, sites[k]
 
 
-def _t_star_finder(cfg: ExperimentConfig, events: bool = False):
+def _t_star_finder(cfg: ExperimentConfig):
     """replicas -> their run_replica outputs: T* under the one horizon
     contract.
 
@@ -404,7 +395,7 @@ def _t_star_finder(cfg: ExperimentConfig, events: bool = False):
     """
     engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
     return lambda reps: engine.run_replicas(reps, cfg.walk.horizon_fwd,
-                                            cfg.max_horizon, events)
+                                            cfg.max_horizon)
 
 
 def _mean_se(xs) -> tuple[float, float]:
@@ -551,7 +542,7 @@ def _engine_cohorts(cfg: ExperimentConfig):
     engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
 
     def scan(reps):
-        outs, (rows, steps, sites) = engine._cohort(
+        outs, (rows, steps, sites) = engine.scan_cohort(
             reps, cfg.walk.horizon_fwd, cfg.max_horizon, True)
         used = np.array([bool(out["t_star"]) for out in outs])
         on, path = used[rows], np.cumsum(used) - 1     # used rows renumbered

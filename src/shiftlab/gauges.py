@@ -114,5 +114,6 @@ def eval_gauge(g: Gauge, t) -> float:
     return t / (1.0 + t)
 
 
-def gauges_from_json(items: Iterable[dict]) -> tuple[Gauge, ...]:
-    return tuple(Gauge.from_json(x) for x in items)
+def gauges_from_json(items: Iterable[dict] | None) -> tuple[Gauge, ...]:
+    """A config's "gauges" list, or the default set when it is missing or empty."""
+    return tuple(Gauge.from_json(x) for x in items) if items else default_gauges()

@@ -48,8 +48,9 @@ class WalkConfig:
     def __post_init__(self):
         if self.dx <= 0:
             raise ConfigError("dx must be positive")
-        if not 0 <= self.seed < 1 << 63:
-            raise ConfigError(f"seed must lie in [0, 2^63), got {self.seed}")
+        # Stream keys may round through float64 (rng.BitStream._claim).
+        if not 0 <= self.seed < 1 << 53:
+            raise ConfigError(f"seed must lie in [0, 2^53), got {self.seed}")
         for h in (self.horizon_fwd, self.horizon_bwd):
             if not 1 <= h <= MAX_HORIZON_STEPS:
                 raise ConfigError(f"horizons must lie in [1, 2^30], got {h}")

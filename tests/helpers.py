@@ -11,6 +11,8 @@ excursion partition), cost_of_tau_star (the kernel's cost of an
 excursion) and check_gauge_properties (grid checks of concavity) are the
 oracles that run on it.  step_first_hit is the step-by-step first-hit
 simulation that the word-skipping FirstHitEngine must reproduce exactly;
+run_with_events (and t_star_events, under the finder's horizons) cuts
+each replica's atom visits from its engine cohort's flat arrays;
 cohort_excursions reads each replica's excursion [0, T*] from the Cohort
 of its engine cohort, as excursion-cost does; dense_first_excursion (one
 dense path and ledger) and doubling_first_excursion (a ledger rebuilt at
@@ -347,7 +349,7 @@ def step_first_hit(engine, replica: int, h0: int, hmax: int,
     Every step of each chunk gets its position and weight; the chunk
     schedule doubles from h0, capped at hmax (so h0 >= hmax is hmax at
     once), in pieces of at most experiments._CHUNK_CAP steps.  With
-    ``events`` the dict holds "events" as run_replica's does: the steps and
+    ``events`` the dict holds "events" as run_with_events' do: the steps and
     sites on [0, T*] at an atom of mu or nu, or None when censored.
     """
     start = draw_start(engine.pair.mu,
@@ -398,6 +400,25 @@ def step_first_hit(engine, replica: int, h0: int, hmax: int,
         pos = int(pos_arr[-1])
         c = int(c_arr[-1])
         done += chunk
+
+
+def run_with_events(engine, replicas, h0: int, hmax: int):
+    """FirstHitEngine.run_replicas' dicts, each with "events": its replica's
+    (steps, sites) of atom visits on [0, T*], step 0 included, as views of
+    its cohort's flat scan_cohort arrays, or None when censored."""
+    for i in range(0, len(replicas), experiments._COHORT):
+        outs, (rows, steps, sites) = engine.scan_cohort(
+            replicas[i:i + experiments._COHORT], h0, hmax, True)
+        ends = np.searchsorted(rows, np.arange(len(outs)), "right").tolist()
+        for out, a, b in zip(outs, [0] + ends, ends):
+            out["events"] = None if out["censored"] else (steps[a:b], sites[a:b])
+        yield from outs
+
+
+def t_star_events(cfg, replicas):
+    """run_with_events under experiments._t_star_finder's horizon contract."""
+    engine = experiments.FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
+    return run_with_events(engine, replicas, cfg.walk.horizon_fwd, cfg.max_horizon)
 
 
 def pm64_near(engine, words: np.ndarray, pos: np.ndarray):
@@ -598,7 +619,7 @@ def per_path_cost_compare(cfg) -> "experiments.StatReport":
     per, diffs = {}, {}
     violations = skipped = used = 0
     dt = float(cfg.walk.dt)
-    for out in experiments._t_star_finder(cfg, events=True)(range(cfg.replicas)):
+    for out in t_star_events(cfg, range(cfg.replicas)):
         t = out["t_star"]
         if not t:                          # censored (None) or T* = 0
             skipped += 1

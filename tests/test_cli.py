@@ -201,8 +201,8 @@ def test_horizon_exit_code(tmp_path, capsys, monkeypatch):
     def boom(cfg):
         raise HorizonExceededError("budget exhausted", horizon=512)
 
-    monkeypatch.setitem(cli_mod._EXPERIMENT_RUNNERS, "embed",
-                        ("embed_law", boom))
+    monkeypatch.setitem(cli_mod._COMMANDS, "embed",
+                        cli_mod._experiment("embed", "embed_law", boom))
     cfg = write_json(tmp_path, "cfg.json", walk_config())
     assert main(["--output-dir", str(tmp_path / "o"), "embed", cfg]) == EXIT_HORIZON
     err = json.loads(capsys.readouterr().err)
@@ -344,6 +344,10 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
         {"kind": "random_feasible_rematch", "n_swaps": (1 << 20) + 1}]})),
     ("compare", walk_config({"comparators": [
         {"kind": "random_feasible_rematch", "seed": 1 << 63}]})),
+    ("compare", walk_config({"comparators": [
+        {"kind": "random_feasible_rematch", "seed": 1 << 53}]})),
+    ("embed", walk_config({"walk": {"horizon_fwd": 64, "horizon_bwd": 4,
+                                    "seed": 1 << 53}})),
     ("unbiased", walk_config({"lags": [4, 4]})),
     ("compare", walk_config({"gauges": [{"kind": "power", "param": [1, 3]},
                                         {"kind": "power",
@@ -367,6 +371,7 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
         "tail-too-many-replicas", "unbiased-too-many-replicas",
         "lag-too-long", "max-horizon-too-long", "walk-dense-path-too-long",
         "too-many-r-levels", "too-many-swaps", "comparator-seed-past-63-bits",
+        "comparator-seed-past-53-bits", "walk-seed-past-53-bits",
         "duplicate-lags", "duplicate-gauge-labels", "duplicate-comparator-kinds",
         "sigma-negative", "censor-flag-negative", "margin-tol-infinite"])
 def test_malformed_inputs_are_config_errors(tmp_path, capsys, command, obj):
@@ -427,3 +432,53 @@ def test_module_level_imports_are_used():
                        if name not in read]
     assert unused == []
 
+
+def test_no_top_level_definition_is_orphaned():
+    # Each top-level function and class of src/shiftlab is read in src/ or
+    # perfbench/, named as a string in perfbench/ (the tracer's LAYERS), or
+    # exported in __all__; a definition a change orphans fails here.
+    src = sorted(Path(shiftlab.__file__).parent.glob("*.py"))
+    bench = sorted((Path(__file__).resolve().parents[1] / "perfbench").rglob("*.py"))
+    read, defined = set(), []
+    for path in src + bench:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif (path in bench and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                read.add(node.value)
+            elif (isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+                read |= set(ast.literal_eval(node.value))
+        if path in src:
+            defined += [f"{path.name}: {node.name}" for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert bench and [d for d in defined if d.split(": ")[1] not in read] == []
+
+
+_COMMAND_NAMES = ["walk", "embed", "allocate", "repair", "inequality", "compare",
+                  "ergodic", "tail", "excursion-cost", "unbiased"]
+
+
+def test_each_command_reaches_its_handler(tmp_path, monkeypatch, capsys):
+    import shiftlab.cli as cli_mod
+    assert list(cli_mod._COMMANDS) == _COMMAND_NAMES
+    cfg = write_json(tmp_path, "cfg.json", {"k": 1})
+    seen = []
+    for name in _COMMAND_NAMES:
+        monkeypatch.setitem(cli_mod._COMMANDS, name,
+                            lambda obj, out_dir, name=name:
+                            seen.append((name, obj, out_dir)) or EXIT_OK)
+    for name in _COMMAND_NAMES:
+        assert main(["--output-dir", str(tmp_path / name), name, cfg]) == EXIT_OK
+    assert seen == [(name, {"k": 1}, tmp_path / name) for name in _COMMAND_NAMES]
+    # An unknown command or a missing config is refused by argparse and
+    # reaches no handler.
+    for argv in (["nope", cfg], ["compare"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert seen == [(name, {"k": 1}, tmp_path / name) for name in _COMMAND_NAMES]

@@ -246,7 +246,7 @@ class BoundaryWords:
            st.just(pair), st.lists(excursion_visits(pair), min_size=1,
                                    max_size=8))),
        st.lists(st.integers(0, 7), max_size=3), st.sampled_from((0, 1, 8, 33)),
-       st.integers(0, (1 << 63) - 1), st.sampled_from((None, 3, 40)),
+       st.integers(0, (1 << 53) - 1), st.sampled_from((None, 3, 40)),
        st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_cohort_rematch_equals_the_per_excursion_oracle(paths, repeat, n_swaps,

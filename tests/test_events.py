@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from helpers import (LocalTimeLedger, cohort_excursions, dense_first_excursion,
                      excursion_mass, fifo_matching, path_visits,
                      per_path_cost_compare, queue_fifo_matching,
-                     random_rematch)
+                     random_rematch, run_with_events, t_star_events)
 from test_experiments import (_FIXTURE_PAIRS, _patched, make_cfg, measure_pairs,
                               run_every_experiment)
 
@@ -69,7 +69,7 @@ def test_engine_events_equal_the_dense_ledger(pair, exact, seed, rep, h0, hmax,
     patch = (nullcontext() if cap is None
              else mock.patch.object(experiments, "_CHUNK_CAP", cap))
     with patch:
-        out = engine.run_replica(rep, h0, hmax, events=True)
+        out = next(run_with_events(engine, [rep], h0, hmax))
         plain = engine.run_replica(rep, h0, hmax)
     assert {k: v for k, v in out.items() if k != "events"} == plain
     if out["censored"]:
@@ -95,11 +95,11 @@ def test_engine_events_equal_the_dense_ledger(pair, exact, seed, rep, h0, hmax,
 def test_flat_events_equal_the_per_replica_events(pair, exact, seed, first, n,
                                                   cohort, h0, hmax):
     # An engine cohort's one flat (rows, steps, sites) holds, row by row in
-    # replica order, the events run_replica gives a replica scanned alone.
+    # replica order, the events of each replica scanned alone.
     mode = "exact" if exact and pair.exact_mode_ok else "crossing"
     engine = FirstHitEngine(seed, pair, mode)
     reps = range(first, first + n)
-    scanned = [engine._cohort(reps[i:i + cohort], h0, hmax, True)
+    scanned = [engine.scan_cohort(reps[i:i + cohort], h0, hmax, True)
                for i in range(0, n, cohort)]
     paths = []
     for outs, (rows, steps, sites) in scanned:
@@ -107,7 +107,7 @@ def test_flat_events_equal_the_per_replica_events(pair, exact, seed, first, n,
         paths += [(steps[rows == k], sites[rows == k]) for k in range(len(outs))]
     outs = [o for outs, _ in scanned for o in outs]
     for rep, out, (steps, sites) in zip(reps, outs, paths, strict=True):
-        one = engine.run_replica(rep, h0, hmax, events=True)
+        one = next(run_with_events(engine, [rep], h0, hmax))
         assert {k: v for k, v in one.items() if k != "events"} == out
         if not one["censored"]:
             np.testing.assert_array_equal(steps, one["events"][0])
@@ -323,7 +323,7 @@ def test_fifo_matching_equals_the_queue_oracle(pair, seed, replicas):
                                for rep in range(replicas))))
     if not items:
         return
-    outs = experiments._t_star_finder(cfg, events=True)(range(replicas))
+    outs = t_star_events(cfg, range(replicas))
     cohort = Cohort(*path_visits([o["events"] for o in outs if o["t_star"]]), pair)
     fifo = apply_comparator(Comparator("fifo_rematch"), cohort,
                             cohort.stable())

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (cohort_excursions, doubling_first_excursion, pm64_near,
-                     step_first_hit)
+                     run_with_events, step_first_hit, t_star_events)
 from shiftlab import experiments, walk
 from shiftlab.comparators import extract_slots
 from shiftlab.embedding import compute_t_star
@@ -293,7 +293,7 @@ def test_cost_compare_matches_each_cohort_once(monkeypatch, symmetric_pair):
                    hf=1 << 12, max_horizon=1 << 15)
     rep = run_cost_compare(cfg)
     assert "random_feasible_rematch" in rep.data["comparators"]
-    outs = list(experiments._t_star_finder(cfg, events=True)(range(20)))
+    outs = list(t_star_events(cfg, range(20)))
     events = [sum(len(o["events"][0]) for o in outs[i:i + 7] if o["t_star"])
               for i in range(0, 20, 7)]
     assert [(left, right + 1) for _, left, right in calls] == [
@@ -507,8 +507,12 @@ def test_engine_matches_step_oracle(pair, exact, seed, first, n, h0, hmax,
     reps = range(first, first + n)
     with _patched("_CHUNK_CAP", chunk_cap), _patched("_COHORT", cohort), \
             _patched("_WORD_BUDGET", budget):
-        got = list(engine.run_replicas(reps, h0, hmax, events))
-        one = [engine.run_replica(rep, h0, hmax, events) for rep in reps]
+        if events:
+            got = list(run_with_events(engine, reps, h0, hmax))
+            one = [next(run_with_events(engine, [rep], h0, hmax)) for rep in reps]
+        else:
+            got = list(engine.run_replicas(reps, h0, hmax))
+            one = [engine.run_replica(rep, h0, hmax) for rep in reps]
         want = [step_first_hit(engine, rep, h0, hmax, events) for rep in reps]
     assert len(got) == n
     for outs in zip(got, one, want):
@@ -598,7 +602,7 @@ def test_finder_memory_tripwire(target, delta_pair, symmetric_pair):
                    max_horizon=1 << 18)
     tracemalloc.start()
     try:
-        outs = list(experiments._t_star_finder(cfg, events=True)(range(1000)))
+        outs = list(t_star_events(cfg, range(1000)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (bisect_compute_N, excursion_mass,
                      fraction_quantile_discretize,
-                     fraction_tau_n_convergence_test)
+                     fraction_tau_n_convergence_test, run_with_events)
 from shiftlab.errors import ConfigError, TruncationError
 from shiftlab.embedding import Excursion, compute_t_star
 from shiftlab.experiments import FirstHitEngine
@@ -203,7 +203,7 @@ def test_integer_quantile_window_equals_the_fraction_oracle(pair, seed, rep, ns)
     # On an engine excursion [0, T*]: the same quantile points, Fraction
     # views of the window, mesh, rounding maps at every step around the
     # excursion, and tau_n rows as the Fraction-threshold harness.
-    out = FirstHitEngine(seed, pair).run_replica(rep, 64, 1 << 10, events=True)
+    out = next(run_with_events(FirstHitEngine(seed, pair), [rep], 64, 1 << 10))
     assume(out["t_star"])
     led = EventLedger(*out["events"], pair)
     exc = Excursion(0, out["t_star"], excursion_mass(led, 0, out["t_star"]))

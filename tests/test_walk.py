@@ -25,13 +25,23 @@ def test_config_validation(delta_pair):
                    start_law=sub)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**63, 2**64 + 5])
+@pytest.mark.parametrize("seed", [-1, 2**53, 2**60, 2**63, 2**64 + 5])
 def test_config_rejects_seeds_outside_63_bits(delta_pair, seed):
     with pytest.raises(ConfigError, match="seed"):
         WalkConfig.from_json({"horizon_fwd": 4, "horizon_bwd": 4, "seed": seed},
                              start_law=delta_pair.mu)
-    WalkConfig(dx=Fraction(1), horizon_fwd=4, horizon_bwd=4, seed=2**63 - 1,
+    WalkConfig(dx=Fraction(1), horizon_fwd=4, horizon_bwd=4, seed=2**53 - 1,
                start_law=delta_pair.mu)
+
+
+def test_largest_accepted_seeds_share_no_stream():
+    # Keys round through float64 only past 2^53: the two largest accepted
+    # seeds give distinct streams for replicas 0..63 in every role.
+    streams = [{tuple(BitStream(seed, rep, role).take_words(2).tolist())
+                for rep in range(64) for role in range(4)}
+               for seed in (2**53 - 2, 2**53 - 1)]
+    assert len(streams[0]) == len(streams[1]) == 256
+    assert not streams[0] & streams[1]
 
 
 def test_dt_is_dx_squared(delta_pair):
