@@ -95,7 +95,9 @@ def draw_u_flag(pair: MeasurePair, seed: int, replica: int, start: int) -> int:
     if p == 0:
         return 0
     # u < p exactly when floor(u * denominator) < numerator.
-    u = BitStream(seed, replica, STREAM_UFLAG).uniform_index(p.denominator)
+    stream = BitStream(seed, replica, STREAM_UFLAG)
+    u = stream.uniform_index(p.denominator)
+    stream.release()
     return 1 if u < p.numerator else 0
 
 

@@ -6,7 +6,9 @@ of a word array per replica and up to 16384 words per scan call, doubling
 the horizon from ``horizon_fwd`` up to ``max_horizon`` and skipping whole
 64-step words whose popcount keeps them off the atoms, so heavy-tailed
 embedding times can be sampled up to 2^24 steps without retaining whole
-paths; once a replica hits, its generator is re-keyed for another.
+paths.  A row reads at most as many words as it has read, so a replica that
+balances early reads little whatever ``horizon_fwd``; once it hits, its
+generator is re-keyed for another.
 Censored replicas (T* past ``max_horizon``) are reported, never dropped.
 The same scan yields atom visits: compare and excursion-cost read each
 engine cohort's excursions as one ``Cohort``, ergodic its long two-sided
@@ -49,7 +51,7 @@ DEFAULT_THRESHOLDS = {"sigma": 3.0, "margin_tol": 1e-10, "censor_flag": 0.20}
 
 _CHUNK_CAP = 1 << 22
 # Replicas scanned together, and the words one scan call reads (at least
-# one replica's block).  Outputs do not depend on either.
+# one row's read).  Outputs do not depend on either.
 _COHORT = 256
 _WORD_BUDGET = 16384
 
@@ -219,10 +221,13 @@ class FirstHitEngine:
     that range meets the hull of the atoms of mu and nu; the other words
     split into bytes, and only bytes whose range meets the hull become
     steps, so every atom visit is one of them.  Replicas run in cohorts of
-    up to _COHORT, which share the doubling schedule: each block reads the
+    up to _COHORT, which share the doubling schedule.  Each read takes the
     next words of every unresolved replica's stream into the rows of one
-    array, and one pass of numpy calls scans up to _WORD_BUDGET words of
-    them (at least one row).  A row's stream is released at its hit, or at
+    array, at most as many per row as it has read so far (at least one) and
+    never past the block's end, so a first block is read as 1, 1, 2, 4, ...
+    words and a row that balances early stops reading; later blocks are one
+    read each.  One pass of numpy calls scans up to _WORD_BUDGET words of a
+    read (at least one row).  A row's stream is released at its hit, or at
     the cohort's end if censored.  Each row is its replica's stream, step
     for step, so the result equals a step-by-step simulation of that stream
     whatever the block, cohort and call sizes; horizon doubling continues
@@ -286,8 +291,9 @@ class FirstHitEngine:
         for horizon in _doubling_chunks(h0, hmax):
             # The last word of a block can run past the block; a balance
             # found there belongs to a later block, or past hmax to none.
-            if live and scanned < horizon:
-                n = -(-(horizon - scanned) // 64)
+            while live and scanned < horizon:
+                # At most as many words as read so far: 1, 1, 2, 4, ...
+                n = min(max(1, scanned // 64), -(-(horizon - scanned) // 64))
                 per = max(1, _WORD_BUDGET // n)
                 for g in range(0, len(live), per):
                     rows = live[g:g + per]
@@ -379,7 +385,9 @@ class FirstHitEngine:
         The walk starts at ``start`` and reads stream ``role`` of
         ``replica`` the way ``WalkPath`` does.
         """
-        words = BitStream(self.seed, replica, role).take_words(-(-n // 64))
+        stream = BitStream(self.seed, replica, role)
+        words = stream.take_words(-(-n // 64))
+        stream.release()
         _, sites, _, steps = self._near(words[None], np.array([start]))
         k = self._atom[sites - (self._lo - 8)] & (steps < n)
         return steps[k] + 1, sites[k]
@@ -613,6 +621,11 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
             "excursion-cost checks need an orthogonal pair (distinct source "
             "and target steps)")
     require_mode(cfg.pair, "exact")        # unit nu-slots: T* balances
+    # A sampler seed from 2^53 on rounds through float64 in its stream key.
+    top = cfg.walk.seed * 1000 + (cfg.replicas - 1) * 10 + matrices_per_excursion - 1
+    if top >= 1 << 53:
+        raise ConfigError(f"excursion-cost sampler seeds reach {top} >= 2^53: "
+                          "lower the walk seed or the replicas")
     tol = cfg.thresholds["margin_tol"]
     used = 0                               # excursions checked at equality
     rows = []

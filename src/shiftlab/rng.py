@@ -30,7 +30,8 @@ STREAM_UFLAG = 3
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _FREE: list[np.random.Philox] = []     # generators of released streams
-_FRESH = np.random.Philox(0).state      # counter 0, empty buffer
+# Counter 0 and an empty buffer; each claim sets its key and loads it.
+_FRESH = np.random.Philox(0).state
 
 
 def _mix(ids: tuple[int, ...]) -> int:
@@ -53,7 +54,6 @@ class BitStream:
         self.seed = int(seed) & _MASK64
         self.ids = tuple(int(i) for i in ids)
         self._bg: np.random.Philox | None = None
-        self._bits = np.empty(0, dtype=np.uint8)
         self._kind: str | None = None
 
     def _claim(self, kind: str) -> None:
@@ -69,8 +69,8 @@ class BitStream:
             key = [int(float(x)) & _MASK64 for x in key]
         # Seed 0, not None, spares a new generator an OS entropy draw.
         self._bg = _FREE.pop() if _FREE else np.random.Philox(0)
-        self._bg.state = {**_FRESH, "state": {
-            **_FRESH["state"], "key": np.array(key, dtype=np.uint64)}}
+        _FRESH["state"]["key"][:] = key
+        self._bg.state = _FRESH                # the setter copies it
 
     def release(self) -> None:
         """Hand the generator back for reuse; the stream is read no more."""
@@ -84,6 +84,7 @@ class BitStream:
             raise ValueError("n must be nonnegative")
         if self._kind != "bits":
             self._claim("bits")
+            self._bits = np.empty(0, dtype=np.uint8)
         while self._bits.size < n:
             need_words = max(64, -(-(n - self._bits.size) // 64))
             words = self._bg.random_raw(need_words)

@@ -293,6 +293,7 @@ def sample_feasible_matrix(cfg: PointConfig, N: int, seed: int,
         # Random delta in (0, avail]: num/8 of it, over eight times mass_q.
         num = rng.uniform_index(8) + 1
         pi = pi.moved(i, j, k, l, -min(pi.get(i, j), pi.get(k, l)) * num, scale=8)
+    rng.release()
     pi.validate()
     return pi
 
@@ -312,6 +313,7 @@ def random_interleaved_config(seed: int, n_pairs: int) -> tuple[PointConfig, int
         values.update(rng.uniform_index(4 * _VALUE_RANGE, 2 * n_pairs - len(values)))
     vals = sorted(values)
     labels = list(zip(vals, rng.uniform_index(2, len(vals))))
+    rng.release()
     a_vals = [v for v, t in labels if t == 0]
     b_vals = [v for v, t in labels if t == 1]
     # Guarantee nonempty sides and right-padding so every a matches and the

@@ -77,10 +77,12 @@ class WalkConfig:
 
 
 def draw_start(law: DiscreteMeasure, stream: BitStream) -> int:
-    """Inverse-CDF draw: u < F(site) exactly when floor(u q) < F(site) q."""
+    """Inverse-CDF draw: u < F(site) exactly when floor(u q) < F(site) q.
+    The stream serves this one draw and is released after it."""
     if len(law.atoms) == 1:                # no draw: the stream stays unread
         return law.atoms[0][0]
     u = stream.uniform_index(law.denominator)
+    stream.release()
     for site, acc in law.cumulative():
         if u < acc * law.denominator:
             return site

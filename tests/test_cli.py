@@ -348,6 +348,8 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
         {"kind": "random_feasible_rematch", "seed": 1 << 53}]})),
     ("embed", walk_config({"walk": {"horizon_fwd": 64, "horizon_bwd": 4,
                                     "seed": 1 << 53}})),
+    ("excursion-cost", walk_config({"walk": {
+        "horizon_fwd": 64, "horizon_bwd": 4, "seed": 9007199254741}})),
     ("unbiased", walk_config({"lags": [4, 4]})),
     ("compare", walk_config({"gauges": [{"kind": "power", "param": [1, 3]},
                                         {"kind": "power",
@@ -372,13 +374,24 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
         "lag-too-long", "max-horizon-too-long", "walk-dense-path-too-long",
         "too-many-r-levels", "too-many-swaps", "comparator-seed-past-63-bits",
         "comparator-seed-past-53-bits", "walk-seed-past-53-bits",
-        "duplicate-lags", "duplicate-gauge-labels", "duplicate-comparator-kinds",
-        "sigma-negative", "censor-flag-negative", "margin-tol-infinite"])
+        "sampler-seed-past-53-bits", "duplicate-lags", "duplicate-gauge-labels",
+        "duplicate-comparator-kinds", "sigma-negative", "censor-flag-negative",
+        "margin-tol-infinite"])
 def test_malformed_inputs_are_config_errors(tmp_path, capsys, command, obj):
     cfg = write_json(tmp_path, "cfg.json", obj)
     assert main(["--output-dir", str(tmp_path / "o"), command, cfg]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not (tmp_path / "o").exists()
+
+
+def test_excursion_cost_runs_at_its_largest_seed(tmp_path):
+    # 40 replicas and 4 matrices each: the sampler seeds reach
+    # 9007199254740 * 1000 + 393 < 2^53; the next walk seed is refused.
+    cfg = write_json(tmp_path, "cfg.json", walk_config({"walk": {
+        "horizon_fwd": 64, "horizon_bwd": 4, "seed": 9007199254740}}))
+    out = tmp_path / "o"
+    assert main(["--output-dir", str(out), "excursion-cost", cfg]) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["data"]["checks"] > 0
 
 
 def test_import_leaves_scipy_stats_unloaded():

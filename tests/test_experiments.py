@@ -590,15 +590,18 @@ def test_engine_builds_start_streams_only_for_a_start_draw(monkeypatch,
         assert sum(ids[1] == STREAM_FWD for ids in built) == 5
 
 
+@pytest.mark.parametrize("hf", [1024, 4096])
 @pytest.mark.parametrize("target", ["point", "symmetric"])
-def test_finder_memory_tripwire(target, delta_pair, symmetric_pair):
+def test_finder_memory_tripwire(target, hf, delta_pair, symmetric_pair):
     # One finder pass of 1000 replicas at cap 2^18, seed 7, events on and
-    # outputs kept, under tracemalloc.  Peaks measured with numpy 2.4:
-    # 1.7 and 2.0 MiB at cohort 128 / 2048 words per call, 2.6 and 3.0 MiB
-    # at cohort 256 / 16384 words (point, symmetric).  Early rounds are
-    # almost all near the hull, so a call's arrays grow with its words.
+    # outputs kept, under tracemalloc.  Early reads are almost all near the
+    # hull, so a call's arrays grow with its words.  Peaks measured with
+    # numpy 2.4 (point, symmetric): with the first block read whole, 2.90
+    # and 3.53 MiB at horizon_fwd 1024, 4.81 and 5.75 MiB at 4096; with a
+    # row reading at most the words it has read, 2.30 and 2.77 MiB at 1024,
+    # 2.13 and 2.77 MiB at 4096.
     pair = delta_pair if target == "point" else symmetric_pair
-    cfg = make_cfg(pair, "tail", seed=7, replicas=1000, hf=1024,
+    cfg = make_cfg(pair, "tail", seed=7, replicas=1000, hf=hf,
                    max_horizon=1 << 18)
     tracemalloc.start()
     try:
@@ -607,7 +610,27 @@ def test_finder_memory_tripwire(target, delta_pair, symmetric_pair):
     finally:
         tracemalloc.stop()
     assert len(outs) == 1000
-    assert peak <= 4 << 20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak <= 3.25 * (1 << 20), f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_finder_reads_do_not_grow_with_horizon_fwd(monkeypatch, delta_pair):
+    # A row reads at most as many words as it has read, 1, 1, 2, 4, ...,
+    # so a finder pass (1000 replicas, cap 2^18, seed 7) reads 262,479
+    # words whatever horizon_fwd.  Reading each first block whole took
+    # 274,176 words at horizon_fwd 1024, 315,136 at 4096 and 4,096,000 at
+    # 2^18.
+    read = []
+    take = BitStream.take_words
+    monkeypatch.setattr(BitStream, "take_words",
+                        lambda self, n: read.append(n) or take(self, n))
+    totals = []
+    for hf in (1024, 4096, 1 << 18):
+        read.clear()
+        cfg = make_cfg(delta_pair, "tail", seed=7, replicas=1000, hf=hf,
+                       max_horizon=1 << 18)
+        assert len(list(experiments._t_star_finder(cfg)(range(1000)))) == 1000
+        totals.append(sum(read))
+    assert totals == [262_479] * 3
 
 
 def test_compare_memory_tripwire(symmetric_pair):
@@ -616,7 +639,9 @@ def test_compare_memory_tripwire(symmetric_pair):
     # 5.60 MiB scoring one excursion at a time, 6.29 MiB scoring a cohort
     # at a time with the previous cohort's visits and arrays held while the
     # next one scanned (6.45 MiB with numpy 2.4.6), 5.40 MiB with each
-    # cohort scored in its own call.  All peak inside the engine's scan.
+    # cohort scored in its own call, all inside the engine's scan; 5.19 MiB
+    # with the first block read whole, 2.35 MiB with a row reading at most
+    # the words it has read.
     cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=1000,
                    hf=1 << 12, max_horizon=1 << 18, gauges=default_gauges())
     tracemalloc.start()
@@ -626,7 +651,7 @@ def test_compare_memory_tripwire(symmetric_pair):
     finally:
         tracemalloc.stop()
     assert rep.data["paths_used"] > 900
-    assert peak <= 6 << 20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak <= 3.5 * (1 << 20), f"peak {peak / 2**20:.2f} MiB"
 
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS), measure_pairs()).filter(

@@ -2,6 +2,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (FractionMatrix, fraction_repair_trace,
                      fraction_sample_feasible_matrix, scan_find_crossing)
 
+from shiftlab import rng
 from shiftlab.errors import ConfigError, FeasibilityError, SizeLimitError
 from shiftlab.gauges import capped, default_gauges, log1p, power, rational
 from shiftlab.stable_alloc import PointConfig, compute_N, stable_allocation
@@ -105,6 +107,25 @@ def test_validate_rejects_backward_mass():
     with pytest.raises(FeasibilityError) as err:
         pi.validate()
     assert any(v[0] == "forward_looking" for v in err.value.violations)
+
+
+def test_instance_and_matrix_loop_builds_at_most_one_generator(monkeypatch):
+    # Each call releases its stream after its last draw, so a loop of
+    # instance and matrix draws re-keys one Philox generator instead of
+    # building one per call; the matrices equal those of new generators.
+    philox, built = np.random.Philox, []
+    monkeypatch.setattr(rng, "_FREE", [])
+    monkeypatch.setattr(np.random, "Philox",
+                        lambda *args: built.append(args) or philox(*args))
+    cases = [random_interleaved_config(seed, 2 + seed % 5) for seed in range(40)]
+    got = [sample_feasible_matrix(cfg, N, seed=seed)
+           for seed, (cfg, N) in enumerate(cases)]
+    assert len(built) <= 1
+    monkeypatch.setattr(np.random, "Philox", philox)
+    for seed, ((cfg, N), pi) in enumerate(zip(cases, got)):
+        rng._FREE.clear()
+        again = sample_feasible_matrix(cfg, N, seed=seed)
+        assert (again.entries, again.mass_q) == (pi.entries, pi.mass_q)
 
 
 def test_sample_feasible_matrix_properties():
