@@ -2,13 +2,12 @@
 
 Every experiment finds T* with the first-hit engine, which simulates the
 difference process C(n) for cohorts of up to 256 replicas at once, one row
-of a word array per replica and up to 16384 words per scan call, doubling
-the horizon from ``horizon_fwd`` up to ``max_horizon`` and skipping whole
+of a word array per replica and up to 16384 words per scan call, scanning
+each replica to ``max_horizon`` (at most 2^30 steps) and skipping whole
 64-step words whose popcount keeps them off the atoms, so heavy-tailed
-embedding times can be sampled up to 2^24 steps without retaining whole
-paths.  A row reads at most as many words as it has read, so a replica that
-balances early reads little whatever ``horizon_fwd``; once it hits, its
-generator is re-keyed for another.
+embedding times are sampled without retaining whole paths.  A row reads at
+most as many words as it has read, so a replica that balances early reads
+little; once it hits, its generator is re-keyed for another.
 Censored replicas (T* past ``max_horizon``) are reported, never dropped.
 The same scan yields atom visits: compare and excursion-cost read each
 engine cohort's excursions as one ``Cohort``, ergodic its long two-sided
@@ -49,9 +48,8 @@ EXPERIMENTS = ("embed_law", "unbiased", "cost_compare", "excursion_cost",
 # The only keys a config's "thresholds" may set.
 DEFAULT_THRESHOLDS = {"sigma": 3.0, "margin_tol": 1e-10, "censor_flag": 0.20}
 
-_CHUNK_CAP = 1 << 22
-# Replicas scanned together, and the words one scan call reads (at least
-# one row's read).  Outputs do not depend on either.
+# Replicas scanned together, and the most words one scan call, or one
+# row's read, takes.  Outputs do not depend on either.
 _COHORT = 256
 _WORD_BUDGET = 16384
 
@@ -148,8 +146,9 @@ class ExperimentConfig:
             "replicas": self.replicas,
             "experiment": self.experiment,
             "mode": self.mode,
-            # The one horizon policy, kept so that digests stay those of
-            # configs written when a second policy existed.
+            # A constant, so that digests stay those of configs written when
+            # horizons doubled and a second policy existed; every run now
+            # scans to max_horizon.
             "horizon_policy": "doubling",
             "max_horizon": self.max_horizon,
         }
@@ -199,17 +198,6 @@ _BYTE_MIN = _BYTE_PATH.min(axis=1)
 _BYTE_MAX = _BYTE_PATH.max(axis=1)
 
 
-def _doubling_chunks(h0: int, hmax: int):
-    """Ends of the step blocks examined: the horizon runs h0, 2 h0, 4 h0, ...
-    capped at hmax, each block cut into pieces of at most _CHUNK_CAP steps."""
-    done, horizon = 0, h0
-    while done < hmax:
-        while horizon <= done:
-            horizon *= 2
-        done = min(horizon, hmax, done + _CHUNK_CAP)
-        yield done
-
-
 class FirstHitEngine:
     """Simulates T* = first n > 0 with C(n) back at C(-1), per replica.
 
@@ -221,17 +209,15 @@ class FirstHitEngine:
     that range meets the hull of the atoms of mu and nu; the other words
     split into bytes, and only bytes whose range meets the hull become
     steps, so every atom visit is one of them.  Replicas run in cohorts of
-    up to _COHORT, which share the doubling schedule.  Each read takes the
-    next words of every unresolved replica's stream into the rows of one
-    array, at most as many per row as it has read so far (at least one) and
-    never past the block's end, so a first block is read as 1, 1, 2, 4, ...
-    words and a row that balances early stops reading; later blocks are one
-    read each.  One pass of numpy calls scans up to _WORD_BUDGET words of a
-    read (at least one row).  A row's stream is released at its hit, or at
-    the cohort's end if censored.  Each row is its replica's stream, step
-    for step, so the result equals a step-by-step simulation of that stream
-    whatever the block, cohort and call sizes; horizon doubling continues
-    the stream where it stopped.
+    up to _COHORT, scanned to hmax.  Each read takes the next words of every
+    live replica's stream into the rows of one array, at most as many per
+    row as it has read so far (at least one), at most _WORD_BUDGET, and no
+    further than the word holding step hmax, so a row reads 1, 1, 2, 4, ...
+    words and one that balances early stops reading.  One pass of numpy
+    calls scans up to _WORD_BUDGET words of a read.  A row's stream is
+    released at its hit, or at the cohort's end if censored.  Each row is
+    its replica's stream, step for step, so the result equals a step-by-step
+    simulation of that stream whatever the cohort and call sizes.
     """
 
     def __init__(self, seed: int, pair: MeasurePair, mode: str = "exact"):
@@ -250,24 +236,18 @@ class FirstHitEngine:
         self._atom = wmu + wnu > 0
         self.wdiff = {int(s): int(w) for s, w in zip(grid, self._wtab) if w}
 
-    def run_replica(self, replica: int, h0: int, hmax: int) -> dict:
-        """Returns {"t_star", "site", "censored", "horizon", "u_flag"}.
+    def run_replica(self, replica: int, hmax: int) -> dict:
+        """Returns {"t_star", "site", "censored", "u_flag"}: the replica is
+        censored when its T* lies past hmax."""
+        return next(self.run_replicas([replica], hmax))
 
-        The horizon doubles from h0 up to hmax.  ``horizon`` is the end of
-        the block holding T*, or the last block's end when the replica is
-        censored at hmax.
-        """
-        return next(self.run_replicas([replica], h0, hmax))
-
-    def run_replicas(self, replicas, h0: int, hmax: int):
-        """Yields ``run_replica(rep, h0, hmax)`` for each of the sequence
+    def run_replicas(self, replicas, hmax: int):
+        """Yields ``run_replica(rep, hmax)`` for each of the sequence
         ``replicas``, in order, scanned in cohorts."""
-        if h0 < 1 <= hmax:
-            raise ConfigError(f"horizon doubling needs h0 >= 1, got {h0}")
         for i in range(0, len(replicas), _COHORT):
-            yield from self.scan_cohort(replicas[i:i + _COHORT], h0, hmax, False)[0]
+            yield from self.scan_cohort(replicas[i:i + _COHORT], hmax, False)[0]
 
-    def scan_cohort(self, reps, h0: int, hmax: int, events: bool):
+    def scan_cohort(self, reps, hmax: int, events: bool):
         """run_replica's dicts for the replicas ``reps``, scanned together,
         and with ``events`` the (rows, steps, sites) of their atom visits up
         to each hit or scan end, by row, step 0 included (else None).  This
@@ -277,7 +257,7 @@ class FirstHitEngine:
         for rep in reps:
             start = (draw_start(mu, BitStream(self.seed, rep, STREAM_START))
                      if len(mu.atoms) > 1 else mu.atoms[0][0])   # no draw
-            outs.append({"t_star": 0, "site": start, "censored": False, "horizon": 0,
+            outs.append({"t_star": 0, "site": start, "censored": False,
                          "u_flag": draw_u_flag(self.pair, self.seed, rep, start)})
             # The generator is claimed at the first read and released at the hit.
             streams.append(BitStream(self.seed, rep, STREAM_FWD))
@@ -286,35 +266,27 @@ class FirstHitEngine:
         visits = [(np.arange(len(outs)), np.zeros(len(outs), np.int64), pos.copy())]
         c = np.array([self.wdiff.get(p, 0) for p in pos.tolist()])  # C(0)
         live = [r for r, o in enumerate(outs) if o["u_flag"]]   # no hit yet
-        found = {}                         # row -> (T*, site), block pending
-        scanned, horizon = 0, 0            # steps read by each live row
-        for horizon in _doubling_chunks(h0, hmax):
-            # The last word of a block can run past the block; a balance
-            # found there belongs to a later block, or past hmax to none.
-            while live and scanned < horizon:
-                # At most as many words as read so far: 1, 1, 2, 4, ...
-                n = min(max(1, scanned // 64), -(-(horizon - scanned) // 64))
-                per = max(1, _WORD_BUDGET // n)
-                for g in range(0, len(live), per):
-                    rows = live[g:g + per]
-                    words = np.stack([streams[r].take_words(n) for r in rows])
-                    pos[rows], c[rows], hits, seen = self._scan(
-                        words, pos[rows], c[rows], scanned, events)
-                    if events:
-                        visits.append((np.array(rows)[seen[0]], *seen[1:]))
-                    for i, t, site in zip(*hits):
-                        found[rows[i]] = (t, site)
+        scanned = 0                        # steps read by each live row
+        while live and scanned < hmax:
+            # At most as many words as read so far: 1, 1, 2, 4, ...
+            n = min(max(1, scanned // 64), _WORD_BUDGET, -(-(hmax - scanned) // 64))
+            per = _WORD_BUDGET // n
+            for g in range(0, len(live), per):
+                rows = live[g:g + per]
+                words = np.stack([streams[r].take_words(n) for r in rows])
+                pos[rows], c[rows], hits, seen = self._scan(
+                    words, pos[rows], c[rows], scanned, events)
+                if events:
+                    visits.append((np.array(rows)[seen[0]], *seen[1:]))
+                # A balance past hmax, in the last read, leaves its row censored.
+                for i, t, site in zip(*hits):
+                    if t <= hmax:
+                        outs[rows[i]].update(t_star=t, site=site)
                         streams[rows[i]].release()
-                live = [r for r in live if r not in found]
-                scanned += 64 * n
-            for r, (t, site) in list(found.items()):
-                if t <= horizon:
-                    outs[r].update(t_star=t, site=site, horizon=horizon)
-                    del found[r]
-            if not (live or found):
-                break
-        for r in live + list(found):
-            outs[r].update(t_star=None, site=None, censored=True, horizon=horizon)
+            live = [r for r in live if not outs[r]["t_star"]]
+            scanned += 64 * n
+        for r in live:
+            outs[r].update(t_star=None, site=None, censored=True)
             streams[r].release()
         if not events:
             return outs, None
@@ -397,13 +369,12 @@ def _t_star_finder(cfg: ExperimentConfig):
     """replicas -> their run_replica outputs: T* under the one horizon
     contract.
 
-    Every experiment finds T* here, for a range of replicas at a time.  The
-    horizon doubles from ``horizon_fwd`` up to ``max_horizon``, and a
-    replica whose T* lies beyond the cap is censored.
+    Every experiment finds T* here, for a range of replicas at a time,
+    scanning each to ``max_horizon``; a replica whose T* lies beyond it is
+    censored.
     """
     engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
-    return lambda reps: engine.run_replicas(reps, cfg.walk.horizon_fwd,
-                                            cfg.max_horizon)
+    return lambda reps: engine.run_replicas(reps, cfg.max_horizon)
 
 
 def _mean_se(xs) -> tuple[float, float]:
@@ -550,8 +521,7 @@ def _engine_cohorts(cfg: ExperimentConfig):
     engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
 
     def scan(reps):
-        outs, (rows, steps, sites) = engine.scan_cohort(
-            reps, cfg.walk.horizon_fwd, cfg.max_horizon, True)
+        outs, (rows, steps, sites) = engine.scan_cohort(reps, cfg.max_horizon, True)
         used = np.array([bool(out["t_star"]) for out in outs])
         on, path = used[rows], np.cumsum(used) - 1     # used rows renumbered
         return reps, outs, (Cohort(path[rows[on]], steps[on], sites[on], cfg.pair)
@@ -733,17 +703,11 @@ def run_ergodic(cfg: ExperimentConfig, ensemble_replicas: int = 1000) -> StatRep
 
     # Block SE at the largest r from disjoint mass blocks.
     n_blocks = 8
-    block_rows = {}
-    for g in cfg.gauges:
-        vals = []
-        prev = 0
-        for kblock in range(1, n_blocks + 1):
-            r_k = r_max * kblock / n_blocks
-            s_k = inverse_local_time(ledger, "mu+nu", r_k)
-            v, _ = window_average(prev, s_k + 1, r_max / n_blocks, g)
-            vals.append(v)
-            prev = s_k + 1
-        block_rows[g.label] = vals
+    ends = [inverse_local_time(ledger, "mu+nu", r_max * k / n_blocks) + 1
+            for k in range(1, n_blocks + 1)]
+    block_rows = {g.label: [window_average(lo, hi, r_max / n_blocks, g)[0]
+                            for lo, hi in zip([0] + ends, ends)]
+                  for g in cfg.gauges}
 
     # Independent ensemble estimate of E psi(T*).
     t_star = _t_star_finder(cfg)
@@ -848,8 +812,10 @@ def run_tail(cfg: ExperimentConfig, n_boot: int = 100,
     pm_tenth = partial_means(0.1)
     quarter_increasing = all(x["mean"] < y["mean"]
                              for x, y in zip(pm_quarter, pm_quarter[1:]))
+    # None when there is no earlier nonzero mean (every T* is 0 when mu = nu).
     tenth_change = (abs(pm_tenth[-1]["mean"] - pm_tenth[-2]["mean"])
-                    / pm_tenth[-2]["mean"]) if len(pm_tenth) >= 2 else None
+                    / pm_tenth[-2]["mean"]
+                    if len(pm_tenth) >= 2 and pm_tenth[-2]["mean"] else None)
     data = {
         "replicas": cfg.replicas, "censored": int(cens.sum()),
         "max_horizon_steps": cfg.max_horizon,

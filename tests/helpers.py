@@ -11,7 +11,7 @@ excursion partition), cost_of_tau_star (the kernel's cost of an
 excursion) and check_gauge_properties (grid checks of concavity) are the
 oracles that run on it.  step_first_hit is the step-by-step first-hit
 simulation that the word-skipping FirstHitEngine must reproduce exactly;
-run_with_events (and t_star_events, under the finder's horizons) cuts
+run_with_events (and t_star_events, at the finder's max_horizon) cuts
 each replica's atom visits from its engine cohort's flat arrays;
 cohort_excursions reads each replica's excursion [0, T*] from the Cohort
 of its engine cohort, as excursion-cost does; dense_first_excursion (one
@@ -342,73 +342,43 @@ def check_gauge_properties(g: Gauge, grid: Sequence[float]) -> dict:
     }
 
 
-def step_first_hit(engine, replica: int, h0: int, hmax: int,
+def step_first_hit(engine, replica: int, hmax: int,
                    events: bool = False) -> dict:
-    """FirstHitEngine.run_replica, one step at a time over the doubling chunks.
+    """FirstHitEngine.run_replica, one step at a time over [1, hmax].
 
-    Every step of each chunk gets its position and weight; the chunk
-    schedule doubles from h0, capped at hmax (so h0 >= hmax is hmax at
-    once), in pieces of at most experiments._CHUNK_CAP steps.  With
-    ``events`` the dict holds "events" as run_with_events' do: the steps and
-    sites on [0, T*] at an atom of mu or nu, or None when censored.
+    Every step gets its position and weight.  With ``events`` the dict
+    holds "events" as run_with_events' do: the steps and sites on [0, T*]
+    at an atom of mu or nu, or None when censored.
     """
     start = draw_start(engine.pair.mu,
                        BitStream(engine.seed, replica, STREAM_START))
-    atoms = np.array([s for m in (engine.pair.mu, engine.pair.nu)
-                      for s, _ in m.atoms])
-    visits = [(np.array([0]), np.array([start]))]
-
-    def done_with(out):
-        if events:
-            out["events"] = None if out["censored"] else tuple(
-                map(np.concatenate, zip(*visits)))
-        return out
-
-    if draw_u_flag(engine.pair, engine.seed, replica, start) == 0:
-        return done_with({"t_star": 0, "site": start, "censored": False,
-                          "horizon": 0, "u_flag": 0})
-    stream = BitStream(engine.seed, replica, STREAM_FWD)
-    pos = start
-    c = engine.wdiff.get(start, 0)
-    done = 0
-    horizon = h0
-    while True:
-        want = min(horizon, hmax) - done
-        chunk = min(want, experiments._CHUNK_CAP)
-        if chunk <= 0:
-            if horizon < hmax:
-                horizon *= 2
-                continue
-            return done_with({"t_star": None, "site": None, "censored": True,
-                              "horizon": done, "u_flag": 1})
-        steps = stream.take_steps(chunk)
-        pos_arr = np.cumsum(steps, dtype=np.int64)
-        pos_arr += pos
-        warr = np.zeros(chunk, dtype=np.int64)
+    out = {"t_star": 0, "site": start, "censored": False, "u_flag": 0}
+    path = np.array([start])                   # positions at steps 0, 1, ...
+    if draw_u_flag(engine.pair, engine.seed, replica, start):
+        steps = BitStream(engine.seed, replica, STREAM_FWD).take_steps(hmax)
+        path = start + np.cumsum(np.concatenate(([0], steps)), dtype=np.int64)
+        warr = np.zeros(hmax + 1, dtype=np.int64)
         for site, wn in engine.wdiff.items():
-            warr[pos_arr == site] = wn
-        c_arr = np.cumsum(warr, dtype=np.int64)
-        c_arr += c
-        h = first_balance(c_arr, 0, engine.mode)
-        seen = np.flatnonzero(np.isin(pos_arr[:None if h is None else h + 1],
-                                      atoms))
-        visits.append((done + seen + 1, pos_arr[seen]))
-        if h is not None:
-            return done_with({"t_star": done + h + 1, "site": int(pos_arr[h]),
-                              "censored": False, "horizon": done + chunk,
-                              "u_flag": 1})
-        pos = int(pos_arr[-1])
-        c = int(c_arr[-1])
-        done += chunk
+            warr[path == site] = wn
+        h = first_balance(np.cumsum(warr)[1:], 0, engine.mode)
+        out = ({"t_star": None, "site": None, "censored": True, "u_flag": 1}
+               if h is None else {"t_star": h + 1, "site": int(path[h + 1]),
+                                  "censored": False, "u_flag": 1})
+        path = path[:None if h is None else h + 2]
+    if events:
+        atoms = [s for m in (engine.pair.mu, engine.pair.nu) for s, _ in m.atoms]
+        seen = np.flatnonzero(np.isin(path, atoms))
+        out["events"] = None if out["censored"] else (seen, path[seen])
+    return out
 
 
-def run_with_events(engine, replicas, h0: int, hmax: int):
+def run_with_events(engine, replicas, hmax: int):
     """FirstHitEngine.run_replicas' dicts, each with "events": its replica's
     (steps, sites) of atom visits on [0, T*], step 0 included, as views of
     its cohort's flat scan_cohort arrays, or None when censored."""
     for i in range(0, len(replicas), experiments._COHORT):
         outs, (rows, steps, sites) = engine.scan_cohort(
-            replicas[i:i + experiments._COHORT], h0, hmax, True)
+            replicas[i:i + experiments._COHORT], hmax, True)
         ends = np.searchsorted(rows, np.arange(len(outs)), "right").tolist()
         for out, a, b in zip(outs, [0] + ends, ends):
             out["events"] = None if out["censored"] else (steps[a:b], sites[a:b])
@@ -418,7 +388,7 @@ def run_with_events(engine, replicas, h0: int, hmax: int):
 def t_star_events(cfg, replicas):
     """run_with_events under experiments._t_star_finder's horizon contract."""
     engine = experiments.FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
-    return run_with_events(engine, replicas, cfg.walk.horizon_fwd, cfg.max_horizon)
+    return run_with_events(engine, replicas, cfg.max_horizon)
 
 
 def pm64_near(engine, words: np.ndarray, pos: np.ndarray):

@@ -194,6 +194,16 @@ def test_censoring_everywhere_is_not_an_error(tmp_path):
     assert data["censored"] > 0
 
 
+def test_tail_with_every_t_star_zero_is_not_an_error(tmp_path):
+    # mu = nu: every replica stops at T* = 0, so each partial mean is 0 and
+    # their relative change is undefined; it is reported as null.
+    cfg = write_json(tmp_path, "cfg.json", walk_config(
+        {"nu": {"denominator": 1, "atoms": [[0, 1]]}, "replicas": 2000}))
+    assert main(["--output-dir", str(tmp_path / "o"), "tail", cfg]) == EXIT_OK
+    data = json.loads((tmp_path / "o" / "report.json").read_text())["data"]
+    assert data["censored"] == 0 and data["tenth_rel_change"] is None
+
+
 def test_horizon_exit_code(tmp_path, capsys, monkeypatch):
     import shiftlab.cli as cli_mod
     from shiftlab.errors import HorizonExceededError
@@ -447,9 +457,10 @@ def test_module_level_imports_are_used():
 
 
 def test_no_top_level_definition_is_orphaned():
-    # Each top-level function and class of src/shiftlab is read in src/ or
-    # perfbench/, named as a string in perfbench/ (the tracer's LAYERS), or
-    # exported in __all__; a definition a change orphans fails here.
+    # Each top-level function, class and assigned name (dunders aside) of
+    # src/shiftlab is read in src/ or perfbench/, named as a string in
+    # perfbench/ (the tracer's LAYERS), or exported in __all__; a definition
+    # or constant a change orphans fails here.
     src = sorted(Path(shiftlab.__file__).parent.glob("*.py"))
     bench = sorted((Path(__file__).resolve().parents[1] / "perfbench").rglob("*.py"))
     read, defined = set(), []
@@ -469,6 +480,11 @@ def test_no_top_level_definition_is_orphaned():
         if path in src:
             defined += [f"{path.name}: {node.name}" for node in tree.body
                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+            defined += [f"{path.name}: {t.id}" for node in tree.body
+                        if isinstance(node, (ast.Assign, ast.AnnAssign))
+                        for t in (node.targets if isinstance(node, ast.Assign)
+                                  else [node.target])
+                        if isinstance(t, ast.Name) and not t.id.startswith("__")]
     assert bench and [d for d in defined if d.split(": ")[1] not in read] == []
 
 

@@ -59,18 +59,17 @@ def dense_events(pair, seed, rep, t):
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS + (_MULTI_SLOT,)),
                  measure_pairs()),
        st.booleans(), st.integers(0, 10**6), st.integers(0, 30),
-       st.sampled_from((1, 64, 1000, 4096)), st.sampled_from((777, 4096)),
-       st.sampled_from((None, 200)))
+       st.sampled_from((777, 4096)), st.sampled_from((None, 3)))
 @settings(max_examples=150, deadline=None)
-def test_engine_events_equal_the_dense_ledger(pair, exact, seed, rep, h0, hmax,
-                                              cap):
+def test_engine_events_equal_the_dense_ledger(pair, exact, seed, rep, hmax,
+                                              budget):
     mode = "exact" if exact and pair.exact_mode_ok else "crossing"
     engine = FirstHitEngine(seed, pair, mode)
-    patch = (nullcontext() if cap is None
-             else mock.patch.object(experiments, "_CHUNK_CAP", cap))
+    patch = (nullcontext() if budget is None
+             else mock.patch.object(experiments, "_WORD_BUDGET", budget))
     with patch:
-        out = next(run_with_events(engine, [rep], h0, hmax))
-        plain = engine.run_replica(rep, h0, hmax)
+        out = next(run_with_events(engine, [rep], hmax))
+        plain = engine.run_replica(rep, hmax)
     assert {k: v for k, v in out.items() if k != "events"} == plain
     if out["censored"]:
         assert out["events"] is None
@@ -90,16 +89,16 @@ def test_engine_events_equal_the_dense_ledger(pair, exact, seed, rep, h0, hmax,
                  measure_pairs()),
        st.booleans(), st.integers(0, 10**6), st.integers(0, 300),
        st.integers(1, 30), st.sampled_from((1, 7, 256)),
-       st.sampled_from((64, 1000)), st.sampled_from((777, 4096)))
+       st.sampled_from((777, 4096)))
 @settings(max_examples=60, deadline=None)
 def test_flat_events_equal_the_per_replica_events(pair, exact, seed, first, n,
-                                                  cohort, h0, hmax):
+                                                  cohort, hmax):
     # An engine cohort's one flat (rows, steps, sites) holds, row by row in
     # replica order, the events of each replica scanned alone.
     mode = "exact" if exact and pair.exact_mode_ok else "crossing"
     engine = FirstHitEngine(seed, pair, mode)
     reps = range(first, first + n)
-    scanned = [engine.scan_cohort(reps[i:i + cohort], h0, hmax, True)
+    scanned = [engine.scan_cohort(reps[i:i + cohort], hmax, True)
                for i in range(0, n, cohort)]
     paths = []
     for outs, (rows, steps, sites) in scanned:
@@ -107,7 +106,7 @@ def test_flat_events_equal_the_per_replica_events(pair, exact, seed, first, n,
         paths += [(steps[rows == k], sites[rows == k]) for k in range(len(outs))]
     outs = [o for outs, _ in scanned for o in outs]
     for rep, out, (steps, sites) in zip(reps, outs, paths, strict=True):
-        one = next(run_with_events(engine, [rep], h0, hmax))
+        one = next(run_with_events(engine, [rep], hmax))
         assert {k: v for k, v in one.items() if k != "events"} == out
         if not one["censored"]:
             np.testing.assert_array_equal(steps, one["events"][0])

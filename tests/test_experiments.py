@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from contextlib import nullcontext
@@ -60,7 +61,7 @@ def test_config_from_json_and_digest(symmetric_pair):
 def test_engine_forced_site(delta_pair):
     engine = FirstHitEngine(0, delta_pair)
     for rep in range(30):
-        out = engine.run_replica(rep, 64, 1 << 12)
+        out = engine.run_replica(rep, 1 << 12)
         if out["censored"]:
             continue
         assert out["site"] == 1 and out["u_flag"] == 1
@@ -73,18 +74,13 @@ def test_engine_matches_ledger(symmetric_pair):
     engine = FirstHitEngine(9, symmetric_pair)
     for rep in range(30):
         led = build_ledger(sample_walk(walk, rep), symmetric_pair)
-        out = engine.run_replica(rep, walk.horizon_fwd, walk.horizon_fwd)
+        out = engine.run_replica(rep, walk.horizon_fwd)
         try:
             res = compute_t_star(led, symmetric_pair)
         except HorizonExceededError:
             assert out["censored"]
             continue
         assert (out["t_star"], out["site"]) == (res.t_star, res.site)
-
-
-def test_engine_rejects_a_zero_first_horizon(delta_pair):
-    with pytest.raises(ConfigError):
-        FirstHitEngine(0, delta_pair).run_replica(0, 0, 100)
 
 
 def test_engine_rejects_non_unit_atoms():
@@ -101,21 +97,21 @@ def test_engine_on_identical_measures_stops_at_once():
     engine = FirstHitEngine(0, split_measures(mu, mu))
     assert engine.wdiff == {}
     for rep in range(10):
-        out = engine.run_replica(rep, 64, 1 << 12)
+        out = engine.run_replica(rep, 1 << 12)
         assert out["site"] in (0, 3)
         assert out == {"t_star": 0, "site": out["site"], "censored": False,
-                       "horizon": 0, "u_flag": 0}
+                       "u_flag": 0}
 
 
-@pytest.mark.parametrize("cap", [200, 256])
-def test_engine_matches_step_oracle_across_chunk_caps(monkeypatch, delta_pair,
-                                                      cap):
-    monkeypatch.setattr(experiments, "_CHUNK_CAP", cap)
+@pytest.mark.parametrize("budget", [1, 5])
+def test_engine_matches_step_oracle_across_word_budgets(monkeypatch, delta_pair,
+                                                        budget):
+    # A budget below a row's doubling caps every read at that many words.
+    monkeypatch.setattr(experiments, "_WORD_BUDGET", budget)
     engine = FirstHitEngine(5, delta_pair)
     for rep in range(40):
-        for h0, hmax in ((1, 5000), (4097, 4097)):
-            assert engine.run_replica(rep, h0, hmax) == \
-                step_first_hit(engine, rep, h0, hmax)
+        for hmax in (5000, 4097):
+            assert engine.run_replica(rep, hmax) == step_first_hit(engine, rep, hmax)
 
 
 def test_first_excursion_slot_cap_keeps_the_mass_filter(symmetric_pair):
@@ -213,12 +209,12 @@ def test_unbiased_small_run(symmetric_pair):
 
 
 def test_unbiased_completes_replicas_past_the_first_block(delta_pair):
-    # T* in (horizon_fwd, max_horizon] is found under doubling, as in the
-    # other experiments, and only T* beyond max_horizon is censored.
+    # T* in (horizon_fwd, max_horizon] is found, as in the other
+    # experiments, and only T* beyond max_horizon is censored.
     cfg = make_cfg(delta_pair, "unbiased", seed=2, replicas=60, hf=64, hb=64,
                    max_horizon=1 << 16, lags=(1, 4))
     engine = FirstHitEngine(2, delta_pair)
-    outs = [engine.run_replica(rep, 64, 1 << 16) for rep in range(60)]
+    outs = [engine.run_replica(rep, 1 << 16) for rep in range(60)]
     assert any(not o["censored"] and o["t_star"] > 64 for o in outs)
     rep = run_unbiased_test(cfg)
     censored = sum(o["censored"] for o in outs)
@@ -466,7 +462,7 @@ def test_engine_matches_ledger_on_random_pairs(pair, exact, seed, rep):
     mode = "exact" if exact and pair.exact_mode_ok else "crossing"
     walk = WalkConfig(dx=Fraction(1), horizon_fwd=512, horizon_bwd=1,
                       seed=seed, start_law=pair.mu)
-    out = FirstHitEngine(seed, pair, mode).run_replica(rep, 512, 512)
+    out = FirstHitEngine(seed, pair, mode).run_replica(rep, 512)
     led = build_ledger(sample_walk(walk, rep), pair)
     try:
         res = compute_t_star(led, pair, mode=mode)
@@ -492,28 +488,26 @@ def _patched(name, value):
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS), measure_pairs()),
        st.booleans(), st.integers(0, 10**6), st.integers(0, 50),
-       st.integers(1, 12), st.sampled_from((1, 63, 64, 1000, 1024, 1 << 12)),
-       st.sampled_from((777, 4097, 1 << 12)), st.sampled_from((None, 200)),
+       st.integers(1, 12), st.sampled_from((1, 63, 64, 777, 4097, 1 << 12)),
        st.booleans(), st.sampled_from((1, 3, None)),
        st.sampled_from((1, 3, None)))
 @settings(max_examples=120, deadline=None)
-def test_engine_matches_step_oracle(pair, exact, seed, first, n, h0, hmax,
-                                    chunk_cap, events, cohort, budget):
+def test_engine_matches_step_oracle(pair, exact, seed, first, n, hmax, events,
+                                    cohort, budget):
     # The batched scan, a cohort of one and the step oracle agree, events
-    # included, whatever the chunk, cohort and word-budget sizes (None
-    # keeps the module default); h0 >= hmax examines hmax steps at once.
+    # included, whatever the cohort and word-budget sizes (None keeps the
+    # module default).
     mode = "exact" if exact and pair.exact_mode_ok else "crossing"
     engine = FirstHitEngine(seed, pair, mode)
     reps = range(first, first + n)
-    with _patched("_CHUNK_CAP", chunk_cap), _patched("_COHORT", cohort), \
-            _patched("_WORD_BUDGET", budget):
+    with _patched("_COHORT", cohort), _patched("_WORD_BUDGET", budget):
         if events:
-            got = list(run_with_events(engine, reps, h0, hmax))
-            one = [next(run_with_events(engine, [rep], h0, hmax)) for rep in reps]
+            got = list(run_with_events(engine, reps, hmax))
+            one = [next(run_with_events(engine, [rep], hmax)) for rep in reps]
         else:
-            got = list(engine.run_replicas(reps, h0, hmax))
-            one = [engine.run_replica(rep, h0, hmax) for rep in reps]
-        want = [step_first_hit(engine, rep, h0, hmax, events) for rep in reps]
+            got = list(engine.run_replicas(reps, hmax))
+            one = [engine.run_replica(rep, hmax) for rep in reps]
+        want = [step_first_hit(engine, rep, hmax, events) for rep in reps]
     assert len(got) == n
     for outs in zip(got, one, want):
         visits = [out.pop("events", None) for out in outs]
@@ -585,7 +579,7 @@ def test_engine_builds_start_streams_only_for_a_start_draw(monkeypatch,
         [(s, Fraction(1, 2)), (s + 2, Fraction(1, 2))]) for s in (0, 1)))
     for pair, starts in ((delta_pair, 0), (two_atoms, 5)):
         built.clear()
-        list(FirstHitEngine(3, pair).run_replicas(range(5), 64, 1 << 12))
+        list(FirstHitEngine(3, pair).run_replicas(range(5), 1 << 12))
         assert sum(ids[1] == STREAM_START for ids in built) == starts
         assert sum(ids[1] == STREAM_FWD for ids in built) == 5
 
@@ -631,6 +625,43 @@ def test_finder_reads_do_not_grow_with_horizon_fwd(monkeypatch, delta_pair):
         assert len(list(experiments._t_star_finder(cfg)(range(1000)))) == 1000
         totals.append(sum(read))
     assert totals == [262_479] * 3
+
+
+def test_tail_pass_reads_at_most_the_word_budget(monkeypatch, delta_pair):
+    # A finder pass of 300 replicas to 2^24, seed 7, under tracemalloc:
+    # no read takes more than _WORD_BUDGET words.  Peaks measured with
+    # numpy 2.4: 2.69 MiB when horizon blocks of up to 2^22 steps let a
+    # read take 65,536 words, 1.19 MiB with the budget as the cap.
+    read = []
+    take = BitStream.take_words
+    monkeypatch.setattr(BitStream, "take_words",
+                        lambda self, n: read.append(n) or take(self, n))
+    cfg = make_cfg(delta_pair, "tail", seed=7, replicas=300, max_horizon=1 << 24)
+    tracemalloc.start()
+    try:
+        outs = list(experiments._t_star_finder(cfg)(range(300)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(outs) == 300 and any(out["censored"] for out in outs)
+    assert max(read) <= experiments._WORD_BUDGET
+    assert peak < 2 * (1 << 20), f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("experiment, run", [
+    ("embed_law", run_embed_law), ("unbiased", run_unbiased_test),
+    ("cost_compare", run_cost_compare),
+    ("excursion_cost", lambda cfg: run_excursion_cost(cfg, matrices_per_excursion=1)),
+    ("tail", lambda cfg: run_tail(cfg, n_boot=5, checkpoints=(10,)))])
+def test_reports_do_not_depend_on_horizon_fwd(experiment, run, symmetric_pair):
+    # Every runner scans to max_horizon; horizon_fwd is read only by the
+    # ergodic long path and the walk command.
+    hmax = 777
+    reports = [run(make_cfg(symmetric_pair, experiment, seed=5, replicas=60,
+                            hf=hf, max_horizon=hmax, lags=(1, 4)))
+               for hf in (1, 1000, 1024, hmax)]
+    blobs = {json.dumps([rep.data, rep.tables], sort_keys=True) for rep in reports}
+    assert len(blobs) == 1
 
 
 def test_compare_memory_tripwire(symmetric_pair):

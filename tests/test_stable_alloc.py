@@ -203,7 +203,7 @@ def test_integer_quantile_window_equals_the_fraction_oracle(pair, seed, rep, ns)
     # On an engine excursion [0, T*]: the same quantile points, Fraction
     # views of the window, mesh, rounding maps at every step around the
     # excursion, and tau_n rows as the Fraction-threshold harness.
-    out = next(run_with_events(FirstHitEngine(seed, pair), [rep], 64, 1 << 10))
+    out = next(run_with_events(FirstHitEngine(seed, pair), [rep], 1 << 10))
     assume(out["t_star"])
     led = EventLedger(*out["events"], pair)
     exc = Excursion(0, out["t_star"], excursion_mass(led, 0, out["t_star"]))
