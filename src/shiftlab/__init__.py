@@ -9,7 +9,7 @@ from .errors import (ConfigError, FeasibilityError, HorizonExceededError,
 from .gauges import Gauge, capped, default_gauges, eval_gauge, log1p, power, rational
 from .measures import DiscreteMeasure, MeasurePair, split_measures
 from .walk import EventLedger, WalkConfig, WalkPath, build_ledger, sample_walk
-from .embedding import EmbeddingResult, Excursion, compute_t_star
+from .embedding import Excursion, compute_t_star
 from .stable_alloc import (PointConfig, StableMatch, compute_N,
                            quantile_discretize, stable_allocation,
                            tau_n_convergence_test)
@@ -28,7 +28,7 @@ __all__ = [
     "Gauge", "capped", "default_gauges", "eval_gauge", "log1p", "power", "rational",
     "DiscreteMeasure", "MeasurePair", "split_measures",
     "EventLedger", "WalkConfig", "WalkPath", "build_ledger", "sample_walk",
-    "EmbeddingResult", "Excursion", "compute_t_star",
+    "Excursion", "compute_t_star",
     "PointConfig", "StableMatch", "compute_N", "quantile_discretize",
     "stable_allocation", "tau_n_convergence_test",
     "CostReport", "TransportMatrix", "find_crossing", "inequality_check",

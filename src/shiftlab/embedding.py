@@ -1,18 +1,18 @@
 """The embedding time T*, allocation rule tau*, and excursion machinery.
 
 T* is the first positive step at which the additive functional of nu catches
-up with that of mu; tau* sends each step s to the first later step balancing
-the two functionals over [s, t].  In exact mode (all effective down-steps of
-size 1/q) the balance events are hit exactly and every identity below holds
-with equality in rational arithmetic.  Crossing mode (first D <= 0) takes
-any target but only approximates nu on the lattice: from delta_0, the site
-at T* is at TV distance 0.12 from nu = (delta_-m + 2 delta_m)/3 for m = 1,
-0.04 for m = 2 and 0.012 for m = 4.
+up with that of mu: the first n > 0 with C(n) <= 0.  tau* sends each step s
+to the first later step balancing the two functionals over [s, t].  When
+every effective down-step of C has size 1/q (unit nu-slots) C meets 0
+exactly and every identity below holds with equality in rational
+arithmetic.  On other targets T* only approximates nu on the lattice: from
+delta_0, the site at T* is at TV distance 0.12 from
+nu = (delta_-m + 2 delta_m)/3 for m = 1, 0.04 for m = 2 and 0.012 for m = 4.
 
 tau* comes from one balancing kernel, ``parenthesis_match`` (LIFO matching
-of mu-slots against nu-slots).  T* has one first-balance rule and one U-flag
-draw, shared with the first-hit engine.  Every ledger function reads an
-``EventLedger``.
+of mu-slots against nu-slots), which needs an orthogonal pair with unit
+nu-slots.  T* has one first-balance rule and one U-flag draw, shared with
+the first-hit engine.  Every ledger function reads an ``EventLedger``.
 """
 
 from __future__ import annotations
@@ -29,18 +29,6 @@ from .measures import MeasurePair
 from .rng import BitStream, STREAM_UFLAG
 from .walk import EventLedger
 
-Mode = str  # "exact" | "crossing"
-
-
-@dataclass(frozen=True)
-class EmbeddingResult:
-    t_star: int
-    site: int
-    mode: Mode
-    u_flag: int
-    censored: bool = False
-
-
 @dataclass(frozen=True)
 class Excursion:
     """An interval [left, tau*(left-adjacent charged step)] in signed steps."""
@@ -49,32 +37,21 @@ class Excursion:
     mass: Fraction
 
 
-MODES = ("exact", "crossing")
-
-
-def check_mode(mode: Mode) -> None:
-    """Reject an embedding mode the engines do not know."""
-    if mode not in MODES:
-        raise ConfigError(f"unknown embedding mode {mode!r}")
-
-
-def require_mode(pair: MeasurePair, mode: Mode) -> None:
-    """The exact-mode precondition: every effective down-step of D is 1/q."""
-    check_mode(mode)
-    if mode == "exact" and not pair.exact_mode_ok:
+def require_unit_slots(pair: MeasurePair) -> None:
+    """The slot kernel's precondition: an orthogonal pair (mu and nu share
+    no site) whose every effective nu-atom weighs 1/q, so C falls by one
+    slot at a time and each excursion closes at its balance."""
+    if not pair.orthogonal:
         raise ConfigError(
-            "exact mode requires every effective nu-atom to weigh exactly 1/q; "
-            "use crossing mode for general weights")
+            "slot matching needs an orthogonal pair (mu and nu share a site)")
+    if not pair.unit_nu_slots:
+        raise ConfigError(
+            "slot matching needs every effective nu-atom to weigh exactly 1/q")
 
 
-def balanced(c: np.ndarray, base: int, mode: Mode) -> np.ndarray:
-    """Mask of c == base (exact mode) or c <= base (crossing)."""
-    return c == base if mode == "exact" else c <= base
-
-
-def first_balance(c: np.ndarray, base: int, mode: Mode) -> int | None:
-    """First index of ``balanced(c, base, mode)``, else None."""
-    hits = np.flatnonzero(balanced(c, base, mode))
+def first_balance(c: np.ndarray, base: int) -> int | None:
+    """First index with c <= base, else None."""
+    hits = np.flatnonzero(c <= base)
     return int(hits[0]) if hits.size else None
 
 
@@ -101,39 +78,37 @@ def draw_u_flag(pair: MeasurePair, seed: int, replica: int, start: int) -> int:
     return 1 if u < p.numerator else 0
 
 
-def compute_t_star(ledger: EventLedger, pair: MeasurePair,
-                   mode: Mode = "exact") -> EmbeddingResult:
-    """First positive step with D = 0 (exact) or D <= 0 (crossing).
+def compute_t_star(ledger: EventLedger, pair: MeasurePair) -> dict:
+    """First positive step with C <= 0, as the first-hit engine's dict
+    {"t_star", "site", "censored", "u_flag"}.
 
-    The first-hit engine's rule on a ledger from ``build_ledger``: D starts
-    above 0 at a mu-atom and changes only at atom visits, so the first
-    balance is one.  Raises HorizonExceededError with the attained minimum
-    of D over [1, hf] when the event does not occur within the forward
-    horizon.
+    The engine's rule on a ledger from ``build_ledger``: C starts above 0
+    at a mu-atom and changes only at atom visits, so the first balance is
+    one.  Raises HorizonExceededError with the attained minimum of C over
+    [1, hf] when the event does not occur within the forward horizon.
     """
     if pair is not ledger.pair and pair.to_json() != ledger.pair.to_json():
         raise ConfigError("measure pair does not match the ledger")
-    require_mode(ledger.pair, mode)
     path = ledger.path
+    out = {"t_star": 0, "site": path.start, "censored": False, "u_flag": 0}
     if draw_u_flag(ledger.pair, path.cfg.seed, path.replica, path.start) == 0:
-        return EmbeddingResult(t_star=0, site=path.start, mode=mode, u_flag=0)
+        return out
     steps, wmu, wnu = ledger.events(0, ledger.hf)
-    d = np.cumsum(wmu - wnu)               # q D at each visit from step 0
-    if not steps.size or steps[0] != 0 or d[0] <= 0:
-        raise ConfigError("D(0) must be positive: start_law must be mu")
-    h = first_balance(d[1:], 0, mode)
+    c = np.cumsum(wmu - wnu)               # q C at each visit from step 0
+    if not steps.size or steps[0] != 0 or c[0] <= 0:
+        raise ConfigError("C(0) must be positive: start_law must be mu")
+    h = first_balance(c[1:], 0)
     if h is None:
-        # D over [1, hf]: its values at the later visits, and D(0) at step
+        # C over [1, hf]: its values at the later visits, and C(0) at step
         # 1 unless step 1 is a visit.
-        vals = d[1:].tolist()
+        vals = c[1:].tolist()
         if ledger.hf >= 1 and 1 not in steps[1:2]:
-            vals.append(int(d[0]))
+            vals.append(int(c[0]))
         raise HorizonExceededError(
             "T* not reached within forward horizon", horizon=ledger.hf,
             attained=Fraction(min(vals), ledger.q) if vals else None)
     n = int(steps[1 + h])
-    return EmbeddingResult(t_star=n, site=path.positions(n), mode=mode,
-                           u_flag=1)
+    return {**out, "t_star": n, "site": path.positions(n), "u_flag": 1}
 
 
 def mu_charged_steps(ledger: EventLedger, left: int, right: int) -> np.ndarray:
@@ -168,17 +143,14 @@ def parenthesis_match(keys, opens, closes) -> tuple[list, list]:
 
 def _match_ledger(ledger: EventLedger, left: int, right: int
                   ) -> tuple[list[tuple[int, int]], list[int]]:
-    """The kernel over the mass-carrying steps in [left, right] (exact mode).
+    """The kernel over the mass-carrying steps in [left, right].
 
     mu-visits open mu(x)*q slots and nu-visits close one each; ``dict(pairs)``
     maps each fully matched step to tau*, the close of its last slot.  Where
     mu and nu share a site the kernel and the balance definition of tau*
-    disagree, so the pair must be orthogonal.
+    disagree, hence ``require_unit_slots``.
     """
-    require_mode(ledger.pair, "exact")
-    if not ledger.pair.orthogonal:
-        raise ConfigError(
-            "slot matching needs an orthogonal pair (mu and nu share a site)")
+    require_unit_slots(ledger.pair)
     steps, wmu, wnu = ledger.events(left, right)
     return parenthesis_match(steps.tolist(), wmu.tolist(), wnu.tolist())
 
@@ -204,7 +176,7 @@ def match_slots(ledger: EventLedger, left: int, right: int) -> list[tuple[int, i
     """Sorted (source_step, target_step) slot pairs of the kernel on [left, right].
 
     Every mu-charged step contributes mu(x)*q open slots, every nu-charged
-    step one close slot (exact mode, orthogonal pair).  A step's last pair
+    step one close slot (``require_unit_slots``).  A step's last pair
     is its tau*, as long as that lies inside the window.
     """
     pairs, _ = _match_ledger(ledger, left, right)

@@ -22,14 +22,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .comparators import (Cohort, Comparator, apply_comparator, check_matching,
                           matching_cost)
-from .embedding import (balanced, check_mode, draw_u_flag, require_mode,
-                        tau_star_map)
+from .embedding import draw_u_flag, require_unit_slots, tau_star_map
 # perfbench/tracing.LAYERS patches these in this namespace.
 from .embedding import compute_t_star, match_slots  # noqa: F401
 from .walk import build_ledger, sample_walk  # noqa: F401
@@ -61,7 +61,6 @@ class ExperimentConfig:
     gauges: tuple[Gauge, ...]
     replicas: int
     experiment: str
-    mode: str = "exact"                    # "exact" | "crossing"
     max_horizon: int = 1 << 20
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
     comparators: tuple[Comparator, ...] = (
@@ -72,7 +71,6 @@ class ExperimentConfig:
     r_levels: int = 6
 
     def __post_init__(self):
-        check_mode(self.mode)
         if not set(self.thresholds) <= set(DEFAULT_THRESHOLDS):
             raise ConfigError(f"thresholds take only {sorted(DEFAULT_THRESHOLDS)}, "
                               f"got {sorted(self.thresholds)}")
@@ -128,7 +126,6 @@ class ExperimentConfig:
                 gauges=gauges_from_json(obj.get("gauges")),
                 replicas=as_int(obj.get("replicas", 1000)),
                 experiment=experiment,
-                mode=obj.get("mode", "exact"),
                 max_horizon=as_int(obj.get("max_horizon", 1 << 20)),
                 thresholds={**DEFAULT_THRESHOLDS,
                             **{k: float(v) for k, v in extra.items()}},
@@ -145,10 +142,11 @@ class ExperimentConfig:
             "gauges": [g.to_json() for g in self.gauges],
             "replicas": self.replicas,
             "experiment": self.experiment,
-            "mode": self.mode,
-            # A constant, so that digests stay those of configs written when
-            # horizons doubled and a second policy existed; every run now
-            # scans to max_horizon.
+            # Constants, so that digests stay those of configs written when
+            # horizons doubled and a second policy existed, and when "exact"
+            # (C == 0) and "crossing" (C <= 0) were two stop rules; every run
+            # now scans to max_horizon and stops at the first C <= 0.
+            "mode": "exact",
             "horizon_policy": "doubling",
             "max_horizon": self.max_horizon,
         }
@@ -164,9 +162,13 @@ class StatReport:
     tables: dict[str, list[dict]] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"experiment": self.experiment, "config_digest": self.config_digest,
-             "data": self.data}, sort_keys=True, indent=2) + "\n"
+        """Strict JSON: a statistic with no sample is null, never NaN."""
+        try:
+            return json.dumps(
+                {"experiment": self.experiment, "config_digest": self.config_digest,
+                 "data": self.data}, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise InvariantError(f"{self.experiment} report: {exc}") from exc
 
     def write(self, out_dir: Path) -> None:
         out_dir = Path(out_dir)
@@ -199,7 +201,7 @@ _BYTE_MAX = _BYTE_PATH.max(axis=1)
 
 
 class FirstHitEngine:
-    """Simulates T* = first n > 0 with C(n) back at C(-1), per replica.
+    """Simulates T* = first n > 0 with C(n) <= 0, per replica.
 
     C changes only at visits to atoms with a nonzero weight difference, and
     it starts above the balance level, so the first balance is an atom
@@ -220,11 +222,9 @@ class FirstHitEngine:
     simulation of that stream whatever the cohort and call sizes.
     """
 
-    def __init__(self, seed: int, pair: MeasurePair, mode: str = "exact"):
-        require_mode(pair, mode)
+    def __init__(self, seed: int, pair: MeasurePair):
         self.seed = seed
         self.pair = pair
-        self.mode = mode
         sites = [s for m in (pair.mu, pair.nu) for s, _ in m.atoms]
         self._lo, self._hi = min(sites), max(sites)
         # Weight difference and atom flag by site over [lo - 8, hi + 8]:
@@ -309,7 +309,11 @@ class FirstHitEngine:
         seg = np.searchsorted(rows, np.arange(len(words) + 1))  # row starts
         cum = np.concatenate(([0], np.cumsum(self._wtab[sites - (self._lo - 8)])))
         c_arr = cum[1:] + np.repeat(c - cum[seg[:-1]], np.diff(seg))
-        hits = np.flatnonzero(balanced(c_arr, 0, self.mode))
+        # Hits are the steps where a row's C falls to <= 0 (it enters above
+        # 0), not every later step at or below 0, which can be most of them.
+        hits = c_arr <= 0
+        hits[1:] &= ~hits[:-1] | (rows[1:] != rows[:-1])
+        hits = np.flatnonzero(hits)
         hits = hits[np.diff(rows[hits], prepend=-1) != 0]      # first per row
         seen = None
         if events:
@@ -373,13 +377,11 @@ def _t_star_finder(cfg: ExperimentConfig):
     scanning each to ``max_horizon``; a replica whose T* lies beyond it is
     censored.
     """
-    engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
+    engine = FirstHitEngine(cfg.walk.seed, cfg.pair)
     return lambda reps: engine.run_replicas(reps, cfg.max_horizon)
 
 
 def _mean_se(xs) -> tuple[float, float]:
-    if len(xs) == 0:
-        return float("nan"), float("nan")
     arr = np.asarray(xs, dtype=float)
     se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return float(arr.mean()), se
@@ -420,7 +422,8 @@ def run_embed_law(cfg: ExperimentConfig) -> StatReport:
     censor_rate = censored / cfg.replicas
     data = {
         "replicas": cfg.replicas, "completed": completed, "censored": censored,
-        "tv_distance": tv, "chi2": chi2, "off_support_hits": extra,
+        "tv_distance": tv if completed else None,
+        "chi2": chi2 if completed else None, "off_support_hits": extra,
         "censor_rate": censor_rate,
         "excess_censoring_flag": censor_rate > cfg.thresholds["censor_flag"],
         "mean_t_star_steps": float(np.mean(t_values)) if t_values else None,
@@ -502,23 +505,26 @@ def run_unbiased_test(cfg: ExperimentConfig) -> StatReport:
             "ks_stat_bwd": float(ks_b.statistic) if ks_b else None,
             "ks_pvalue_bwd": float(ks_b.pvalue) if ks_b else None,
         })
-    n = max(step_count, 1)
-    p_plus = plus_count / n
-    sign_z = (p_plus - 0.5) / math.sqrt(0.25 / n)
+    # None, and no pass, when no replica completed.
+    p_plus = plus_count / step_count if step_count else None
+    sign_z = ((p_plus - 0.5) / math.sqrt(0.25 / step_count) if step_count
+              else None)
     data = {
         "replicas": cfg.replicas, "completed": step_count, "censored": censored,
         "p_plus_first_step": p_plus, "sign_z": sign_z,
-        "sign_ok": abs(sign_z) <= cfg.thresholds["sigma"],
+        "sign_ok": sign_z is not None and abs(sign_z) <= cfg.thresholds["sigma"],
         "seed": cfg.walk.seed,
     }
     return StatReport("unbiased", cfg.digest(), data, {"lags": rows})
 
 
-def _engine_cohorts(cfg: ExperimentConfig):
+def _engine_cohorts(cfg: ExperimentConfig) -> list:
     """Per engine cohort, a call that scans it under ``_t_star_finder``'s
     horizon contract: (replica ids, their run_replica dicts, the Cohort of
-    their used paths (T* > 0) or None).  A cohort dies with its caller."""
-    engine = FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
+    their used paths (T* > 0) or None).  A cohort dies with its caller.
+    The pair is checked for the slot kernel before any scan."""
+    require_unit_slots(cfg.pair)
+    engine = FirstHitEngine(cfg.walk.seed, cfg.pair)
 
     def scan(reps):
         outs, (rows, steps, sites) = engine.scan_cohort(reps, cfg.max_horizon, True)
@@ -527,8 +533,8 @@ def _engine_cohorts(cfg: ExperimentConfig):
         return reps, outs, (Cohort(path[rows[on]], steps[on], sites[on], cfg.pair)
                             if used.any() else None)
 
-    for i in range(0, cfg.replicas, _COHORT):
-        yield lambda reps=range(cfg.replicas)[i:i + _COHORT]: scan(reps)
+    return [partial(scan, range(cfg.replicas)[i:i + _COHORT])
+            for i in range(0, cfg.replicas, _COHORT)]
 
 
 def _score_cohort(cfg: ExperimentConfig, scan, keys: list, per: dict,
@@ -586,11 +592,6 @@ def run_cost_compare(cfg: ExperimentConfig) -> StatReport:
 def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
                        slot_cap: int = 48) -> StatReport:
     """Both sides of the excursion inequality for random feasible matrices."""
-    if not cfg.pair.orthogonal:
-        raise ConfigError(
-            "excursion-cost checks need an orthogonal pair (distinct source "
-            "and target steps)")
-    require_mode(cfg.pair, "exact")        # unit nu-slots: T* balances
     # A sampler seed from 2^53 on rounds through float64 in its stream key.
     top = cfg.walk.seed * 1000 + (cfg.replicas - 1) * 10 + matrices_per_excursion - 1
     if top >= 1 << 53:
@@ -651,7 +652,7 @@ def _long_path(cfg: ExperimentConfig) -> EventLedger:
     reads both streams the way ``WalkPath`` does and keeps the atom visits.
     """
     walk = cfg.walk
-    engine = FirstHitEngine(walk.seed, cfg.pair, cfg.mode)
+    engine = FirstHitEngine(walk.seed, cfg.pair)
     start = draw_start(cfg.pair.mu, BitStream(walk.seed, 0, STREAM_START))
     fwd, fwd_sites = engine.path_visits(0, STREAM_FWD, start, walk.horizon_fwd)
     bwd, bwd_sites = engine.path_visits(0, STREAM_BWD, start, walk.horizon_bwd)
@@ -662,6 +663,7 @@ def _long_path(cfg: ExperimentConfig) -> EventLedger:
 
 def run_ergodic(cfg: ExperimentConfig, ensemble_replicas: int = 1000) -> StatReport:
     """Time-averaged tau* cost along one long path versus half the ensemble mean."""
+    require_unit_slots(cfg.pair)
     ledger = _long_path(cfg)
     q = ledger.q
     dt = float(cfg.walk.dt)
@@ -692,8 +694,8 @@ def run_ergodic(cfg: ExperimentConfig, ensemble_replicas: int = 1000) -> StatRep
 
     rows = []
     for r in r_grid:
-        s_fwd = inverse_local_time(ledger, "mu+nu", r)
-        s_bwd = inverse_local_time(ledger, "mu+nu", -r)
+        s_fwd = inverse_local_time(ledger, r)
+        s_bwd = inverse_local_time(ledger, -r)
         for g in cfg.gauges:
             fwd, un_f = window_average(0, s_fwd + 1, r, g)
             bwd, un_b = window_average(s_bwd, 0, r, g)
@@ -703,7 +705,7 @@ def run_ergodic(cfg: ExperimentConfig, ensemble_replicas: int = 1000) -> StatRep
 
     # Block SE at the largest r from disjoint mass blocks.
     n_blocks = 8
-    ends = [inverse_local_time(ledger, "mu+nu", r_max * k / n_blocks) + 1
+    ends = [inverse_local_time(ledger, r_max * k / n_blocks) + 1
             for k in range(1, n_blocks + 1)]
     block_rows = {g.label: [window_average(lo, hi, r_max / n_blocks, g)[0]
                             for lo, hi in zip([0] + ends, ends)]
@@ -722,21 +724,25 @@ def run_ergodic(cfg: ExperimentConfig, ensemble_replicas: int = 1000) -> StatRep
 
     summary = []
     for g in cfg.gauges:
-        e_mean, e_se = _mean_se(ens[g.label])
-        half = e_mean / 2.0
         bvals = block_rows[g.label]
         t_se = (float(np.std(bvals, ddof=1)) / math.sqrt(len(bvals))
                 if len(bvals) > 1 else 0.0)
         fwd_last = next(r["fwd"] for r in reversed(rows) if r["gauge"] == g.label)
         bwd_last = next(r["bwd"] for r in reversed(rows) if r["gauge"] == g.label)
-        comb = math.sqrt(t_se ** 2 + (e_se / 2.0) ** 2)
-        sig = cfg.thresholds["sigma"]
-        summary.append({
-            "gauge": g.label, "fwd": fwd_last, "bwd": bwd_last,
-            "half_ensemble": half, "ensemble_se": e_se, "time_se": t_se,
-            "fwd_ok": abs(fwd_last - half) <= sig * max(comb, 1e-12),
-            "bwd_ok": abs(bwd_last - half) <= sig * max(comb, 1e-12),
-        })
+        # With every ensemble replica censored there is no sample: the
+        # ensemble fields are None and neither side passes.
+        row = {"gauge": g.label, "fwd": fwd_last, "bwd": bwd_last,
+               "half_ensemble": None, "ensemble_se": None, "time_se": t_se,
+               "fwd_ok": False, "bwd_ok": False}
+        if ens[g.label]:
+            e_mean, e_se = _mean_se(ens[g.label])
+            half = e_mean / 2.0
+            comb = math.sqrt(t_se ** 2 + (e_se / 2.0) ** 2)
+            tol = cfg.thresholds["sigma"] * max(comb, 1e-12)
+            row.update(half_ensemble=half, ensemble_se=e_se,
+                       fwd_ok=abs(fwd_last - half) <= tol,
+                       bwd_ok=abs(bwd_last - half) <= tol)
+        summary.append(row)
     data = {
         "r_max": float(r_max), "r_grid": [float(r) for r in r_grid],
         "ensemble_replicas": ensemble_replicas,

@@ -119,7 +119,7 @@ class MeasurePair:
     denominator: int = field(default=1)
 
     @property
-    def exact_mode_ok(self) -> bool:
+    def unit_nu_slots(self) -> bool:
         """Exactness condition for the embedding: every effective down-step of
         the difference process has size exactly 1/q.
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Literal
 
 import numpy as np
 
@@ -158,9 +157,6 @@ def sample_walk(cfg: WalkConfig, replica: int = 0) -> WalkPath:
     return WalkPath(cfg, replica)
 
 
-Functional = Literal["mu", "nu", "mu+nu"]
-
-
 def site_weights(pos: np.ndarray, m: DiscreteMeasure, q: int) -> np.ndarray:
     """Weight numerator over q of ``m`` at each position of ``pos``."""
     w = np.zeros(len(pos), dtype=np.int64)
@@ -205,9 +201,8 @@ def build_ledger(path: WalkPath, pair: MeasurePair) -> EventLedger:
     return ledger
 
 
-def inverse_local_time(ledger: EventLedger,
-                       functional: Functional, r: Fraction | int) -> int:
-    """Generalized inverse S^r of the chosen additive functional.
+def inverse_local_time(ledger: EventLedger, r: Fraction | int) -> int:
+    """Generalized inverse S^r of the additive functional L^mu + L^nu.
 
     For r > 0 returns the first step n >= 0 whose cumulated mass over [0, n]
     reaches r (so the attained mass lies in [r, r + w), w the largest atom
@@ -219,10 +214,8 @@ def inverse_local_time(ledger: EventLedger,
     side, horizon = ("forward", ledger.hf) if r >= 0 else ("backward", ledger.hb)
     steps, wmu, wnu = (ledger.events(0, horizon) if r >= 0 else
                        (a[::-1] for a in ledger.events(-horizon, 0)))
-    weights = {"mu": wmu, "nu": wnu, "mu+nu": wmu + wnu}
-    if functional not in weights:
-        raise ConfigError(f"unknown functional {functional!r}")
-    cum = np.cumsum(weights[functional])
+    weights = wmu + wnu
+    cum = np.cumsum(weights)
     # r = 0 looks for the first step that carries mass.
     hit = np.searchsorted(cum, max(math.ceil(abs(r) * ledger.q), 1))
     if r == 0:
@@ -231,5 +224,5 @@ def inverse_local_time(ledger: EventLedger,
         raise HorizonExceededError(
             f"local-time level not attained within {side} horizon",
             horizon=horizon,
-            attained=Fraction(int(weights[functional].sum()), ledger.q))
+            attained=Fraction(int(weights.sum()), ledger.q))
     return int(steps[hit])

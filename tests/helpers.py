@@ -52,7 +52,8 @@ from shiftlab import experiments
 from shiftlab.comparators import Cohort, extract_slots
 from shiftlab.embedding import (Excursion, _match_ledger, compute_t_star,
                                 draw_u_flag, first_balance, match_slots,
-                                mu_charged_steps, require_mode, tau_star_map)
+                                mu_charged_steps, require_unit_slots,
+                                tau_star_map)
 from shiftlab.errors import (ConfigError, HorizonExceededError,
                              InvariantError, TruncationError)
 from shiftlab.gauges import Gauge, eval_gauge
@@ -206,8 +207,9 @@ class ExcursionChain:
 
 
 def compute_tau_star(ledger: LocalTimeLedger, s: int) -> int:
-    """Smallest t > s with equal mu- and nu-mass over [s, t] (exact mode)."""
-    require_mode(ledger.pair, "exact")
+    """Smallest t > s with equal mu- and nu-mass over [s, t] (unit nu-atoms)."""
+    if not ledger.pair.unit_nu_slots:
+        raise ConfigError("tau* by scan needs every effective nu-atom at 1/q")
     i_s = ledger.idx(s)
     target = ledger.X[i_s]                 # C(s-1)
     c_later = ledger.X[i_s + 2:]           # C(s+1), ...
@@ -229,12 +231,12 @@ def decompose_excursions(ledger: LocalTimeLedger, up_to_level: Fraction):
     Discrete convention: sigma(u) is the first backward time at or below the
     nominal level C(0) - u*q (backward down-moves have mu-atom size and can
     skip a level exactly), and rho(u) is the first forward hit of the level
-    actually attained at sigma(u).  Forward down-moves are unit in exact
-    mode, so that hit exists and tau*(sigma(u)) = rho(u) holds exactly;
+    actually attained at sigma(u).  Forward down-moves are unit (unit
+    nu-slots), so that hit exists and tau*(sigma(u)) = rho(u) holds exactly;
     u = 0 degenerates to [0, 0].  The partition takes tau* from the
     balancing kernel (``tau_star_map``), so it needs an orthogonal pair.
     """
-    require_mode(ledger.pair, "exact")
+    require_unit_slots(ledger.pair)
     up_to_level = Fraction(up_to_level)
     if up_to_level < 0:
         raise ConfigError("level must be nonnegative")
@@ -260,8 +262,8 @@ def decompose_excursions(ledger: LocalTimeLedger, up_to_level: Fraction):
             sigmas.append(0)
             rhos.append(0)
             continue
-        j = first_balance(c_bwd, c0 - k, "crossing")
-        rho = None if j is None else first_balance(c_fwd, c_bwd[j], "exact")
+        j = first_balance(c_bwd, c0 - k)
+        rho = None if j is None else first_balance(c_fwd, c_bwd[j])
         if rho is None:
             raise HorizonExceededError(
                 f"level {u} not attained on both sides",
@@ -360,7 +362,7 @@ def step_first_hit(engine, replica: int, hmax: int,
         warr = np.zeros(hmax + 1, dtype=np.int64)
         for site, wn in engine.wdiff.items():
             warr[path == site] = wn
-        h = first_balance(np.cumsum(warr)[1:], 0, engine.mode)
+        h = first_balance(np.cumsum(warr)[1:], 0)
         out = ({"t_star": None, "site": None, "censored": True, "u_flag": 1}
                if h is None else {"t_star": h + 1, "site": int(path[h + 1]),
                                   "censored": False, "u_flag": 1})
@@ -387,7 +389,7 @@ def run_with_events(engine, replicas, hmax: int):
 
 def t_star_events(cfg, replicas):
     """run_with_events under experiments._t_star_finder's horizon contract."""
-    engine = experiments.FirstHitEngine(cfg.walk.seed, cfg.pair, cfg.mode)
+    engine = experiments.FirstHitEngine(cfg.walk.seed, cfg.pair)
     return run_with_events(engine, replicas, cfg.max_horizon)
 
 
@@ -585,6 +587,7 @@ def cohort_of(items, pair):
 def per_path_cost_compare(cfg) -> "experiments.StatReport":
     """experiments.run_cost_compare with one ledger, kernel call, check and
     cost sum per excursion."""
+    require_unit_slots(cfg.pair)           # before any scan, as compare does
     tol = cfg.thresholds["margin_tol"]
     per, diffs = {}, {}
     violations = skipped = used = 0
@@ -640,7 +643,7 @@ def doubling_first_excursion(cfg, rep: int, slot_cap: int | None = None):
     while True:
         ledger = LocalTimeLedger(path, cfg.pair)
         try:
-            res = compute_t_star(ledger, cfg.pair, mode="exact")
+            t_star = compute_t_star(ledger, cfg.pair)["t_star"]
             break
         except HorizonExceededError:
             if horizon >= cfg.max_horizon:
@@ -651,10 +654,10 @@ def doubling_first_excursion(cfg, rep: int, slot_cap: int | None = None):
                 return None
             horizon = min(2 * horizon, cfg.max_horizon)
             path.extend_fwd(horizon)
-    if res.t_star == 0:
+    if t_star == 0:
         return None
-    exc = Excursion(left=0, right=res.t_star,
-                    mass=excursion_mass(ledger, 0, res.t_star))
+    exc = Excursion(left=0, right=t_star,
+                    mass=excursion_mass(ledger, 0, t_star))
     if slot_cap is not None and exc.mass * ledger.q > slot_cap:
         return None
     return ledger, exc

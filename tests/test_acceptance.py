@@ -251,7 +251,7 @@ def test_criterion_9_convergence_harness():
     for rep_id in (0, 49):
         led = build_ledger(sample_walk(walk, rep_id), symmetric_pair)
         res = compute_t_star(led, symmetric_pair)
-        exc = Excursion(0, res.t_star, excursion_mass(led, 0, res.t_star))
+        exc = Excursion(0, res["t_star"], excursion_mass(led, 0, res["t_star"]))
         out = tau_n_convergence_test(led, exc, [4, 16, 64, 256])
         mesh = Fraction(exc.right - exc.left, 256)
         rounds = [r["sup_rounding"] for r in out["rows"]]

@@ -219,12 +219,71 @@ def test_horizon_exit_code(tmp_path, capsys, monkeypatch):
     assert err["error"] == "horizon" and err["horizon"] == 512
 
 
-def test_unknown_mode_and_policy_are_config_errors(tmp_path, capsys):
-    cfg = write_json(tmp_path, "cfg.json",
-                     walk_config({"mode": "exakt"}))
-    assert main(["--output-dir", str(tmp_path / "o"), "embed", cfg]) == EXIT_CONFIG
-    assert json.loads(capsys.readouterr().err)["error"] == "config"
-    assert not (tmp_path / "o").exists()
+def test_mode_and_horizon_policy_are_ignored_keys(tmp_path):
+    # T* has one stop rule and one horizon policy: a config naming an old
+    # one, or a misspelt one, writes the bytes of the config without it.
+    def report(command, extra):
+        out = tmp_path / f"o{len(list(tmp_path.iterdir()))}"
+        cfg = write_json(tmp_path, "cfg.json", walk_config(extra))
+        assert main(["--output-dir", str(out), command, cfg]) == EXIT_OK
+        return (out / "report.json").read_bytes()
+
+    for command in ("embed", "compare"):
+        plain = report(command, {})
+        for extra in ({"mode": "crossing"}, {"mode": "exact"},
+                      {"mode": "exakt"}, {"horizon_policy": "fixed"}):
+            assert report(command, extra) == plain
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# What each experiment reports with no completed replica: no statistic of
+# an empty sample, and no passed verdict.
+_NO_SAMPLE = {
+    "embed": {"completed": 0, "tv_distance": None, "chi2": None,
+              "excess_censoring_flag": True},
+    "unbiased": {"completed": 0, "p_plus_first_step": None, "sign_z": None,
+                 "sign_ok": False},
+    "compare": {"paths_used": 0, "pathwise_violations": 0},
+    "excursion-cost": {"excursions_used": 0, "min_margin": None,
+                       "all_nonnegative": False},
+    "tail": {"censored": 40, "alpha_hat": None},
+    "ergodic": {"ensemble_censored": 1000},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NO_SAMPLE))
+def test_all_censored_reports_are_strict_json(tmp_path, command):
+    # delta_5 lies 5 steps from the start: max_horizon 1 censors every
+    # replica, ergodic's ensemble included.
+    cfg = write_json(tmp_path, "cfg.json", walk_config({
+        "nu": [[5, 1, 1]], "max_horizon": 1,
+        "walk": {"horizon_fwd": 2048, "horizon_bwd": 2048, "seed": 1}}))
+    out = tmp_path / "o"
+    assert main(["--output-dir", str(out), command, cfg]) == EXIT_OK
+    data = json.loads((out / "report.json").read_text(),
+                      parse_constant=_refuse_constant)["data"]
+    assert {k: data[k] for k in _NO_SAMPLE[command]} == _NO_SAMPLE[command]
+    for row in data.get("summary", []):
+        assert row["half_ensemble"] is None and row["ensemble_se"] is None
+        assert not row["fwd_ok"] and not row["bwd_ok"]
+
+
+def test_a_non_finite_report_is_an_invariant_error(tmp_path, capsys,
+                                                   monkeypatch):
+    import shiftlab.cli as cli_mod
+    from shiftlab.experiments import StatReport
+
+    monkeypatch.setitem(cli_mod._COMMANDS, "embed", cli_mod._experiment(
+        "embed", "embed_law",
+        lambda cfg: StatReport("embed_law", "-", {"tv_distance": math.nan})))
+    cfg = write_json(tmp_path, "cfg.json", walk_config())
+    out = tmp_path / "o"
+    assert main(["--output-dir", str(out), "embed", cfg]) == EXIT_INVARIANT
+    assert json.loads(capsys.readouterr().err)["error"] == "invariant"
+    assert not (out / "report.json").exists()
 
 
 def test_matching_on_non_orthogonal_pair_is_config_error(tmp_path, capsys):
@@ -260,12 +319,14 @@ def test_out_of_range_counts_are_config_errors(tmp_path, capsys, command,
 
 def test_excursion_cost_needs_unit_nu_atoms_in_either_mode(tmp_path, capsys):
     # A nu-atom of weight 2/3 closes two slots at once, so T* can overshoot
-    # the balance and the excursion's slots would not match up.
-    cfg = write_json(tmp_path, "cfg.json", walk_config({
-        "mu": [[0, 1, 1]], "nu": [[-1, 1, 3], [1, 2, 3]], "mode": "crossing"}))
-    assert main(["--output-dir", str(tmp_path / "o"), "excursion-cost",
-                 cfg]) == EXIT_CONFIG
-    assert "exact mode" in json.loads(capsys.readouterr().err)["message"]
+    # the balance and the excursion's slots would not match up.  The old
+    # "mode" key is ignored; the pair is refused before any scan.
+    for extra in ({"mode": "crossing"}, {}):
+        cfg = write_json(tmp_path, "cfg.json", walk_config({
+            "mu": [[0, 1, 1]], "nu": [[-1, 1, 3], [1, 2, 3]], **extra}))
+        assert main(["--output-dir", str(tmp_path / "o"), "excursion-cost",
+                     cfg]) == EXIT_CONFIG
+        assert "1/q" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_excursion_cost_off_equality_is_invariant_error(tmp_path, capsys,

@@ -40,8 +40,8 @@ def completed_excursions(pair, seed, n, hf=1 << 13):
             res = compute_t_star(led, pair)
         except HorizonExceededError:
             continue
-        out.append((led, Excursion(0, res.t_star,
-                                   excursion_mass(led, 0, res.t_star))))
+        out.append((led, Excursion(0, res["t_star"],
+                                   excursion_mass(led, 0, res["t_star"]))))
     assert len(out) == n
     return out
 

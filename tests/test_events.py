@@ -58,13 +58,11 @@ def dense_events(pair, seed, rep, t):
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS + (_MULTI_SLOT,)),
                  measure_pairs()),
-       st.booleans(), st.integers(0, 10**6), st.integers(0, 30),
+       st.integers(0, 10**6), st.integers(0, 30),
        st.sampled_from((777, 4096)), st.sampled_from((None, 3)))
 @settings(max_examples=150, deadline=None)
-def test_engine_events_equal_the_dense_ledger(pair, exact, seed, rep, hmax,
-                                              budget):
-    mode = "exact" if exact and pair.exact_mode_ok else "crossing"
-    engine = FirstHitEngine(seed, pair, mode)
+def test_engine_events_equal_the_dense_ledger(pair, seed, rep, hmax, budget):
+    engine = FirstHitEngine(seed, pair)
     patch = (nullcontext() if budget is None
              else mock.patch.object(experiments, "_WORD_BUDGET", budget))
     with patch:
@@ -87,16 +85,15 @@ def test_engine_events_equal_the_dense_ledger(pair, exact, seed, rep, hmax,
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS + (_MULTI_SLOT,)),
                  measure_pairs()),
-       st.booleans(), st.integers(0, 10**6), st.integers(0, 300),
+       st.integers(0, 10**6), st.integers(0, 300),
        st.integers(1, 30), st.sampled_from((1, 7, 256)),
        st.sampled_from((777, 4096)))
 @settings(max_examples=60, deadline=None)
-def test_flat_events_equal_the_per_replica_events(pair, exact, seed, first, n,
-                                                  cohort, hmax):
+def test_flat_events_equal_the_per_replica_events(pair, seed, first, n, cohort,
+                                                  hmax):
     # An engine cohort's one flat (rows, steps, sites) holds, row by row in
     # replica order, the events of each replica scanned alone.
-    mode = "exact" if exact and pair.exact_mode_ok else "crossing"
-    engine = FirstHitEngine(seed, pair, mode)
+    engine = FirstHitEngine(seed, pair)
     reps = range(first, first + n)
     scanned = [engine.scan_cohort(reps[i:i + cohort], hmax, True)
                for i in range(0, n, cohort)]
@@ -149,16 +146,16 @@ def test_event_ledger_matches_like_the_dense_one():
     assert seen > 10
 
 
-def _inverse_or_censored(ledger, functional, r):
+def _inverse_or_censored(ledger, r):
     try:
-        return inverse_local_time(ledger, functional, r)
+        return inverse_local_time(ledger, r)
     except HorizonExceededError as exc:
         return str(exc), exc.horizon, exc.attained
 
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS + (_MULTI_SLOT,)),
                  measure_pairs()).filter(
-                     lambda p: p.orthogonal and p.exact_mode_ok),
+                     lambda p: p.orthogonal and p.unit_nu_slots),
        st.integers(0, 10**6), st.integers(1, 5000), st.integers(1, 5000),
        st.data())
 @settings(max_examples=100, deadline=None)
@@ -182,13 +179,9 @@ def test_long_path_events_equal_the_dense_ledger(pair, seed, hf, hb, data):
     # Levels of both signs, 0, and past all mass of a side (never attained).
     units = [0, data.draw(st.integers(1, 60)), -data.draw(st.integers(1, 60)),
              (hf + 2) * pair.denominator, -(hb + 2) * pair.denominator]
-    for functional in ("mu", "nu", "mu+nu"):
-        for k in units:
-            r = Fraction(k, pair.denominator)
-            assert (_inverse_or_censored(led, functional, r)
-                    == _inverse_or_censored(dense, functional, r))
-    with pytest.raises(ConfigError):
-        inverse_local_time(led, "mu-nu", 1)
+    for k in units:
+        r = Fraction(k, pair.denominator)
+        assert _inverse_or_censored(led, r) == _inverse_or_censored(dense, r)
 
 
 def test_ergodic_builds_no_dense_path(monkeypatch, symmetric_pair):
@@ -310,7 +303,7 @@ def test_excursion_cost_builds_its_points_from_the_slots(monkeypatch,
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS + (_MULTI_SLOT,)),
                  measure_pairs()).filter(
-                     lambda p: p.orthogonal and p.exact_mode_ok),
+                     lambda p: p.orthogonal and p.unit_nu_slots),
        st.integers(0, 10**6), st.integers(1, 12))
 @settings(max_examples=100, deadline=None)
 def test_fifo_matching_equals_the_queue_oracle(pair, seed, replicas):
@@ -333,10 +326,8 @@ def test_fifo_matching_equals_the_queue_oracle(pair, seed, replicas):
 def _compare_cfg(pair, seed, replicas, hf, hmax, dx=Fraction(1), **kw):
     walk_cfg = WalkConfig(dx=Fraction(dx), horizon_fwd=hf, horizon_bwd=4,
                           seed=seed, start_law=pair.mu)
-    mode = "exact" if pair.exact_mode_ok else "crossing"
     return ExperimentConfig(walk=walk_cfg, pair=pair, replicas=replicas,
-                            experiment="cost_compare", mode=mode,
-                            max_horizon=hmax, **{"gauges": default_gauges(), **kw})
+                            experiment="cost_compare", max_horizon=hmax, **{"gauges": default_gauges(), **kw})
 
 
 def _outcome(run, cfg):
@@ -359,7 +350,7 @@ _GAUGE_SETS = st.lists(st.sampled_from(
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS + (_MULTI_SLOT,)),
                  measure_pairs()).filter(
-                     lambda p: p.orthogonal and p.exact_mode_ok),
+                     lambda p: p.orthogonal and p.unit_nu_slots),
        st.integers(0, 10**6), st.integers(1, 40), st.sampled_from((1, 16, 64)),
        st.sampled_from((64, 1 << 10, 1 << 12)),
        st.sampled_from((1, Fraction(1, 3), Fraction(2, 7))),
@@ -382,8 +373,8 @@ def test_batched_compare_equals_the_per_path_oracle(pair, seed, replicas, hf,
 @settings(max_examples=100, deadline=None)
 def test_batched_compare_fails_like_the_oracle_on_any_pair(pair, seed,
                                                            replicas, cohort):
-    # A non-orthogonal or non-exact pair raises the oracle's ConfigError
-    # once an excursion is used, and nothing while none is.
+    # A non-orthogonal pair, or one with a nu-atom above 1/q, raises the
+    # oracle's ConfigError before any scan.
     cfg = _compare_cfg(pair, seed, replicas, 16, 1 << 10)
     with _patched("_COHORT", cohort):
         got = _outcome(run_cost_compare, cfg)
@@ -427,11 +418,13 @@ def test_batched_compare_edge_configs(name, cohort, symmetric_pair):
     with _patched("_COHORT", cohort):
         got = _outcome(run_cost_compare, cfg)
     assert got == _outcome(per_path_cost_compare, cfg)
-    if name.startswith("non-"):
+    # mu = nu shares its sites: refused before any scan, like any pair
+    # that is not orthogonal.
+    if name.startswith("non-") or name == "u-flag-0":
         assert got[0] == "ConfigError"
         return
     data = json.loads(got[0])["data"]
-    if name in ("all-censored", "u-flag-0"):
+    if name == "all-censored":
         assert data["paths_used"] == 0 and data["paths_skipped"] == 60
     else:
         assert data["paths_used"] > 20
@@ -549,6 +542,50 @@ _GOLDEN_SLOTS = {
 @pytest.mark.parametrize("name", sorted(_GOLDEN_SLOTS))
 def test_report_bytes_are_pinned_off_the_unit_grid(tmp_path, name):
     _assert_pinned(tmp_path, *_GOLDEN_SLOTS[name])
+
+
+# nu = (delta_1 + 2 delta_2)/3 has a nu-atom of two slots, so C can step
+# past 0 and T* is the first C <= 0.  sha256 of the report's data and of
+# its table, taken when such a config had to name "mode": "crossing" (the
+# config digest then differed).
+_NU_TWO_THIRDS = [[1, 1, 3], [2, 2, 3]]
+_GOLDEN_GENERAL = {
+    "embed": (
+        {"mu": _MU, "nu": _NU_TWO_THIRDS, "replicas": 300, "max_horizon": 1 << 12,
+         "walk": {"horizon_fwd": 64, "horizon_bwd": 4, "seed": 6000001}},
+        {"data": "26f0da7c7b9c2de8758bda54bc7c095a"
+                 "08f186a311a31d1cbf4900100bcc8174",
+         "tables/law.csv": "aaceefc6a28551573c4d7e3e72cdaa7b"
+                           "822a9d1510d73b4b4451b9f8cabe3a26"}),
+    "tail": (
+        {"mu": _MU, "nu": _NU_TWO_THIRDS, "replicas": 500, "max_horizon": 1 << 14,
+         "walk": {"horizon_fwd": 64, "horizon_bwd": 4, "seed": 6000002}},
+        {"data": "08e55dad30986df828ff329168555134"
+                 "576d6201267acf2fd3cdd0d12cd09824",
+         "tables/survival.csv": "5c04fd74588bdd3a8c9c6443c8fcacee"
+                                "5c72a93de835dedfe1d3bc6f752b44f9"}),
+    "unbiased": (
+        {"mu": _MU, "nu": _NU_TWO_THIRDS, "replicas": 200, "max_horizon": 1 << 12,
+         "walk": {"horizon_fwd": 64, "horizon_bwd": 16, "seed": 6000003}},
+        {"data": "f43655e591cf4addda1d5e7b18a6293b"
+                 "365448e2c65fac0969a5cbe27ee75f2e",
+         "tables/lags.csv": "600d456003bdd344b86f8589cd7d317a"
+                            "fa9c42b9eab95367aec207357f8b3419"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN_GENERAL))
+def test_general_target_reports_are_pinned(tmp_path, command):
+    cfg, digests = _GOLDEN_GENERAL[command]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["--output-dir", str(out), command, str(path)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in digests if name != "data"}
+    data = json.loads((out / "report.json").read_text())["data"]
+    blob = json.dumps(data, sort_keys=True).encode()
+    assert {**got, "data": hashlib.sha256(blob).hexdigest()} == digests
 
 
 @pytest.mark.parametrize("cohort", [1, 7, 256])

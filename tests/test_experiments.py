@@ -80,16 +80,17 @@ def test_engine_matches_ledger(symmetric_pair):
         except HorizonExceededError:
             assert out["censored"]
             continue
-        assert (out["t_star"], out["site"]) == (res.t_star, res.site)
+        assert out == res
 
 
-def test_engine_rejects_non_unit_atoms():
+def test_engine_takes_non_unit_atoms():
+    # A 2/3 nu-atom closes two slots at once; T* is the first C <= 0.
     pair = split_measures(
         DiscreteMeasure.delta(0),
         DiscreteMeasure.from_atoms([(1, Fraction(1, 3)), (2, Fraction(2, 3))]))
-    with pytest.raises(ConfigError):
-        FirstHitEngine(0, pair)
-    FirstHitEngine(0, pair, mode="crossing")
+    outs = list(FirstHitEngine(0, pair).run_replicas(range(40), 1 << 12))
+    assert all(o["site"] in (1, 2) for o in outs if not o["censored"])
+    assert sum(o["site"] == 2 for o in outs) > 0
 
 
 def test_engine_on_identical_measures_stops_at_once():
@@ -223,14 +224,11 @@ def test_unbiased_completes_replicas_past_the_first_block(delta_pair):
     assert {row["n_fwd"] for row in rep.tables["lags"]} == {60 - censored}
 
 
-def test_unbiased_follows_the_config_mode():
+def test_unbiased_runs_on_a_general_target():
     pair = split_measures(
         DiscreteMeasure.delta(0),
         DiscreteMeasure.from_atoms([(1, Fraction(1, 3)), (2, Fraction(2, 3))]))
-    with pytest.raises(ConfigError):
-        run_unbiased_test(make_cfg(pair, "unbiased", replicas=20))
-    rep = run_unbiased_test(make_cfg(pair, "unbiased", replicas=20,
-                                     mode="crossing", lags=(1,)))
+    rep = run_unbiased_test(make_cfg(pair, "unbiased", replicas=20, lags=(1,)))
     assert rep.data["completed"] + rep.data["censored"] == 20
     assert rep.data["completed"] > 0
 
@@ -455,23 +453,20 @@ def measure_pairs(draw):
     return split_measures(measure(), measure())
 
 
-@given(measure_pairs(), st.booleans(), st.integers(0, 10**6),
+@given(measure_pairs(), st.integers(0, 10**6),
        st.integers(0, 20))
 @settings(max_examples=80, deadline=None)
-def test_engine_matches_ledger_on_random_pairs(pair, exact, seed, rep):
-    mode = "exact" if exact and pair.exact_mode_ok else "crossing"
+def test_engine_matches_ledger_on_random_pairs(pair, seed, rep):
     walk = WalkConfig(dx=Fraction(1), horizon_fwd=512, horizon_bwd=1,
                       seed=seed, start_law=pair.mu)
-    out = FirstHitEngine(seed, pair, mode).run_replica(rep, 512)
+    out = FirstHitEngine(seed, pair).run_replica(rep, 512)
     led = build_ledger(sample_walk(walk, rep), pair)
     try:
-        res = compute_t_star(led, pair, mode=mode)
+        res = compute_t_star(led, pair)
     except HorizonExceededError:
         assert out["censored"]
         return
-    assert not out["censored"]
-    assert (out["t_star"], out["site"], out["u_flag"]) == \
-        (res.t_star, res.site, res.u_flag)
+    assert out == res
 
 
 _FIXTURE_PAIRS = (
@@ -487,18 +482,17 @@ def _patched(name, value):
 
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS), measure_pairs()),
-       st.booleans(), st.integers(0, 10**6), st.integers(0, 50),
+       st.integers(0, 10**6), st.integers(0, 50),
        st.integers(1, 12), st.sampled_from((1, 63, 64, 777, 4097, 1 << 12)),
        st.booleans(), st.sampled_from((1, 3, None)),
        st.sampled_from((1, 3, None)))
 @settings(max_examples=120, deadline=None)
-def test_engine_matches_step_oracle(pair, exact, seed, first, n, hmax, events,
+def test_engine_matches_step_oracle(pair, seed, first, n, hmax, events,
                                     cohort, budget):
     # The batched scan, a cohort of one and the step oracle agree, events
     # included, whatever the cohort and word-budget sizes (None keeps the
     # module default).
-    mode = "exact" if exact and pair.exact_mode_ok else "crossing"
-    engine = FirstHitEngine(seed, pair, mode)
+    engine = FirstHitEngine(seed, pair)
     reps = range(first, first + n)
     with _patched("_COHORT", cohort), _patched("_WORD_BUDGET", budget):
         if events:
@@ -686,7 +680,7 @@ def test_compare_memory_tripwire(symmetric_pair):
 
 
 @given(st.one_of(st.sampled_from(_FIXTURE_PAIRS), measure_pairs()).filter(
-           lambda p: p.orthogonal and p.exact_mode_ok),
+           lambda p: p.orthogonal and p.unit_nu_slots),
        st.integers(0, 10**6), st.integers(0, 30),
        st.sampled_from((1, 64, 1000)), st.sampled_from((777, 4096)),
        st.sampled_from((None, 6)))
@@ -723,11 +717,6 @@ def test_first_excursion_caps_at_max_horizon(symmetric_pair):
                    max_horizon=777)
     assert doubling_first_excursion(cfg, 6)[1].right == 957
     assert cohort_excursions(cfg)[6] is None
-
-
-def test_config_rejects_unknown_mode_and_policy(symmetric_pair):
-    with pytest.raises(ConfigError):
-        make_cfg(symmetric_pair, "embed_law", mode="exakt")
 
 
 def test_config_rejects_unknown_threshold_keys(symmetric_pair):

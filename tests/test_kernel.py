@@ -50,7 +50,7 @@ def test_non_orthogonal_pair_is_rejected():
     mu = DiscreteMeasure.from_atoms([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
     nu = DiscreteMeasure.from_atoms([(-1, Fraction(1, 2)), (1, Fraction(1, 2))])
     pair = split_measures(mu, nu)
-    assert pair.exact_mode_ok and not pair.orthogonal
+    assert pair.unit_nu_slots and not pair.orthogonal
     cfg = WalkConfig(dx=Fraction(1), horizon_fwd=4096, horizon_bwd=16, seed=3,
                      start_law=mu)
     led = build_ledger(sample_walk(cfg, 0), pair)

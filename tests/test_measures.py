@@ -37,7 +37,7 @@ def test_split_orthogonal():
     assert pair.rho == 1
     assert pair.common_part.total == 0
     assert pair.denominator == 2
-    assert pair.exact_mode_ok
+    assert pair.unit_nu_slots
 
 
 def test_split_with_overlap():
@@ -49,7 +49,7 @@ def test_split_with_overlap():
     assert pair.mu_tilde.weight(0) == Fraction(1, 2)
     assert pair.nu_tilde.weight(2) == Fraction(3, 4)
     assert pair.mu_tilde.total == pair.nu_tilde.total == pair.rho == Fraction(3, 4)
-    assert not pair.exact_mode_ok  # nu~-atom of 3/4 != 1/4
+    assert not pair.unit_nu_slots  # nu~-atom of 3/4 != 1/4
 
 
 def test_split_identical_measures():
@@ -57,7 +57,7 @@ def test_split_identical_measures():
     pair = split_measures(mu, mu)
     assert pair.rho == 0 and not pair.orthogonal
     assert pair.mu_tilde.total == 0
-    assert pair.exact_mode_ok  # vacuously: no nu~-atoms
+    assert pair.unit_nu_slots  # vacuously: no nu~-atoms
 
 
 def test_split_unequal_masses_is_an_invariant_error(monkeypatch):
@@ -74,7 +74,7 @@ def test_exactness_condition():
     mu = DiscreteMeasure.delta(0)
     nu = DiscreteMeasure.from_atoms([(1, Fraction(1, 3)), (2, Fraction(2, 3))])
     pair = split_measures(mu, nu)
-    assert not pair.exact_mode_ok  # the 2/3 atom is 2 units of 1/3
+    assert not pair.unit_nu_slots  # the 2/3 atom is 2 units of 1/3
 
 
 def test_pair_json_and_spec_shorthand():

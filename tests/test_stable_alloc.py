@@ -132,7 +132,7 @@ def _fixture_excursion(seed=0, rep=0):
                      seed=seed, start_law=pair.mu)
     led = build_ledger(sample_walk(cfg, rep), pair)
     res = compute_t_star(led, pair)
-    return led, Excursion(0, res.t_star, excursion_mass(led, 0, res.t_star))
+    return led, Excursion(0, res["t_star"], excursion_mass(led, 0, res["t_star"]))
 
 
 def test_quantile_mass_property():

@@ -123,15 +123,16 @@ def test_ledger_range_errors(delta_pair):
 def test_inverse_local_time_semantics(delta_pair):
     # Path 0,1,0,1: mu+nu mass per step is 1,1,1,1.
     led = build_ledger(ScriptedPath([0, 1, 0, 1], [0, 1, 0]), delta_pair)
-    assert inverse_local_time(led, "mu+nu", 2) == 1
-    assert inverse_local_time(led, "mu+nu", 1) == 0
-    assert inverse_local_time(led, "mu", 2) == 2  # second mu-visit
+    assert inverse_local_time(led, 2) == 1
+    assert inverse_local_time(led, 1) == 0
+    assert inverse_local_time(led, 4) == 3  # the last forward visit
     with pytest.raises(HorizonExceededError):
-        inverse_local_time(led, "mu", 10)
+        inverse_local_time(led, 10)
     # r = 0: last step before the functional first increases (0 is charged).
-    assert inverse_local_time(led, "mu", 0) == -1
-    # Backward: mass over [-k, 0]; mu-visits at 0 and -2.
-    assert inverse_local_time(led, "mu", -2) == -2
+    assert inverse_local_time(led, 0) == -1
+    # Backward: mass over [-k, 0]; visits at 0, -1 and -2.
+    assert inverse_local_time(led, -2) == -1
+    assert inverse_local_time(led, -3) == -2
 
 
 def test_to_csv(delta_pair, tmp_path):
