@@ -5,17 +5,15 @@ ergodic verification experiments.
 """
 
 from .errors import (ConfigError, FeasibilityError, HorizonExceededError,
-                     ShiftLabError, SizeLimitError, TruncationError)
+                     ShiftLabError, TruncationError)
 from .gauges import Gauge, capped, default_gauges, eval_gauge, log1p, power, rational
 from .measures import DiscreteMeasure, MeasurePair, split_measures
 from .walk import EventLedger, WalkConfig, WalkPath, build_ledger, sample_walk
-from .embedding import Excursion, compute_t_star
-from .stable_alloc import (PointConfig, StableMatch, compute_N,
-                           quantile_discretize, stable_allocation,
-                           tau_n_convergence_test)
+from .embedding import compute_t_star
+from .stable_alloc import PointConfig, StableMatch, compute_N, stable_allocation
 from .transport import (CostReport, TransportMatrix, find_crossing,
-                        inequality_check, permutation_oracle, repair_crossing,
-                        repair_sweep, stable_indicator)
+                        inequality_check, repair_crossing, repair_sweep,
+                        stable_indicator)
 from .experiments import (ExperimentConfig, FirstHitEngine, StatReport,
                           run_cost_compare, run_embed_law, run_ergodic,
                           run_excursion_cost, run_tail, run_unbiased_test)
@@ -24,15 +22,14 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ConfigError", "FeasibilityError", "HorizonExceededError", "ShiftLabError",
-    "SizeLimitError", "TruncationError",
+    "TruncationError",
     "Gauge", "capped", "default_gauges", "eval_gauge", "log1p", "power", "rational",
     "DiscreteMeasure", "MeasurePair", "split_measures",
     "EventLedger", "WalkConfig", "WalkPath", "build_ledger", "sample_walk",
-    "Excursion", "compute_t_star",
-    "PointConfig", "StableMatch", "compute_N", "quantile_discretize",
-    "stable_allocation", "tau_n_convergence_test",
+    "compute_t_star",
+    "PointConfig", "StableMatch", "compute_N", "stable_allocation",
     "CostReport", "TransportMatrix", "find_crossing", "inequality_check",
-    "permutation_oracle", "repair_crossing", "repair_sweep", "stable_indicator",
+    "repair_crossing", "repair_sweep", "stable_indicator",
     "ExperimentConfig", "FirstHitEngine", "StatReport", "run_cost_compare",
     "run_embed_law", "run_ergodic", "run_excursion_cost", "run_tail",
     "run_unbiased_test",

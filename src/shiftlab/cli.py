@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, FeasibilityError, HorizonExceededError,
-                     InvariantError, ShiftLabError, SizeLimitError,
-                     TruncationError)
+                     InvariantError, ShiftLabError, TruncationError)
 from .experiments import (ExperimentConfig, StatReport, run_cost_compare,
                           run_embed_law, run_ergodic, run_excursion_cost,
                           run_tail, run_unbiased_test)
@@ -223,8 +222,8 @@ def main(argv=None) -> int:
     except HorizonExceededError as exc:
         _emit_error("horizon", exc)
         return EXIT_HORIZON
-    except (FeasibilityError, TruncationError, SizeLimitError,
-            InvariantError, AssertionError) as exc:
+    except (FeasibilityError, TruncationError, InvariantError,
+            AssertionError) as exc:
         _emit_error("invariant", exc)
         return EXIT_INVARIANT
     except ShiftLabError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import Excursion, match_slots
+from .embedding import match_slots
 from .errors import ConfigError, InvariantError
 from .gauges import Gauge, eval_gauge
 from .measures import MeasurePair
@@ -47,8 +47,9 @@ class Comparator:
 Pairs = tuple[np.ndarray, np.ndarray]     # (source steps, target steps)
 
 
-def extract_slots(ledger: EventLedger, exc: Excursion) -> tuple[list[int], list[int]]:
-    """(source_steps, target_steps) with multiplicity, chronological order."""
+def extract_slots(ledger: EventLedger, exc) -> tuple[list[int], list[int]]:
+    """(source_steps, target_steps) of the window [exc.left, exc.right],
+    with multiplicity, chronological order."""
     steps, wmu, wnu = ledger.events(exc.left, exc.right)
     return np.repeat(steps, wmu).tolist(), np.repeat(steps, wnu).tolist()
 

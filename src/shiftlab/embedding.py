@@ -1,4 +1,4 @@
-"""The embedding time T*, allocation rule tau*, and excursion machinery.
+"""The embedding time T*, the allocation rule tau* and its slot matchings.
 
 T* is the first positive step at which the additive functional of nu catches
 up with that of mu: the first n > 0 with C(n) <= 0.  tau* sends each step s
@@ -17,7 +17,6 @@ the first-hit engine.  Every ledger function reads an ``EventLedger``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,13 +27,6 @@ from .gauges import eval_gauge  # noqa: F401
 from .measures import MeasurePair
 from .rng import BitStream, STREAM_UFLAG
 from .walk import EventLedger
-
-@dataclass(frozen=True)
-class Excursion:
-    """An interval [left, tau*(left-adjacent charged step)] in signed steps."""
-    left: int
-    right: int
-    mass: Fraction
 
 
 def require_unit_slots(pair: MeasurePair) -> None:
@@ -109,12 +101,6 @@ def compute_t_star(ledger: EventLedger, pair: MeasurePair) -> dict:
             attained=Fraction(min(vals), ledger.q) if vals else None)
     n = int(steps[1 + h])
     return {**out, "t_star": n, "site": path.positions(n), "u_flag": 1}
-
-
-def mu_charged_steps(ledger: EventLedger, left: int, right: int) -> np.ndarray:
-    """Signed steps in [left, right) carrying mu mass."""
-    steps, wmu, _ = ledger.events(left, right)
-    return steps[(wmu > 0) & (steps < right)]
 
 
 def parenthesis_match(keys, opens, closes) -> tuple[list, list]:

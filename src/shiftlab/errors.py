@@ -35,10 +35,6 @@ class InvariantError(ShiftLabError):
     """An internal invariant of the package failed; a bug, not bad input."""
 
 
-class SizeLimitError(ShiftLabError):
-    """Brute-force oracle invoked beyond its supported instance size."""
-
-
 class FeasibilityError(ShiftLabError):
     """A transport matrix violates a polytope constraint.
 

@@ -409,12 +409,15 @@ def run_embed_law(cfg: ExperimentConfig) -> StatReport:
     rows = []
     for site, w in nu.atoms:
         obs = sites.get(site, 0)
-        p_hat = obs / completed if completed else float("nan")
         p_nu = float(w)
-        tv += abs(p_hat - p_nu) / 2.0
-        if completed and p_nu > 0:
-            chi2 += (obs - completed * p_nu) ** 2 / (completed * p_nu)
-        se = math.sqrt(p_nu * (1 - p_nu) / completed) if completed else float("nan")
+        # No observed share or SE without a completed replica.
+        p_hat = se = None
+        if completed:
+            p_hat = obs / completed
+            tv += abs(p_hat - p_nu) / 2.0
+            if p_nu > 0:
+                chi2 += (obs - completed * p_nu) ** 2 / (completed * p_nu)
+            se = math.sqrt(p_nu * (1 - p_nu) / completed)
         rows.append({"site": site, "target": p_nu, "observed": p_hat,
                      "binomial_se": se, "count": obs})
     extra = sum(c for s, c in sites.items() if nu.weight(s) == 0)
@@ -802,23 +805,25 @@ def run_tail(cfg: ExperimentConfig, n_boot: int = 100,
     ci = (float(np.percentile(boots, 2.5)), float(np.percentile(boots, 97.5))) \
         if boots else (None, None)
 
+    # With no completed replica every value is the cap: no mean, and no
+    # passed verdict.
+    any_completed = not cens.all()
+
     def partial_means(alpha: float) -> list[dict]:
-        out = []
-        vals = t_phys ** alpha
-        run = np.cumsum(vals)
-        for ck in checkpoints:
-            if ck <= cfg.replicas:
-                out.append({"checkpoint": ck, "mean": float(run[ck - 1] / ck)})
-        if cfg.replicas not in [c["checkpoint"] for c in out]:
-            out.append({"checkpoint": cfg.replicas,
-                        "mean": float(run[-1] / cfg.replicas)})
-        return out
+        run = np.cumsum(t_phys ** alpha)
+        cks = [ck for ck in checkpoints if ck <= cfg.replicas]
+        if cfg.replicas not in cks:
+            cks.append(cfg.replicas)
+        return [{"checkpoint": ck,
+                 "mean": float(run[ck - 1] / ck) if any_completed else None}
+                for ck in cks]
 
     pm_quarter = partial_means(0.25)
     pm_tenth = partial_means(0.1)
-    quarter_increasing = all(x["mean"] < y["mean"]
-                             for x, y in zip(pm_quarter, pm_quarter[1:]))
-    # None when there is no earlier nonzero mean (every T* is 0 when mu = nu).
+    quarter_increasing = any_completed and all(
+        x["mean"] < y["mean"] for x, y in zip(pm_quarter, pm_quarter[1:]))
+    # None when there is no earlier nonzero mean (every T* is 0 when mu = nu,
+    # and no mean without a completed replica).
     tenth_change = (abs(pm_tenth[-1]["mean"] - pm_tenth[-2]["mean"])
                     / pm_tenth[-2]["mean"]
                     if len(pm_tenth) >= 2 and pm_tenth[-2]["mean"] else None)

@@ -46,9 +46,6 @@ class Gauge:
         # eval_gauge reads the parameter as a float, converted once here.
         object.__setattr__(self, "_p", float(self.param or 0))
 
-    def __call__(self, t: float) -> float:
-        return eval_gauge(self, t)
-
     @property
     def label(self) -> str:
         if self.param is not None:

@@ -4,9 +4,7 @@ The map is parenthesis matching: scanning the merged point set left to
 right, every a opens and every b closes the most recent unmatched a.  The
 sweep is the balancing kernel ``parenthesis_match`` of
 ``shiftlab.embedding`` run on the points as one-slot events.  The
-module also computes the horizon N through the integer step function f, the
-integer local-time quantile discretization of an excursion, and the
-convergence harness comparing the discretized allocation tau_n against tau*.
+module also computes the horizon N through the integer step function f.
 """
 
 from __future__ import annotations
@@ -17,11 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .errors import ConfigError, HorizonExceededError, TruncationError
-from .embedding import mu_charged_steps, parenthesis_match, tau_star_map
-from .walk import EventLedger
+from .errors import ConfigError, TruncationError
+from .embedding import parenthesis_match
 
 
 @dataclass(frozen=True)
@@ -180,97 +175,3 @@ def compute_N(cfg: PointConfig) -> dict:
     if n <= len(b):
         return {"N": n, "M": M}
     raise TruncationError("b-truncation too short to reach f(b_n) = M - 1")
-
-
-def quantile_discretize(ledger: EventLedger, exc, n: int) -> dict:
-    """n-quantile points of ell^mu (descending) and ell^nu (ascending) in exc.
-
-    Quantile i on each side is the first step whose cumulated weight
-    numerator reaches ceil(i m/n), i.e. i M/n of the mu-mass M = m/q; an
-    atom larger than M/n yields repeated points at its step (left to right).
-    Beyond the excursion the sequences are padded with mesh (right - left)/n
-    so the padding vanishes as n grows.  Points are numerators over n.
-
-    Returns {"config", "g_n", "h_n", "n", "mesh", "a", "b"} where g_n/h_n are
-    the rounding maps a -> a_i, b -> b_j (callables on step values).
-    """
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    m = int(exc.mass * ledger.q)
-    if m == 0:
-        raise ConfigError("empty excursion (zero mu-mass)")
-    left, right = exc.left, exc.right
-    steps, wmu, wnu = ledger.events(left, right)
-    levels = [-(-i * m // n) for i in range(1, n)]     # quantile n: the far end
-
-    def quantiles(steps, weights, end: int) -> list[int]:
-        """Per level, the first step whose cumulated weight reaches it, or end."""
-        k = np.searchsorted(np.cumsum(weights), levels)
-        return np.append(steps, end)[k].tolist() + [end]
-
-    # a_i = largest step t with mass([t, right)) >= i M/n, a_n = b_0 = left;
-    # b_j = least step with mass((left, b_j]) >= j M/n, b_n = a_0 = right.
-    before = steps < right
-    a = quantiles(steps[before][::-1], wmu[before][::-1], left)
-    b = quantiles(steps, wnu, right)
-    span, pad = right - left, range(1, 2 * n + 5)
-    cfg = PointConfig(tuple(x * n for x in a) + tuple(left * n - k * span for k in pad),
-                      tuple(x * n for x in b) + tuple(right * n + k * span for k in pad),
-                      n, allow_ties=True)
-    a_asc = a[::-1]
-
-    def g_n(aval) -> int:
-        """a -> a_i for a in [a_i, a_{i-1}), and a_n for a < a_n.
-
-        Atoms sit exactly on quantile points, so the rounding cell is closed
-        at its own point (an atom must round to itself, not to the next cell
-        down, or the rounding error would never vanish).
-        """
-        return a_asc[max(bisect.bisect_right(a_asc, aval) - 1, 0)]
-
-    def h_n(bval) -> int:
-        """b -> b_j for b in (b_{j-1}, b_j]; b_0 is the left endpoint, and
-        b_n = right also stands for any b outside (left, right]."""
-        j = bisect.bisect_left(b, bval)
-        return b[j] if left < bval and j < n else right
-
-    return {"config": cfg, "g_n": g_n, "h_n": h_n, "n": n,
-            "mesh": Fraction(span, n), "a": tuple(a), "b": tuple(b)}
-
-
-def tau_n_convergence_test(ledger: EventLedger, exc,
-                           n_list: Sequence[int]) -> dict:
-    """sup |tau_n(g_n(a)) - tau*(a)| over mu-charged a in exc, per n.
-
-    Distances are in steps; the report also carries the g_n rounding error
-    sup |a - g_n(a)| so both convergence claims can be checked on fixtures.
-    tau* comes from the balancing kernel (``tau_star_map``), so the pair
-    must be orthogonal.
-    """
-    charged = [int(s) for s in mu_charged_steps(ledger, exc.left, exc.right)]
-    tau_star, unresolved = tau_star_map(ledger, exc.left, exc.right)
-    if unresolved:
-        raise HorizonExceededError(
-            f"tau*({unresolved[0]}) not reached within forward horizon",
-            horizon=ledger.hf)
-    rows = []
-    for n in n_list:
-        disc = quantile_discretize(ledger, exc, n)
-        a_asc, b_num = disc["a"][::-1], disc["config"].b_num
-        tau = stable_allocation(disc["config"]).tau
-        sup_dist = sup_round = 0
-        for s in charged:
-            # g_n(s) = a_asc[k - 1] = a_i for the least i = n - k with a_i <= s:
-            # among tied quantile copies the lowest index is matched last in
-            # the sweep, which is the per-step tau* analogue at saturation.
-            k = bisect.bisect_right(a_asc, s)
-            sup_dist = max(sup_dist, abs(b_num[tau[n - k]] - tau_star[s] * n))
-            sup_round = max(sup_round, s - a_asc[k - 1])
-        rows.append({"n": int(n), "sup_distance": Fraction(sup_dist, n),
-                     "sup_rounding": Fraction(sup_round)})
-    dists = [r["sup_distance"] for r in rows]
-    return {
-        "rows": rows,
-        "monotone_nonincreasing": all(x >= y for x, y in zip(dists, dists[1:])),
-        "final_distance": dists[-1] if dists else None,
-    }

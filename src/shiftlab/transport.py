@@ -17,9 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import ConfigError, FeasibilityError, SizeLimitError
+from .errors import ConfigError, FeasibilityError
 from .gauges import Gauge, eval_gauge
 from .rng import BitStream
 from .stable_alloc import PointConfig, StableMatch, compute_N, stable_allocation
@@ -224,44 +222,6 @@ def inequality_check(pi: TransportMatrix, g: Gauge) -> CostReport:
     for i in range(pi.N):        # not sum(): Python 3.12 compensates it
         total += eval_gauge(g, (b[tau[i]] - a[i]) / q)
     return CostReport(lhs=pi.cost(g), rhs=2.0 * total, gauge=g)
-
-
-_PERMS_CACHE: dict[int, np.ndarray] = {}
-
-
-def _perms(n: int) -> np.ndarray:
-    if n not in _PERMS_CACHE:
-        _PERMS_CACHE[n] = np.array(list(itertools.permutations(range(n))),
-                                   dtype=np.int64)
-    return _PERMS_CACHE[n]
-
-
-def permutation_oracle(cfg: PointConfig, g: Gauge, N: int | None = None) -> dict:
-    """Exhaustive minimum over feasible window matchings (N <= 8).
-
-    Enumerates the bijections of the N a's onto the N leftmost b's: the
-    paper's constraint set with the identity tail.
-    """
-    if N is None:
-        N = compute_N(cfg)["N"]
-    if N > 8:
-        raise SizeLimitError(f"oracle limited to N <= 8, got {N}")
-    if N > len(cfg.b_num):
-        raise ConfigError("b-points must cover the window")
-    a = np.array([x / cfg.q for x in cfg.a_num[:N]])
-    b = np.array([x / cfg.q for x in cfg.b_num[:N]])
-    psi = np.full((N, N), np.inf)
-    for i in range(N):
-        for j in range(N):
-            gap = b[j] - a[i]
-            if gap > 0:
-                psi[i, j] = eval_gauge(g, gap)
-    sigmas = _perms(N)
-    costs = psi[np.arange(N)[None, :], sigmas].sum(axis=1)
-    best = int(np.argmin(costs))
-    if not np.isfinite(costs[best]):
-        raise FeasibilityError("no feasible matching in the window")
-    return {"min_cost": float(costs[best]), "sigma": tuple(int(x) for x in sigmas[best])}
 
 
 def sample_feasible_matrix(cfg: PointConfig, N: int, seed: int,

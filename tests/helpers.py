@@ -2,8 +2,10 @@
 
 ScriptedPath mimics the WalkPath interface but replays a fixed position
 sequence, so ledger and embedding behavior can be checked against hand
-counts.  excursion_mass (the mu-mass of a step range) left embedding for
-here, and loop_parenthesis_match is the plain loop of the balancing kernel,
+counts.  Excursion (a window [left, right] and its mu-mass),
+excursion_mass (the mu-mass of a step range) and mu_charged_steps (the
+steps of a range that carry mu-mass) left embedding for here, and
+loop_parenthesis_match is the plain loop of the balancing kernel,
 its oracle.  LocalTimeLedger is the dense ledger (prefix sums over every step)
 that walk.build_ledger's event ledger replaced; compute_tau_star (tau* by
 a per-step scan), decompose_excursions (the sigma/rho level chain and its
@@ -28,14 +30,17 @@ takes them, and cohort_of builds a comparators.Cohort from ledgers of dense
 paths; queue_fifo_matching is the list-queue reference for fifo_matching;
 bisect_compute_N and scan_find_crossing are the per-point and per-cell
 references for the merged compute_N sweep and the index-list
-find_crossing; FractionMatrix with fraction_sample_feasible_matrix and
+find_crossing; permutation_oracle (with SizeLimitError) is the exhaustive
+minimum over window matchings that criterion 2 checks the stable cost
+against; FractionMatrix with fraction_sample_feasible_matrix and
 fraction_repair_trace are the Fraction-mass references for the integer
 masses of TransportMatrix; uniform_fraction, fraction_draw_start and
 fraction_draw_u_flag are the Fraction references for the integer uniform
 draws; pm64_near is the near-word rule the popcount bound of
-FirstHitEngine._near replaced; fraction_quantile_discretize and
-fraction_tau_n_convergence_test are the Fraction-threshold references for
-the integer quantile window of stable_alloc.
+FirstHitEngine._near replaced; quantile_discretize and
+tau_n_convergence_test are criterion 9's harness: the quantile window of
+an excursion on Fraction thresholds, and the distance of its stable
+allocation tau_n from tau*.
 """
 
 from __future__ import annotations
@@ -50,16 +55,16 @@ import numpy as np
 
 from shiftlab import experiments
 from shiftlab.comparators import Cohort, extract_slots
-from shiftlab.embedding import (Excursion, _match_ledger, compute_t_star,
-                                draw_u_flag, first_balance, match_slots,
-                                mu_charged_steps, require_unit_slots,
-                                tau_star_map)
-from shiftlab.errors import (ConfigError, HorizonExceededError,
-                             InvariantError, TruncationError)
+from shiftlab.embedding import (_match_ledger, compute_t_star, draw_u_flag,
+                                first_balance, match_slots,
+                                require_unit_slots, tau_star_map)
+from shiftlab.errors import (ConfigError, FeasibilityError,
+                             HorizonExceededError, InvariantError,
+                             ShiftLabError, TruncationError)
 from shiftlab.gauges import Gauge, eval_gauge
 from shiftlab.measures import MeasurePair
 from shiftlab.rng import STREAM_FWD, STREAM_START, STREAM_UFLAG, BitStream
-from shiftlab.stable_alloc import PointConfig, stable_allocation
+from shiftlab.stable_alloc import PointConfig, compute_N, stable_allocation
 from shiftlab.transport import Crossing
 from shiftlab.walk import (EventLedger, WalkPath, draw_start, sample_walk,
                            site_weights)
@@ -104,10 +109,24 @@ class ScriptedPath:
         return np.concatenate([self._bwd[:0:-1], self._fwd])
 
 
+@dataclass(frozen=True)
+class Excursion:
+    """An interval [left, tau*(left-adjacent charged step)] in signed steps."""
+    left: int
+    right: int
+    mass: Fraction
+
+
 def excursion_mass(ledger, left: int, right: int) -> Fraction:
     """mu-mass of visits at steps in [left, right)."""
     steps, wmu, _ = ledger.events(left, right)
     return Fraction(int(wmu[steps < right].sum()), ledger.q)
+
+
+def mu_charged_steps(ledger: EventLedger, left: int, right: int) -> np.ndarray:
+    """Signed steps in [left, right) carrying mu mass."""
+    steps, wmu, _ = ledger.events(left, right)
+    return steps[(wmu > 0) & (steps < right)]
 
 
 def loop_parenthesis_match(keys, opens, closes) -> tuple[list, list]:
@@ -709,6 +728,48 @@ def scan_find_crossing(pi):
     return None
 
 
+class SizeLimitError(ShiftLabError):
+    """Brute-force oracle invoked beyond its supported instance size."""
+
+
+_PERMS_CACHE: dict[int, np.ndarray] = {}
+
+
+def _perms(n: int) -> np.ndarray:
+    if n not in _PERMS_CACHE:
+        _PERMS_CACHE[n] = np.array(list(itertools.permutations(range(n))),
+                                   dtype=np.int64)
+    return _PERMS_CACHE[n]
+
+
+def permutation_oracle(cfg: PointConfig, g: Gauge, N: int | None = None) -> dict:
+    """Exhaustive minimum over feasible window matchings (N <= 8).
+
+    Enumerates the bijections of the N a's onto the N leftmost b's: the
+    paper's constraint set with the identity tail.
+    """
+    if N is None:
+        N = compute_N(cfg)["N"]
+    if N > 8:
+        raise SizeLimitError(f"oracle limited to N <= 8, got {N}")
+    if N > len(cfg.b_num):
+        raise ConfigError("b-points must cover the window")
+    a = np.array([x / cfg.q for x in cfg.a_num[:N]])
+    b = np.array([x / cfg.q for x in cfg.b_num[:N]])
+    psi = np.full((N, N), np.inf)
+    for i in range(N):
+        for j in range(N):
+            gap = b[j] - a[i]
+            if gap > 0:
+                psi[i, j] = eval_gauge(g, gap)
+    sigmas = _perms(N)
+    costs = psi[np.arange(N)[None, :], sigmas].sum(axis=1)
+    best = int(np.argmin(costs))
+    if not np.isfinite(costs[best]):
+        raise FeasibilityError("no feasible matching in the window")
+    return {"min_cost": float(costs[best]), "sigma": tuple(int(x) for x in sigmas[best])}
+
+
 @dataclass
 class FractionMatrix:
     """TransportMatrix with Fraction masses, mutated in place by set."""
@@ -803,8 +864,8 @@ def fraction_draw_u_flag(pair, seed: int, replica: int, start: int) -> int:
     return int(uniform_fraction(BitStream(seed, replica, STREAM_UFLAG)) < p)
 
 
-def fraction_quantile_points(steps, weights, q: int, thresholds,
-                             last: Fraction) -> list[Fraction]:
+def quantile_points(steps, weights, q: int, thresholds,
+                    last: Fraction) -> list[Fraction]:
     """For each threshold, the first step whose cumulated weight/q reaches it.
 
     The final point is ``last`` by construction, and so is any point the
@@ -819,10 +880,18 @@ def fraction_quantile_points(steps, weights, q: int, thresholds,
     return pts
 
 
-def fraction_quantile_discretize(ledger, exc, n: int) -> dict:
-    """stable_alloc.quantile_discretize with Fraction thresholds spaced M/n
-    apart, a PointConfig.make window of Fraction points and rounding maps
-    that scan the quantile points."""
+def quantile_discretize(ledger, exc, n: int) -> dict:
+    """n-quantile points of ell^mu (descending) and ell^nu (ascending) in exc.
+
+    Quantile i on each side is the first step whose cumulated weight
+    reaches the Fraction threshold i M/n of the mu-mass M; an atom larger
+    than M/n yields repeated points at its step (left to right).  Beyond
+    the excursion the sequences are padded with mesh (right - left)/n so
+    the padding vanishes as n grows.
+
+    Returns {"config", "g_n", "h_n", "n", "mesh", "a", "b"} where g_n/h_n are
+    the rounding maps a -> a_i, b -> b_j, which scan the quantile points.
+    """
     if n < 1:
         raise ConfigError("n must be >= 1")
     M = exc.mass
@@ -834,10 +903,10 @@ def fraction_quantile_discretize(ledger, exc, n: int) -> dict:
     steps, wmu, wnu = ledger.events(exc.left, exc.right)
     # Descending mu-quantiles: a_i = largest step t with mass([t, right)) >= i*M/n.
     before = steps < exc.right
-    a_pts = fraction_quantile_points(steps[before][::-1], wmu[before][::-1], q,
-                                     thresholds, left)      # a_n = b_0
+    a_pts = quantile_points(steps[before][::-1], wmu[before][::-1], q,
+                            thresholds, left)      # a_n = b_0
     # Ascending nu-quantiles: mass((left, b_j]) >= j*M/n, b_n = right.
-    b_pts = fraction_quantile_points(steps, wnu, q, thresholds, right)
+    b_pts = quantile_points(steps, wnu, q, thresholds, right)
 
     mesh = (right - left) / n
     pad = 2 * n + 4
@@ -867,9 +936,15 @@ def fraction_quantile_discretize(ledger, exc, n: int) -> dict:
             "a": tuple(a_pts), "b": tuple(b_pts)}
 
 
-def fraction_tau_n_convergence_test(ledger, exc, n_list) -> dict:
-    """stable_alloc.tau_n_convergence_test on fraction_quantile_discretize's
-    window, g_n's index found by a scan of the config's Fraction a-points."""
+def tau_n_convergence_test(ledger, exc, n_list) -> dict:
+    """sup |tau_n(g_n(a)) - tau*(a)| over mu-charged a in exc, per n.
+
+    Distances are in steps; the report also carries the g_n rounding error
+    sup |a - g_n(a)| so both convergence claims can be checked on fixtures.
+    tau* comes from the balancing kernel (``tau_star_map``), so the pair
+    must be orthogonal; g_n's index is found by a scan of the config's
+    Fraction a-points.
+    """
     charged = [int(s) for s in mu_charged_steps(ledger, exc.left, exc.right)]
     tau_star, unresolved = tau_star_map(ledger, exc.left, exc.right)
     if unresolved:
@@ -878,7 +953,7 @@ def fraction_tau_n_convergence_test(ledger, exc, n_list) -> dict:
             horizon=ledger.hf)
     rows = []
     for n in n_list:
-        disc = fraction_quantile_discretize(ledger, exc, n)
+        disc = quantile_discretize(ledger, exc, n)
         match = stable_allocation(disc["config"])
         a_list = disc["config"].a
         b_list = disc["config"].b

@@ -4,16 +4,16 @@ import math
 from fractions import Fraction
 
 from conftest import record_criterion
-from helpers import excursion_mass
+from helpers import (Excursion, excursion_mass, permutation_oracle,
+                     tau_n_convergence_test)
 
-from shiftlab.embedding import Excursion, compute_t_star
+from shiftlab.embedding import compute_t_star
 from shiftlab.experiments import (ExperimentConfig, run_cost_compare,
                                   run_embed_law, run_ergodic, run_tail)
 from shiftlab.gauges import (capped, default_gauges, eval_gauge, log1p, power,
                              rational)
 from shiftlab.measures import DiscreteMeasure, split_measures
-from shiftlab.stable_alloc import (compute_N, naive_allocation,
-                                   stable_allocation, tau_n_convergence_test)
+from shiftlab.stable_alloc import compute_N, naive_allocation, stable_allocation
 from shiftlab.transport import (random_interleaved_config,
                                 repair_sweep, sample_feasible_matrix,
                                 stable_indicator)
@@ -74,7 +74,6 @@ def test_criterion_1_inequality_suite():
 
 
 def test_criterion_2_oracle_equivalence():
-    from shiftlab.transport import permutation_oracle
     target = 1_000
     checked = 0
     worst = 0.0

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import (ScriptedPath, cohort_of, excursion_mass, path_visits,
-                     random_rematch)
+from helpers import (Excursion, ScriptedPath, cohort_of, excursion_mass,
+                     path_visits, random_rematch)
 
 from shiftlab import comparators
 from shiftlab.comparators import (COMPARATOR_KINDS, Cohort, Comparator,
                                   apply_comparator, check_matching,
                                   extract_slots, matching_cost)
-from shiftlab.embedding import Excursion, compute_t_star
+from shiftlab.embedding import compute_t_star
 from shiftlab.errors import ConfigError, HorizonExceededError, InvariantError
 from shiftlab.gauges import default_gauges, eval_gauge, power
 from shiftlab.measures import DiscreteMeasure, split_measures

@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (LocalTimeLedger, ScriptedPath, compute_tau_star,
-                     cost_of_tau_star, cost_of_tau_star_rescan,
-                     decompose_excursions, excursion_from, excursion_mass)
+from helpers import (Excursion, LocalTimeLedger, ScriptedPath,
+                     compute_tau_star, cost_of_tau_star,
+                     cost_of_tau_star_rescan, decompose_excursions,
+                     excursion_from, excursion_mass, mu_charged_steps)
 
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.gauges import capped, default_gauges, power
 from shiftlab.measures import DiscreteMeasure, split_measures
-from shiftlab.embedding import (Excursion, compute_t_star, match_slots,
-                                mu_charged_steps, tau_star_map)
+from shiftlab.embedding import compute_t_star, match_slots, tau_star_map
 from shiftlab.walk import WalkConfig, build_ledger, sample_walk
 
 

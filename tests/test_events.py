@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (LocalTimeLedger, cohort_excursions, dense_first_excursion,
-                     excursion_mass, fifo_matching, path_visits,
-                     per_path_cost_compare, queue_fifo_matching,
+                     excursion_mass, fifo_matching, mu_charged_steps,
+                     path_visits, per_path_cost_compare, queue_fifo_matching,
                      random_rematch, run_with_events, t_star_events)
 from test_experiments import (_FIXTURE_PAIRS, _patched, make_cfg, measure_pairs,
                               run_every_experiment)
@@ -30,8 +30,7 @@ from test_experiments import (_FIXTURE_PAIRS, _patched, make_cfg, measure_pairs,
 from shiftlab import cli, comparators, embedding, experiments, walk
 from shiftlab.comparators import (COMPARATOR_KINDS, Cohort, Comparator,
                                   apply_comparator, extract_slots)
-from shiftlab.embedding import (Excursion, match_slots, mu_charged_steps,
-                                tau_star_map)
+from shiftlab.embedding import match_slots, tau_star_map
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.experiments import (ExperimentConfig, FirstHitEngine,
                                   run_cost_compare, run_excursion_cost)

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (LocalTimeLedger, ScriptedPath, compute_tau_star,
-                     cost_of_tau_star, cost_of_tau_star_rescan, excursion_from,
-                     excursion_mass, loop_parenthesis_match)
+from helpers import (Excursion, LocalTimeLedger, ScriptedPath,
+                     compute_tau_star, cost_of_tau_star,
+                     cost_of_tau_star_rescan, excursion_from, excursion_mass,
+                     loop_parenthesis_match, mu_charged_steps)
 
-from shiftlab.embedding import (Excursion, match_slots, mu_charged_steps,
-                                parenthesis_match, tau_star_map)
+from shiftlab.embedding import match_slots, parenthesis_match, tau_star_map
 from shiftlab.errors import ConfigError, HorizonExceededError
 from shiftlab.gauges import default_gauges
 from shiftlab.measures import DiscreteMeasure, split_measures

@@ -2,23 +2,20 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (bisect_compute_N, excursion_mass,
-                     fraction_quantile_discretize,
-                     fraction_tau_n_convergence_test, run_with_events)
+from helpers import (Excursion, bisect_compute_N, excursion_mass,
+                     quantile_discretize, tau_n_convergence_test)
 from shiftlab.errors import ConfigError, TruncationError
-from shiftlab.embedding import Excursion, compute_t_star
-from shiftlab.experiments import FirstHitEngine
+from shiftlab.embedding import compute_t_star
 from shiftlab.gauges import default_gauges, eval_gauge
 from shiftlab.measures import DiscreteMeasure, split_measures
 from shiftlab.stable_alloc import (PointConfig, compute_N, naive_allocation,
-                                   quantile_discretize, stable_allocation,
-                                   tau_n_convergence_test)
+                                   stable_allocation)
 from shiftlab.transport import (inequality_check, random_interleaved_config,
                                 sample_feasible_matrix)
-from shiftlab.walk import EventLedger, WalkConfig, build_ledger, sample_walk
+from shiftlab.walk import WalkConfig, build_ledger, sample_walk
 
 
 def test_interleaved_fixture():
@@ -182,43 +179,6 @@ def test_convergence_fixture():
     # Saturation: distance within the lattice mesh once n exceeds the slot count.
     mesh = Fraction(exc.right - exc.left, 16)
     assert dists[1] <= mesh
-
-
-_THIRDS = DiscreteMeasure.from_atoms(
-    [(-1, Fraction(1, 3)), (1, Fraction(1, 3)), (2, Fraction(1, 3))])
-_QUANTILE_PAIRS = (
-    split_measures(DiscreteMeasure.delta(0), DiscreteMeasure.delta(1)),
-    split_measures(DiscreteMeasure.delta(0), DiscreteMeasure.from_atoms(
-        [(-1, Fraction(1, 2)), (1, Fraction(1, 2))])),
-    split_measures(DiscreteMeasure.delta(0), _THIRDS),      # three slots a visit
-    split_measures(DiscreteMeasure.from_atoms(
-        [(0, Fraction(2, 3)), (5, Fraction(1, 3))]), _THIRDS),
-)
-
-
-@given(st.sampled_from(_QUANTILE_PAIRS), st.integers(0, 10**6),
-       st.integers(0, 50), st.lists(st.integers(1, 64), min_size=1, max_size=3))
-@settings(max_examples=60, deadline=None)
-def test_integer_quantile_window_equals_the_fraction_oracle(pair, seed, rep, ns):
-    # On an engine excursion [0, T*]: the same quantile points, Fraction
-    # views of the window, mesh, rounding maps at every step around the
-    # excursion, and tau_n rows as the Fraction-threshold harness.
-    out = next(run_with_events(FirstHitEngine(seed, pair), [rep], 1 << 10))
-    assume(out["t_star"])
-    led = EventLedger(*out["events"], pair)
-    exc = Excursion(0, out["t_star"], excursion_mass(led, 0, out["t_star"]))
-    for n in ns:
-        got = quantile_discretize(led, exc, n)
-        want = fraction_quantile_discretize(led, exc, n)
-        assert (got["a"], got["b"], got["n"], got["mesh"]) == (
-            want["a"], want["b"], want["n"], want["mesh"])
-        cfg, want_cfg = got["config"], want["config"]
-        assert (cfg.a, cfg.b, cfg.allow_ties) == (want_cfg.a, want_cfg.b, True)
-        for s in range(exc.left - 2, exc.right + 3):
-            assert got["g_n"](s) == want["g_n"](s)
-            assert got["h_n"](s) == want["h_n"](s)
-    assert tau_n_convergence_test(led, exc, ns) == \
-        fraction_tau_n_convergence_test(led, exc, ns)
 
 
 def _outcome(fn, cfg):

@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (FractionMatrix, fraction_repair_trace,
-                     fraction_sample_feasible_matrix, scan_find_crossing)
+from helpers import (FractionMatrix, SizeLimitError, fraction_repair_trace,
+                     fraction_sample_feasible_matrix, permutation_oracle,
+                     scan_find_crossing)
 
 from shiftlab import rng
-from shiftlab.errors import ConfigError, FeasibilityError, SizeLimitError
+from shiftlab.errors import ConfigError, FeasibilityError
 from shiftlab.gauges import capped, default_gauges, log1p, power, rational
 from shiftlab.stable_alloc import PointConfig, compute_N, stable_allocation
 from shiftlab.transport import (Crossing, TransportMatrix, find_crossing,
-                                inequality_check, permutation_oracle,
-                                random_interleaved_config, repair_crossing,
-                                repair_sweep, sample_feasible_matrix,
-                                stable_indicator)
+                                inequality_check, random_interleaved_config,
+                                repair_crossing, repair_sweep,
+                                sample_feasible_matrix, stable_indicator)
 
 
 def nested_cfg():
