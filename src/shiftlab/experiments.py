@@ -7,7 +7,8 @@ each replica to ``max_horizon`` (at most 2^30 steps) and skipping whole
 64-step words whose popcount keeps them off the atoms, so heavy-tailed
 embedding times are sampled without retaining whole paths.  A row reads at
 most as many words as it has read, so a replica that balances early reads
-little; once it hits, its generator is re-keyed for another.
+little; once it hits, its generator is re-keyed for another.  With two
+cohorts or more, forked workers, one per CPU, scan them.
 Censored replicas (T* past ``max_horizon``) are reported, never dropped.
 The same scan yields atom visits: compare and excursion-cost read each
 engine cohort's excursions as one ``Cohort``, ergodic its long two-sided
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -39,8 +41,8 @@ from .measures import MeasurePair, as_int, measure_from_spec, split_measures
 from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 from .stable_alloc import PointConfig
 from .transport import inequality_check, sample_feasible_matrix, stable_indicator
-from .walk import (MAX_HORIZON_STEPS, MAX_REPLICAS, EventLedger, WalkConfig,
-                   draw_start, inverse_local_time, site_weights)
+from .walk import (MAX_DENSE_STEPS, MAX_HORIZON_STEPS, MAX_REPLICAS, EventLedger,
+                   WalkConfig, draw_start, inverse_local_time, site_weights)
 
 EXPERIMENTS = ("embed_law", "unbiased", "cost_compare", "excursion_cost",
                "ergodic", "tail")
@@ -52,6 +54,10 @@ DEFAULT_THRESHOLDS = {"sigma": 3.0, "margin_tol": 1e-10, "censor_flag": 0.20}
 # row's read, takes.  Outputs do not depend on either.
 _COHORT = 256
 _WORD_BUDGET = 16384
+# Forked workers that scan run_replicas' cohorts: one per CPU the process may
+# run on (``taskset`` narrows it).  With one, or without sched_getaffinity
+# (no fork-safe pool outside Linux), the cohorts are scanned in-process.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,11 @@ class ExperimentConfig:
                 and max(self.lags) <= MAX_HORIZON_STEPS):
             raise ConfigError(
                 f"lags must be nonempty, >= 1 and <= 2^30, got {list(self.lags)}")
+        # The engine tables one entry per site of the atoms' hull.
+        sites = [s for m in (self.pair.mu, self.pair.nu) for s, _ in m.atoms]
+        if max(sites) - min(sites) > MAX_DENSE_STEPS:
+            raise ConfigError("the atoms of mu and nu must lie within 2^24 sites "
+                              f"of one another, got {max(sites) - min(sites)}")
         if not 1 <= self.r_levels <= 64:
             raise ConfigError(f"r_levels must lie in [1, 64], got {self.r_levels}")
         # A repeat pools its samples in one row (and parameters share labels).
@@ -234,7 +245,8 @@ class FirstHitEngine:
                     for m in (pair.mu, pair.nu))
         self._wtab = wmu - wnu
         self._atom = wmu + wnu > 0
-        self.wdiff = {int(s): int(w) for s, w in zip(grid, self._wtab) if w}
+        nz = np.flatnonzero(self._wtab)
+        self.wdiff = dict(zip(grid[nz].tolist(), self._wtab[nz].tolist()))
 
     def run_replica(self, replica: int, hmax: int) -> dict:
         """Returns {"t_star", "site", "censored", "u_flag"}: the replica is
@@ -243,9 +255,30 @@ class FirstHitEngine:
 
     def run_replicas(self, replicas, hmax: int):
         """Yields ``run_replica(rep, hmax)`` for each of the sequence
-        ``replicas``, in order, scanned in cohorts."""
-        for i in range(0, len(replicas), _COHORT):
-            yield from self.scan_cohort(replicas[i:i + _COHORT], hmax, False)[0]
+        ``replicas``, in order, scanned in cohorts.
+
+        A cohort's dicts depend only on (seed, its replicas, hmax), so with
+        two cohorts or more, up to _WORKERS forked processes scan them; the
+        pool lives only as long as this iteration.
+        """
+        cohorts = [replicas[i:i + _COHORT] for i in range(0, len(replicas), _COHORT)]
+        workers = min(_WORKERS, len(cohorts))
+        if workers < 2:
+            for reps in cohorts:
+                yield from self.scan_cohort(reps, hmax, False)[0]
+            return
+        # Imported here, so that a serial run never loads them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # A forked worker inherits the engine: only replicas and dicts are
+        # pickled.
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                   initializer=_adopted.append, initargs=(self,))
+        try:
+            for outs in pool.map(_scan_adopted, cohorts, [hmax] * len(cohorts)):
+                yield from outs
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     def scan_cohort(self, reps, hmax: int, events: bool):
         """run_replica's dicts for the replicas ``reps``, scanned together,
@@ -367,6 +400,13 @@ class FirstHitEngine:
         _, sites, _, steps = self._near(words[None], np.array([start]))
         k = self._atom[sites - (self._lo - 8)] & (steps < n)
         return steps[k] + 1, sites[k]
+
+
+_adopted: list[FirstHitEngine] = []    # a pool worker's engine
+
+
+def _scan_adopted(reps, hmax: int) -> list[dict]:
+    return _adopted[0].scan_cohort(reps, hmax, False)[0]
 
 
 def _t_star_finder(cfg: ExperimentConfig):

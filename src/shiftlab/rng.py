@@ -30,8 +30,11 @@ STREAM_UFLAG = 3
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _FREE: list[np.random.Philox] = []     # generators of released streams
-# Counter 0 and an empty buffer; each claim sets its key and loads it.
-_FRESH = np.random.Philox(0).state
+# Counter 0 and an empty buffer; each claim sets its key and loads it.  Plain
+# ints: the state setter converts each of its 14 values, and numpy scalars
+# cost more to convert.
+_FRESH = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
+          "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _mix(ids: tuple[int, ...]) -> int:
@@ -69,7 +72,7 @@ class BitStream:
             key = [int(float(x)) & _MASK64 for x in key]
         # Seed 0, not None, spares a new generator an OS entropy draw.
         self._bg = _FREE.pop() if _FREE else np.random.Philox(0)
-        _FRESH["state"]["key"][:] = key
+        _FRESH["state"]["key"] = key
         self._bg.state = _FRESH                # the setter copies it
 
     def release(self) -> None:

@@ -12,6 +12,7 @@ import pytest
 import shiftlab
 from shiftlab.cli import (EXIT_CONFIG, EXIT_HORIZON, EXIT_INVARIANT, EXIT_OK,
                           OUTPUT_DIR_ENV, main)
+from shiftlab.experiments import ExperimentConfig
 
 
 def write_json(tmp_path, name, obj):
@@ -324,6 +325,21 @@ def test_out_of_range_counts_are_config_errors(tmp_path, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["embed", "tail"])
+def test_a_hull_too_wide_for_the_engine_is_a_config_error(tmp_path, capsys,
+                                                           command):
+    # The engine tables every site of the atoms' hull: delta_0 to
+    # delta_(10^10) once died allocating 74.5 GiB.  It is refused when the
+    # config is read; a hull of 2^24 sites passes.
+    cfg = write_json(tmp_path, "cfg.json", walk_config({"nu": [[10**10, 1, 1]]}))
+    assert main(["--output-dir", str(tmp_path / "o"), command, cfg]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "message": "the atoms of mu and nu must lie within "
+                                      "2^24 sites of one another, got 10000000000"}
+    assert not (tmp_path / "o").exists()
+    ExperimentConfig.from_json(walk_config({"nu": [[-(1 << 24), 1, 1]]}))
+
+
 def test_excursion_cost_needs_unit_nu_atoms_in_either_mode(tmp_path, capsys):
     # A nu-atom of weight 2/3 closes two slots at once, so T* can overshoot
     # the balance and the excursion's slots would not match up.  The old
@@ -478,6 +494,19 @@ def test_import_leaves_scipy_stats_unloaded():
     # benchmark pass imports the CLI in its set-up time.
     code = ("import sys, shiftlab.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = os.path.dirname(os.path.dirname(shiftlab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # The engine imports multiprocessing and concurrent.futures (about 20
+    # ms) at its first pooled scan, so the CLI's import, which every
+    # benchmark pass times as set-up, loads neither.
+    code = ("import sys, shiftlab.cli; print([m for m in "
+            "('multiprocessing', 'concurrent.futures') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(shiftlab.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,

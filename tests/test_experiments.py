@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import tracemalloc
 from contextlib import nullcontext
 from fractions import Fraction
@@ -16,7 +17,7 @@ from helpers import (cohort_excursions, doubling_first_excursion, pm64_near,
 from shiftlab import experiments, walk
 from shiftlab.comparators import extract_slots
 from shiftlab.embedding import compute_t_star
-from shiftlab.errors import ConfigError, HorizonExceededError
+from shiftlab.errors import ConfigError, HorizonExceededError, InvariantError
 from shiftlab.experiments import (DEFAULT_THRESHOLDS, ExperimentConfig,
                                   FirstHitEngine, run_cost_compare,
                                   run_embed_law, run_ergodic,
@@ -559,6 +560,59 @@ def test_near_keeps_the_bytes_of_the_pm64_rule(block):
         np.testing.assert_array_equal(got, want)
 
 
+def _two_atoms(*sites):
+    return DiscreteMeasure.from_atoms([(s, Fraction(1, 2)) for s in sites])
+
+
+# A start draw (two-atom mu) and U flags (a common atom at 1).
+_POOL_PAIRS = {"point": _FIXTURE_PAIRS[0], "symmetric": _FIXTURE_PAIRS[1],
+               "two-atom-mu": split_measures(_two_atoms(0, 2), _two_atoms(1, 3)),
+               "non-orthogonal": split_measures(_two_atoms(0, 1), _two_atoms(-1, 1))}
+
+
+@pytest.mark.parametrize("name", list(_POOL_PAIRS))
+def test_pooled_scan_equals_the_in_process_scan(monkeypatch, name):
+    # 11 replicas in cohorts of 4 on two forked workers, to a cap low
+    # enough that some rows are censored: the dicts equal the in-process
+    # scan's, element for element, and the workers end with the iteration.
+    engine = FirstHitEngine(11, _POOL_PAIRS[name])
+    monkeypatch.setattr(experiments, "_COHORT", 4)
+    monkeypatch.setattr(experiments, "_WORKERS", 1)
+    serial = list(engine.run_replicas(range(3, 14), 100))
+    monkeypatch.setattr(experiments, "_WORKERS", 2)
+    pooled = engine.run_replicas(range(3, 14), 100)
+    first = next(pooled)
+    assert len(multiprocessing.active_children()) == 2
+    assert [first, *pooled] == serial
+    assert multiprocessing.active_children() == []
+    assert 0 < sum(out["censored"] for out in serial) < len(serial)
+
+
+def test_pool_has_no_more_workers_than_cohorts(monkeypatch, delta_pair):
+    # Three cohorts on eight CPUs start three workers; a consumer that
+    # stops early still leaves none behind.
+    monkeypatch.setattr(experiments, "_COHORT", 4)
+    monkeypatch.setattr(experiments, "_WORKERS", 8)
+    outs = FirstHitEngine(2, delta_pair).run_replicas(range(12), 1 << 10)
+    next(outs)
+    assert len(multiprocessing.active_children()) == 3
+    outs.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_error_reaches_the_caller(monkeypatch, delta_pair):
+    # The patch is made before the fork, so the workers inherit it.
+    def broken(*args):
+        raise InvariantError("broken scan")
+
+    monkeypatch.setattr(experiments, "_COHORT", 4)
+    monkeypatch.setattr(experiments, "_WORKERS", 2)
+    monkeypatch.setattr(FirstHitEngine, "_scan", broken)
+    with pytest.raises(InvariantError, match="broken scan"):
+        list(FirstHitEngine(2, delta_pair).run_replicas(range(12), 1 << 10))
+    assert multiprocessing.active_children() == []
+
+
 def test_engine_builds_start_streams_only_for_a_start_draw(monkeypatch,
                                                            delta_pair):
     built = []
@@ -606,7 +660,8 @@ def test_finder_reads_do_not_grow_with_horizon_fwd(monkeypatch, delta_pair):
     # so a finder pass (1000 replicas, cap 2^18, seed 7) reads 262,479
     # words whatever horizon_fwd.  Reading each first block whole took
     # 274,176 words at horizon_fwd 1024, 315,136 at 4096 and 4,096,000 at
-    # 2^18.
+    # 2^18.  In-process: forked workers' reads would not reach the spy.
+    monkeypatch.setattr(experiments, "_WORKERS", 1)
     read = []
     take = BitStream.take_words
     monkeypatch.setattr(BitStream, "take_words",
@@ -626,6 +681,8 @@ def test_tail_pass_reads_at_most_the_word_budget(monkeypatch, delta_pair):
     # no read takes more than _WORD_BUDGET words.  Peaks measured with
     # numpy 2.4: 2.69 MiB when horizon blocks of up to 2^22 steps let a
     # read take 65,536 words, 1.19 MiB with the budget as the cap.
+    # In-process: forked workers report to neither the spy nor tracemalloc.
+    monkeypatch.setattr(experiments, "_WORKERS", 1)
     read = []
     take = BitStream.take_words
     monkeypatch.setattr(BitStream, "take_words",
