@@ -7,13 +7,13 @@ each replica to ``max_horizon`` (at most 2^30 steps) and skipping whole
 64-step words whose popcount keeps them off the atoms, so heavy-tailed
 embedding times are sampled without retaining whole paths.  A row reads at
 most as many words as it has read, so a replica that balances early reads
-little; once it hits, its generator is re-keyed for another.  With two
-cohorts or more, forked workers, one per CPU, scan them.
+little; once it hits, its generator is re-keyed for another.
 Censored replicas (T* past ``max_horizon``) are reported, never dropped.
-The same scan yields atom visits: compare and excursion-cost read each
-engine cohort's excursions as one ``Cohort``, ergodic its long two-sided
-path as an event ledger.  unbiased reads the increments around T* as
-popcounts of seeked stream words.  No experiment builds a dense path.
+With two cohorts or more, forked workers, one per CPU, scan them and, for
+compare and excursion-cost, score each cohort's excursions as one
+``Cohort``.  ergodic reads its long path's atom visits as an event ledger,
+unbiased the increments around T* as popcounts of seeked stream words.
+No experiment builds a dense path.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 from .stable_alloc import PointConfig
 from .transport import inequality_check, sample_feasible_matrix, stable_indicator
 from .walk import (MAX_DENSE_STEPS, MAX_HORIZON_STEPS, MAX_REPLICAS, EventLedger,
-                   WalkConfig, draw_start, inverse_local_time, site_weights)
+                   WalkConfig, draw_start, inverse_local_time)
 
 EXPERIMENTS = ("embed_law", "unbiased", "cost_compare", "excursion_cost",
                "ergodic", "tail")
@@ -238,15 +238,18 @@ class FirstHitEngine:
         self.pair = pair
         sites = [s for m in (pair.mu, pair.nu) for s, _ in m.atoms]
         self._lo, self._hi = min(sites), max(sites)
-        # Weight difference and atom flag by site over [lo - 8, hi + 8]:
-        # every step of a kept byte lies within 7 sites of the hull.
-        grid = np.arange(self._lo - 8, self._hi + 9)
-        wmu, wnu = (site_weights(grid, m, pair.denominator)
-                    for m in (pair.mu, pair.nu))
-        self._wtab = wmu - wnu
-        self._atom = wmu + wnu > 0
-        nz = np.flatnonzero(self._wtab)
-        self.wdiff = dict(zip(grid[nz].tolist(), self._wtab[nz].tolist()))
+        # Weight difference and atom flag by site over [lo - 8, hi + 8] (a
+        # kept byte's steps lie within 7 sites of the hull), scattered from
+        # the atoms: a common site whose weights cancel stays an atom.
+        base = self._lo - 8
+        self._wtab = np.zeros(self._hi - base + 9, dtype=np.int64)
+        self._atom = np.zeros(self._wtab.size, dtype=bool)
+        for sign, m in ((1, pair.mu), (-1, pair.nu)):
+            for s, w in m.atoms:
+                self._wtab[s - base] += sign * int(w * pair.denominator)
+                self._atom[s - base] = True
+        self.wdiff = {s: int(self._wtab[s - base]) for s in sorted(set(sites))
+                      if self._wtab[s - base]}
 
     def run_replica(self, replica: int, hmax: int) -> dict:
         """Returns {"t_star", "site", "censored", "u_flag"}: the replica is
@@ -255,28 +258,32 @@ class FirstHitEngine:
 
     def run_replicas(self, replicas, hmax: int):
         """Yields ``run_replica(rep, hmax)`` for each of the sequence
-        ``replicas``, in order, scanned in cohorts.
+        ``replicas``, in order, scanned in cohorts."""
+        scan = partial(FirstHitEngine.scan_cohort, events=False)
+        for outs, _ in self.map_cohorts(replicas, hmax, scan):
+            yield from outs
 
-        A cohort's dicts depend only on (seed, its replicas, hmax), so with
-        two cohorts or more, up to _WORKERS forked processes scan them; the
-        pool lives only as long as this iteration.
-        """
+    def map_cohorts(self, replicas, hmax: int, fn):
+        """Yields ``fn(self, reps, hmax)`` for each cohort ``reps`` of up to
+        _COHORT of the sequence ``replicas``, in order: the one place they
+        are cut.  A cohort's scan depends only on (seed, its replicas,
+        hmax), so with two cohorts or more, up to _WORKERS forked processes
+        call ``fn``; the pool lives only as long as this iteration."""
         cohorts = [replicas[i:i + _COHORT] for i in range(0, len(replicas), _COHORT)]
         workers = min(_WORKERS, len(cohorts))
         if workers < 2:
             for reps in cohorts:
-                yield from self.scan_cohort(reps, hmax, False)[0]
+                yield fn(self, reps, hmax)
             return
         # Imported here, so that a serial run never loads them.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        # A forked worker inherits the engine: only replicas and dicts are
-        # pickled.
+        # A forked worker inherits the engine and fn: only replicas and fn's
+        # values are pickled.
         pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                   initializer=_adopted.append, initargs=(self,))
+                                   initializer=_adopted.append, initargs=((self, fn),))
         try:
-            for outs in pool.map(_scan_adopted, cohorts, [hmax] * len(cohorts)):
-                yield from outs
+            yield from pool.map(_run_adopted, cohorts, [hmax] * len(cohorts))
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -402,21 +409,27 @@ class FirstHitEngine:
         return steps[k] + 1, sites[k]
 
 
-_adopted: list[FirstHitEngine] = []    # a pool worker's engine
+_adopted: list = []                    # a pool worker's (engine, fn)
 
 
-def _scan_adopted(reps, hmax: int) -> list[dict]:
-    return _adopted[0].scan_cohort(reps, hmax, False)[0]
+def _run_adopted(reps, hmax: int):
+    engine, fn = _adopted[0]
+    return fn(engine, reps, hmax)
+
+
+def _used_cohort(engine: FirstHitEngine, reps, hmax: int):
+    """(run_replica dicts of ``reps``, the Cohort of their used paths
+    (T* > 0) or None), from one events scan."""
+    outs, (rows, steps, sites) = engine.scan_cohort(reps, hmax, True)
+    used = np.array([bool(out["t_star"]) for out in outs])
+    on, path = used[rows], np.cumsum(used) - 1         # used rows renumbered
+    return outs, (Cohort(path[rows[on]], steps[on], sites[on], engine.pair)
+                  if used.any() else None)
 
 
 def _t_star_finder(cfg: ExperimentConfig):
-    """replicas -> their run_replica outputs: T* under the one horizon
-    contract.
-
-    Every experiment finds T* here, for a range of replicas at a time,
-    scanning each to ``max_horizon``; a replica whose T* lies beyond it is
-    censored.
-    """
+    """replicas -> their run_replica dicts under the one horizon contract:
+    each is scanned to ``max_horizon``, and censored if its T* lies beyond."""
     engine = FirstHitEngine(cfg.walk.seed, cfg.pair)
     return lambda reps: engine.run_replicas(reps, cfg.max_horizon)
 
@@ -561,33 +574,13 @@ def run_unbiased_test(cfg: ExperimentConfig) -> StatReport:
     return StatReport("unbiased", cfg.digest(), data, {"lags": rows})
 
 
-def _engine_cohorts(cfg: ExperimentConfig) -> list:
-    """Per engine cohort, a call that scans it under ``_t_star_finder``'s
-    horizon contract: (replica ids, their run_replica dicts, the Cohort of
-    their used paths (T* > 0) or None).  A cohort dies with its caller.
-    The pair is checked for the slot kernel before any scan."""
-    require_unit_slots(cfg.pair)
-    engine = FirstHitEngine(cfg.walk.seed, cfg.pair)
-
-    def scan(reps):
-        outs, (rows, steps, sites) = engine.scan_cohort(reps, cfg.max_horizon, True)
-        used = np.array([bool(out["t_star"]) for out in outs])
-        on, path = used[rows], np.cumsum(used) - 1     # used rows renumbered
-        return reps, outs, (Cohort(path[rows[on]], steps[on], sites[on], cfg.pair)
-                            if used.any() else None)
-
-    return [partial(scan, range(cfg.replicas)[i:i + _COHORT])
-            for i in range(0, cfg.replicas, _COHORT)]
-
-
-def _score_cohort(cfg: ExperimentConfig, scan, keys: list, per: dict,
-                  diffs: dict) -> tuple[int, int]:
-    """(skipped, violations) of the engine cohort ``scan`` reads, in a call
-    of its own; appends each used path's psi and paired differences per
-    key to ``per`` and ``diffs``."""
-    _, outs, cohort = scan()
+def _score_cohort(cfg: ExperimentConfig, engine: FirstHitEngine, reps, hmax: int):
+    """(skipped, violations, psi, diff) of the engine cohort ``reps``; psi and
+    the paired differences against tau* are (comparator x gauge, used path)."""
+    outs, cohort = _used_cohort(engine, reps, hmax)
+    keys = len(cfg.comparators) * len(cfg.gauges)
     if cohort is None:
-        return len(outs), 0
+        return len(outs), 0, np.empty((keys, 0)), np.empty((keys, 0))
     stable = cohort.stable()
     matchings = [apply_comparator(comp, cohort, stable) for comp in cfg.comparators]
     for pairs in matchings:
@@ -601,35 +594,70 @@ def _score_cohort(cfg: ExperimentConfig, scan, keys: list, per: dict,
                       for m in matchings])     # (comparator, gauge, path)
     tol = cfg.thresholds["margin_tol"]
     violations = int(np.count_nonzero(c_all < c_stable - tol))
-    psi = (c_all / cohort.mass).reshape(len(keys), -1)
-    diff = ((c_all - c_stable) / cohort.mass).reshape(len(keys), -1)
-    for key, p, d in zip(keys, psi, diff):
-        per.setdefault(key, []).append(p)
-        diffs.setdefault(key, []).append(d)
-    return len(outs) - len(cohort.counts), violations
+    psi = (c_all / cohort.mass).reshape(keys, -1)
+    diff = ((c_all - c_stable) / cohort.mass).reshape(keys, -1)
+    return len(outs) - len(cohort.counts), violations, psi, diff
 
 
 def run_cost_compare(cfg: ExperimentConfig) -> StatReport:
     """Pathwise excursion-cost dominance of tau* over comparator rematchings,
     scored one engine cohort of used excursions at a time."""
-    per, diffs = {}, {}                    # (kind, gauge) -> value arrays
+    require_unit_slots(cfg.pair)
+    engine = FirstHitEngine(cfg.walk.seed, cfg.pair)
+    skipped, violations, psi, diff = zip(*engine.map_cohorts(
+        range(cfg.replicas), cfg.max_horizon, partial(_score_cohort, cfg)))
     kinds = [comp.kind for comp in cfg.comparators]
     keys = [(kind, g.label) for kind in kinds for g in cfg.gauges]
-    skipped, violations = map(sum, zip(*(
-        _score_cohort(cfg, scan, keys, per, diffs) for scan in _engine_cohorts(cfg))))
-    rows = []
-    for (kind, glabel), vals in sorted(per.items()):
-        mean, se = _mean_se(np.concatenate(vals))
-        dmean, dse = _mean_se(np.concatenate(diffs[kind, glabel]))
-        rows.append({"comparator": kind, "gauge": glabel,
-                     "mean_psi": mean, "se": se,
+    psi, diff = np.concatenate(psi, axis=1), np.concatenate(diff, axis=1)
+    rows = []                              # none without a used path
+    for (kind, glabel), i in sorted(zip(keys, range(len(keys)))) if psi.size else ():
+        (mean, se), (dmean, dse) = _mean_se(psi[i]), _mean_se(diff[i])
+        rows.append({"comparator": kind, "gauge": glabel, "mean_psi": mean, "se": se,
                      "paired_diff_mean": dmean, "paired_diff_se": dse})
     data = {
-        "replicas": cfg.replicas, "paths_used": cfg.replicas - skipped,
-        "paths_skipped": skipped, "pathwise_violations": violations, "comparators": kinds,
-        "seed": cfg.walk.seed,
+        "replicas": cfg.replicas, "paths_used": cfg.replicas - sum(skipped),
+        "paths_skipped": sum(skipped), "pathwise_violations": sum(violations),
+        "comparators": kinds, "seed": cfg.walk.seed,
     }
     return StatReport("cost_compare", cfg.digest(), data, {"costs": rows})
+
+
+def _margin_rows(cfg: ExperimentConfig, matrices_per_excursion: int, slot_cap: int,
+                 engine: FirstHitEngine, reps, hmax: int):
+    """(excursions used, margin rows) of the engine cohort ``reps``."""
+    outs, cohort = _used_cohort(engine, reps, hmax)
+    if cohort is None:                     # censored or T* = 0
+        return 0, []
+    used, rows, dt = 0, [], cfg.walk.dt
+    # Each excursion balances at its T*, so its slots, [a, b) of the
+    # cohort's, are exactly the stable matching's.  Step s is the point
+    # s * dt, an integer numerator over dt's denominator.
+    paths = [rep for rep, out in zip(reps, outs) if out["t_star"]]
+    ends = np.cumsum(cohort.counts).tolist()
+    for rep, a, b in zip(paths, [0] + ends, ends):
+        if b - a > slot_cap:
+            continue
+        sources, targets = (x[a:b].tolist() for x in cohort.slots)
+        pcfg = PointConfig(tuple(s * dt.numerator for s in reversed(sources)),
+                           tuple(t * dt.numerator for t in targets),
+                           dt.denominator, allow_ties=True)   # a descends
+        # Stable indicator: exact equality of both sides.  Its check gives
+        # each gauge's rhs once; the sampler has validated its matrices.
+        pi0 = stable_indicator(pcfg, b - a)
+        eq = [inequality_check(pi0, g) for g in cfg.gauges]
+        off = [r.margin for r in eq if abs(r.margin) > 1e-9 * max(1.0, r.rhs)]
+        if off:
+            raise InvariantError(f"stable indicator not at equality (margin {off[0]})")
+        rhs = [r.rhs for r in eq]
+        used += 1
+        for mi in range(matrices_per_excursion):
+            pi = sample_feasible_matrix(
+                pcfg, b - a, seed=cfg.walk.seed * 1000 + rep * 10 + mi)
+            for g, rhs_g in zip(cfg.gauges, rhs):
+                lhs = pi.cost(g)
+                rows.append({"replica": rep, "matrix": mi, "gauge": g.label,
+                             "lhs": lhs, "rhs": rhs_g, "margin": lhs - rhs_g})
+    return used, rows
 
 
 def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
@@ -640,43 +668,14 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
     if top >= 1 << 53:
         raise ConfigError(f"excursion-cost sampler seeds reach {top} >= 2^53: "
                           "lower the walk seed or the replicas")
-    tol = cfg.thresholds["margin_tol"]
-    used = 0                               # excursions checked at equality
-    rows = []
-    dt = cfg.walk.dt
-    for scan in _engine_cohorts(cfg):
-        reps, outs, cohort = scan()
-        if cohort is None:                 # censored or T* = 0
-            continue
-        # Each excursion balances at its T*, so its slots, [a, b) of the
-        # cohort's, are exactly the stable matching's.  Step s is the point
-        # s * dt, an integer numerator over dt's denominator.
-        paths = [rep for rep, out in zip(reps, outs) if out["t_star"]]
-        ends = np.cumsum(cohort.counts).tolist()
-        for rep, a, b in zip(paths, [0] + ends, ends):
-            if b - a > slot_cap:
-                continue
-            sources, targets = (x[a:b].tolist() for x in cohort.slots)
-            pcfg = PointConfig(tuple(s * dt.numerator for s in reversed(sources)),
-                               tuple(t * dt.numerator for t in targets),
-                               dt.denominator, allow_ties=True)   # a descends
-            # Stable indicator: exact equality of both sides.  Its check gives
-            # each gauge's rhs once; the sampler has validated its matrices.
-            pi0 = stable_indicator(pcfg, b - a)
-            eq = [inequality_check(pi0, g) for g in cfg.gauges]
-            off = [r.margin for r in eq if abs(r.margin) > 1e-9 * max(1.0, r.rhs)]
-            if off:
-                raise InvariantError(f"stable indicator not at equality (margin {off[0]})")
-            rhs = [r.rhs for r in eq]
-            used += 1
-            for mi in range(matrices_per_excursion):
-                pi = sample_feasible_matrix(
-                    pcfg, b - a, seed=cfg.walk.seed * 1000 + rep * 10 + mi)
-                for g, rhs_g in zip(cfg.gauges, rhs):
-                    lhs = pi.cost(g)
-                    rows.append({"replica": rep, "matrix": mi, "gauge": g.label,
-                                 "lhs": lhs, "rhs": rhs_g, "margin": lhs - rhs_g})
+    require_unit_slots(cfg.pair)
+    engine = FirstHitEngine(cfg.walk.seed, cfg.pair)
+    used, rows = zip(*engine.map_cohorts(
+        range(cfg.replicas), cfg.max_horizon,
+        partial(_margin_rows, cfg, matrices_per_excursion, slot_cap)))
+    used, rows = sum(used), [row for part in rows for row in part]
     min_margin = min((row["margin"] for row in rows), default=None)
+    tol = cfg.thresholds["margin_tol"]
     data = {
         "replicas": cfg.replicas, "excursions_used": used,
         "skipped": cfg.replicas - used, "checks": len(rows),

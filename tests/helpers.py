@@ -455,9 +455,11 @@ def cohort_excursions(cfg, slot_cap: int | None = None) -> list:
     CohortPath of the Cohort of its engine cohort's paths with T* > 0, its
     slots cut from the cohort's at cumsum(counts), or None when censored,
     T* = 0 or past ``slot_cap`` mu-slots."""
+    experiments.require_unit_slots(cfg.pair)
+    engine = experiments.FirstHitEngine(cfg.walk.seed, cfg.pair)
     got = []
-    for scan in experiments._engine_cohorts(cfg):
-        _, outs, cohort = scan()
+    for outs, cohort in engine.map_cohorts(range(cfg.replicas), cfg.max_horizon,
+                                           experiments._used_cohort):
         ends = np.cumsum(cohort.counts).tolist() if cohort else []
         paths = iter(zip(range(len(ends)), [0] + ends, ends))
         for out in outs:

@@ -227,6 +227,8 @@ def test_cost_compare_costs_each_matching_once_per_gauge(monkeypatch,
     # One cost call per cohort for the stable matching, fifo and random
     # rematch (the "stable" comparator reuses the stable costs), and psi
     # once per gauge for each distinct gap of the cohort's matchings.
+    # In-process: the spies see no forked worker's calls.
+    monkeypatch.setattr(experiments, "_WORKERS", 1)
     monkeypatch.setattr(experiments, "_COHORT", 7)
     costs = _count_calls(monkeypatch, experiments, "matching_cost")
     psi = _count_calls(monkeypatch, comparators, "eval_gauge")
@@ -256,6 +258,8 @@ def test_compare_builds_the_slots_once_per_cohort(monkeypatch,
                                                   symmetric_pair):
     # FIFO and the checks read the cohort's one slot list; no per-path
     # slot list is extracted.
+    # In-process: the spies see no forked worker's calls.
+    monkeypatch.setattr(experiments, "_WORKERS", 1)
     monkeypatch.setattr(experiments, "_COHORT", 7)
     slots = _count_calls(monkeypatch, comparators, "extract_slots")
     built = _count_calls(monkeypatch, experiments, "Cohort")
@@ -274,6 +278,8 @@ def test_excursion_cost_builds_its_points_from_the_slots(monkeypatch,
     # used excursion of at most slot_cap mu-slots (a cap some excursion
     # meets) gets a window of its dense ledger's slots as steps times
     # dt = 4/49 (dx = 2/7) over 49, the a-points descending.
+    # In-process: the spies see no forked worker's calls.
+    monkeypatch.setattr(experiments, "_WORKERS", 1)
     monkeypatch.setattr(experiments, "_COHORT", 7)
     slots = _count_calls(monkeypatch, comparators, "extract_slots")
     kernels = [_count_calls(monkeypatch, module, "match_slots")

@@ -149,6 +149,8 @@ def test_first_excursions_build_one_cohort_per_engine_cohort(monkeypatch,
                         (walk.WalkPath, "__init__")):
         monkeypatch.setattr(owner, attr,
                             lambda *args, attr=attr, **kw: dense.append(attr))
+    # In-process: the spies see no forked worker's calls.
+    monkeypatch.setattr(experiments, "_WORKERS", 1)
     monkeypatch.setattr(experiments, "_COHORT", 7)
     cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=40,
                    hf=16, max_horizon=1 << 14)
@@ -279,6 +281,8 @@ def test_cost_compare_matches_each_cohort_once(monkeypatch, symmetric_pair):
     # One kernel call per cohort with a used path, over all of the cohort's
     # events; the random rematch permutes those pairs.
     from shiftlab import comparators
+    # In-process: the spies see no forked worker's calls.
+    monkeypatch.setattr(experiments, "_WORKERS", 1)
     monkeypatch.setattr(experiments, "_COHORT", 7)
     calls = []
     kernel = comparators.match_slots
@@ -371,12 +375,34 @@ def run_every_experiment(symmetric_pair):
 
 def test_every_runner_scans_replicas_in_cohorts(monkeypatch, symmetric_pair):
     # run_replica is one replica's cohort; a runner that calls it per
-    # replica pays a full scan pass for each.
+    # replica pays a full scan pass for each.  Every cohort scan runs inside
+    # the one map: T* finding (embed, unbiased, tail, the ergodic ensemble)
+    # without visits, compare and excursion-cost with them.
     def refuse(*args, **kwargs):
         raise AssertionError("runners must use FirstHitEngine.run_replicas")
 
+    mapped, scans = [], []
+    real_map, real_scan = FirstHitEngine.map_cohorts, FirstHitEngine.scan_cohort
+
+    def map_cohorts(self, replicas, hmax, fn):
+        def inside(*args):
+            mapped.append(True)
+            try:
+                return fn(*args)
+            finally:
+                mapped.pop()
+        return real_map(self, replicas, hmax, inside)
+
+    def scan_cohort(self, reps, hmax, events):
+        assert mapped, "a cohort scan must run inside FirstHitEngine.map_cohorts"
+        scans.append(events)
+        return real_scan(self, reps, hmax, events)
+
     monkeypatch.setattr(FirstHitEngine, "run_replica", refuse)
+    monkeypatch.setattr(FirstHitEngine, "map_cohorts", map_cohorts)
+    monkeypatch.setattr(FirstHitEngine, "scan_cohort", scan_cohort)
     run_every_experiment(symmetric_pair)
+    assert sorted(scans) == [False] * 4 + [True] * 2
 
 
 def test_tail_small_run(symmetric_pair):
@@ -613,6 +639,66 @@ def test_a_worker_error_reaches_the_caller(monkeypatch, delta_pair):
     assert multiprocessing.active_children() == []
 
 
+_THREE_ATOM_MU = split_measures(*(DiscreteMeasure.from_atoms(
+    [(s, Fraction(1, 3)) for s in sites]) for sites in ((-2, 0, 2), (-1, 1, 3))))
+# The runners that score engine cohorts, and the count of paths they score.
+_SCORED = {"cost_compare": (run_cost_compare, "paths_used"),
+           "excursion_cost": (run_excursion_cost, "excursions_used")}
+
+
+@pytest.mark.parametrize("experiment", ["cost_compare", "excursion_cost"])
+@pytest.mark.parametrize("pair", [_FIXTURE_PAIRS[1], _THREE_ATOM_MU],
+                         ids=["symmetric", "three-atom-mu"])
+def test_scored_reports_do_not_depend_on_the_workers(monkeypatch, experiment,
+                                                     pair):
+    # 600 replicas are three cohorts: scored in-process and on two forked
+    # workers, the report bytes and tables are equal.
+    run, used = _SCORED[experiment]
+    cfg = make_cfg(pair, experiment, seed=8, replicas=600, hf=64,
+                   max_horizon=1 << 10)
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(experiments, "_WORKERS", workers)
+        rep = run(cfg)
+        reports.append((rep.to_json(), rep.tables))
+    assert reports[0] == reports[1]
+    assert multiprocessing.active_children() == []
+    assert 0 < rep.data[used] < 600
+
+
+@pytest.mark.parametrize("experiment, layer", [
+    ("cost_compare", "check_matching"), ("excursion_cost", "inequality_check")])
+def test_a_scoring_worker_error_reaches_the_caller(monkeypatch, symmetric_pair,
+                                                   experiment, layer):
+    # The patch is made before the fork, so the workers inherit it.
+    def broken(*args):
+        raise InvariantError("broken score")
+
+    monkeypatch.setattr(experiments, "_COHORT", 4)
+    monkeypatch.setattr(experiments, "_WORKERS", 2)
+    monkeypatch.setattr(experiments, layer, broken)
+    cfg = make_cfg(symmetric_pair, experiment, seed=2, replicas=12, hf=64,
+                   max_horizon=1 << 10)
+    with pytest.raises(InvariantError, match="broken score"):
+        _SCORED[experiment][0](cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_engine_set_up_memory_does_not_grow_with_the_weights():
+    # delta_0 -> delta_(2^20): the engine keeps an int64 weight difference
+    # and a bool atom flag per site of the hull, 9 B; the peak stays under
+    # 12 B per site (41 B when the tables were built over a site grid).
+    pair = split_measures(DiscreteMeasure.delta(0), DiscreteMeasure.delta(1 << 20))
+    tracemalloc.start()
+    try:
+        engine = FirstHitEngine(0, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert engine.wdiff == {0: 1, 1 << 20: -1}
+    assert peak <= 12 * ((1 << 20) + 17), f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_engine_builds_start_streams_only_for_a_start_draw(monkeypatch,
                                                            delta_pair):
     built = []
@@ -715,7 +801,7 @@ def test_reports_do_not_depend_on_horizon_fwd(experiment, run, symmetric_pair):
     assert len(blobs) == 1
 
 
-def test_compare_memory_tripwire(symmetric_pair):
+def test_compare_memory_tripwire(monkeypatch, symmetric_pair):
     # Criterion 6's shape: cost_compare of 1000 replicas, horizon_fwd 4096,
     # cap 2^18, seed 21, under tracemalloc.  Peaks measured with numpy 2.4:
     # 5.60 MiB scoring one excursion at a time, 6.29 MiB scoring a cohort
@@ -723,7 +809,8 @@ def test_compare_memory_tripwire(symmetric_pair):
     # next one scanned (6.45 MiB with numpy 2.4.6), 5.40 MiB with each
     # cohort scored in its own call, all inside the engine's scan; 5.19 MiB
     # with the first block read whole, 2.35 MiB with a row reading at most
-    # the words it has read.
+    # the words it has read.  In-process: tracemalloc sees no forked worker.
+    monkeypatch.setattr(experiments, "_WORKERS", 1)
     cfg = make_cfg(symmetric_pair, "cost_compare", seed=21, replicas=1000,
                    hf=1 << 12, max_horizon=1 << 18, gauges=default_gauges())
     tracemalloc.start()
