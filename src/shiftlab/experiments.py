@@ -622,12 +622,16 @@ def run_cost_compare(cfg: ExperimentConfig) -> StatReport:
     return StatReport("cost_compare", cfg.digest(), data, {"costs": rows})
 
 
+_MARGIN_ROWS = 2000         # excursion-cost's table keeps the first rows only
+
+
 def _margin_rows(cfg: ExperimentConfig, matrices_per_excursion: int, slot_cap: int,
                  engine: FirstHitEngine, reps, hmax: int):
-    """(excursions used, margin rows) of the engine cohort ``reps``."""
+    """(excursions used, checks, least margin or None, the first
+    ``_MARGIN_ROWS`` margin rows) of the engine cohort ``reps``."""
     outs, cohort = _used_cohort(engine, reps, hmax)
     if cohort is None:                     # censored or T* = 0
-        return 0, []
+        return 0, 0, None, []
     used, rows, dt = 0, [], cfg.walk.dt
     # Each excursion balances at its T*, so its slots, [a, b) of the
     # cohort's, are exactly the stable matching's.  Step s is the point
@@ -657,7 +661,8 @@ def _margin_rows(cfg: ExperimentConfig, matrices_per_excursion: int, slot_cap: i
                 lhs = pi.cost(g)
                 rows.append({"replica": rep, "matrix": mi, "gauge": g.label,
                              "lhs": lhs, "rhs": rhs_g, "margin": lhs - rhs_g})
-    return used, rows
+    return (used, len(rows), min((row["margin"] for row in rows), default=None),
+            rows[:_MARGIN_ROWS])
 
 
 def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
@@ -670,21 +675,24 @@ def run_excursion_cost(cfg: ExperimentConfig, matrices_per_excursion: int = 4,
                           "lower the walk seed or the replicas")
     require_unit_slots(cfg.pair)
     engine = FirstHitEngine(cfg.walk.seed, cfg.pair)
-    used, rows = zip(*engine.map_cohorts(
-        range(cfg.replicas), cfg.max_horizon,
-        partial(_margin_rows, cfg, matrices_per_excursion, slot_cap)))
-    used, rows = sum(used), [row for part in rows for row in part]
-    min_margin = min((row["margin"] for row in rows), default=None)
+    used = checks = 0
+    minima, rows = [], []          # a cohort's rows are dropped once read
+    for n_used, n_checks, least, part in engine.map_cohorts(
+            range(cfg.replicas), cfg.max_horizon,
+            partial(_margin_rows, cfg, matrices_per_excursion, slot_cap)):
+        used, checks = used + n_used, checks + n_checks
+        minima.append(least)
+        rows += part[:_MARGIN_ROWS - len(rows)]
+    min_margin = min((m for m in minima if m is not None), default=None)
     tol = cfg.thresholds["margin_tol"]
     data = {
         "replicas": cfg.replicas, "excursions_used": used,
-        "skipped": cfg.replicas - used, "checks": len(rows),
+        "skipped": cfg.replicas - used, "checks": checks,
         "min_margin": min_margin,
         "all_nonnegative": min_margin is not None and min_margin >= -tol,
         "seed": cfg.walk.seed,
     }
-    return StatReport("excursion_cost", cfg.digest(), data,
-                      {"margins": rows[:2000]})
+    return StatReport("excursion_cost", cfg.digest(), data, {"margins": rows})
 
 
 def _long_path(cfg: ExperimentConfig) -> EventLedger:

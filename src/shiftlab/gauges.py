@@ -43,8 +43,18 @@ class Gauge:
                 raise ConfigError("capped gauge needs a positive cap")
         elif self.param is not None:
             raise ConfigError(f"gauge {self.kind!r} takes no parameter")
-        # eval_gauge reads the parameter as a float, converted once here.
-        object.__setattr__(self, "_p", float(self.param or 0))
+        # psi as one float function of t > 0 (power's is complex below 0),
+        # resolved once: eval_gauge and the window costs call it.  It is no
+        # field, so equality and hashing see kind and param only, and so
+        # does a pickle (__reduce__): lambdas do not pickle.
+        p = float(self.param or 0)
+        object.__setattr__(self, "_psi", {
+            "power": lambda t: t ** p, "log1p": math.log1p,
+            "capped": lambda t: p if p < t else t, "rational": lambda t: t / (1.0 + t),
+        }[self.kind])
+
+    def __reduce__(self):
+        return Gauge, (self.kind, self.param)
 
     @property
     def label(self) -> str:
@@ -100,15 +110,7 @@ def eval_gauge(g: Gauge, t) -> float:
     t = float(t)
     if t < 0:
         raise ConfigError(f"gauge argument must be nonnegative, got {t}")
-    if t == 0.0:
-        return 0.0
-    if g.kind == "power":
-        return t ** g._p
-    if g.kind == "log1p":
-        return math.log1p(t)
-    if g.kind == "capped":
-        return min(t, g._p)
-    return t / (1.0 + t)
+    return g._psi(t) if t != 0.0 else 0.0
 
 
 def gauges_from_json(items: Iterable[dict] | None) -> tuple[Gauge, ...]:

@@ -122,24 +122,22 @@ def stable_allocation(cfg: PointConfig) -> StableMatch:
 
 
 def naive_allocation(cfg: PointConfig) -> StableMatch:
-    """Direct evaluation of the min-definition; the O(n^2 log n) oracle."""
-    a_sorted = sorted(cfg.a_num)
-    b_sorted = list(cfg.b_num)
-
-    def count_in(points, lo, hi):
-        return bisect.bisect_right(points, hi) - bisect.bisect_left(points, lo)
-
+    """Direct evaluation of the min-definition; the O(n^2) oracle."""
+    a_sorted, b = sorted(cfg.a_num), cfg.b_num
+    right = bisect.bisect_right
+    # |B n [a, b_j]| = |B n (-inf, b_j]| - first, with first the b's below
+    # a (a is no b), and |A n [a, b_j]| = |A n (-inf, b_j]| - |A n (-inf, a)|;
+    # every copy of a tied b_j counts.  excess[j]: the two prefix counts' gap.
+    excess = [right(b, x) - right(a_sorted, x) for x in b]
     tau = []
-    for i, a in enumerate(cfg.a_num):
-        found = None
-        for j, b in enumerate(cfg.b_num):
-            if b > a and count_in(b_sorted, a, b) == count_in(a_sorted, a, b):
-                found = j
-                break
-        if found is None:
-            raise TruncationError(
-                f"a-point {Fraction(a, cfg.q)} unmatched in naive evaluation")
-        tau.append(found)
+    for a in cfg.a_num:
+        first = right(b, a)
+        try:                    # the first b past a where both counts agree
+            tau.append(excess.index(first - bisect.bisect_left(a_sorted, a),
+                                    first))
+        except ValueError:
+            raise TruncationError(f"a-point {Fraction(a, cfg.q)} unmatched in "
+                                  "naive evaluation") from None
     if len(set(tau)) != len(tau):
         # With ties the plain min-definition can reuse a b; resolve by the
         # sweep instead.

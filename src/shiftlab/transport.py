@@ -49,13 +49,10 @@ class TransportMatrix:
         for cell, d in (((i, j), delta), ((k, l), delta),
                         ((k, j), -delta), ((i, l), -delta)):
             e[cell] = e.get(cell, 0) + d
-            if not e[cell]:
-                del e[cell]
         q = self.mass_q * scale
         g = math.gcd(q, *e.values())
-        if g > 1:
-            e = {c: v // g for c, v in e.items()}
-        return TransportMatrix(self.cfg, self.N, e, q // g)
+        return TransportMatrix(self.cfg, self.N,
+                               {c: v // g for c, v in e.items() if v}, q // g)
 
     def validate(self) -> None:
         """Raise FeasibilityError listing every violated constraint."""
@@ -77,14 +74,14 @@ class TransportMatrix:
 
     def cost(self, g: Gauge) -> float:
         """Window cost with the double-count convention (pairs i,j < N twice)."""
-        a, b, q, mq = self.cfg.a_num, self.cfg.b_num, self.cfg.q, self.mass_q
+        a, b, q, N = self.cfg.a_num, self.cfg.b_num, self.cfg.q, self.N
+        mq, psi = self.mass_q, g._psi   # psi is eval_gauge above 0
         total = 0.0
         for (i, j), v in self.entries.items():
-            if v == 0:
-                continue
-            mult = (i < self.N) + (j < self.N)
-            if mult:
-                total += mult * (v / mq) * eval_gauge(g, (b[j] - a[i]) / q)
+            mult = (i < N) + (j < N)
+            if v and mult:
+                t = (b[j] - a[i]) / q
+                total += mult * (v / mq) * (psi(t) if t > 0 else eval_gauge(g, t))
         return total
 
     def to_json(self) -> dict:
@@ -157,28 +154,31 @@ def find_crossing(pi: TransportMatrix) -> Crossing | None:
     scans run over the whole finite support (the finite stand-in for the
     limit steps).  Index lists replace cell probes; b_l does not depend on a_k.
     """
-    positive = sorted(cell for cell, v in pi.entries.items() if v > 0)
-    if not positive:
+    row_cols: dict[int, list[int]] = {}     # l: pi(i, l) > 0
+    col_rows: dict[int, list[int]] = {}     # k: pi(k, j) != 0
+    for (i, j), v in sorted(pi.entries.items()):
+        if v > 0:
+            row_cols.setdefault(i, []).append(j)
+        if v:
+            col_rows.setdefault(j, []).append(i)
+    if not row_cols:
         return None
-    n_rows = max(positive[-1][0] + 1, pi.N)
-    row_cols: dict[int, list[int]] = defaultdict(list)     # l: pi(i, l) > 0
-    col_rows: dict[int, list[int]] = defaultdict(list)     # k: pi(k, j) != 0
-    for i, l in positive:
-        row_cols[i].append(l)
-    for k, j in sorted(pi.entries):
-        if k < n_rows and pi.entries[k, j] != 0:
-            col_rows[j].append(k)
+    n_rows = max(max(row_cols) + 1, pi.N)
     a, b = pi.cfg.a_num, pi.cfg.b_num
-    for j, ks in sorted(col_rows.items()):
+    for j in sorted(col_rows):
+        ks, bj = col_rows[j], b[j]
         for i, ls in row_cols.items():
-            if a[i] >= b[j]:
+            ai = a[i]
+            if ai >= bj:
                 continue
-            l = next((l for l in ls if l > j and b[l] > b[j]), None)
-            if l is None:
-                continue
-            k = next((k for k in ks if k > i and a[k] < a[i]), None)
-            if k is not None:
-                return Crossing(k=k, i=i, j=j, l=l)
+            for l in ls:
+                if l > j and b[l] > bj:     # the first such l; then the k's
+                    for k in ks:
+                        if k >= n_rows:     # where the cell scan's rows end
+                            break
+                        if k > i and a[k] < ai:
+                            return Crossing(k=k, i=i, j=j, l=l)
+                    break
     return None
 
 
@@ -218,9 +218,10 @@ def inequality_check(pi: TransportMatrix, g: Gauge) -> CostReport:
     cfg = pi.cfg
     tau = stable_allocation(cfg).tau
     a, b, q = cfg.a_num, cfg.b_num, cfg.q
-    total = 0.0
+    psi, total = g._psi, 0.0
     for i in range(pi.N):        # not sum(): Python 3.12 compensates it
-        total += eval_gauge(g, (b[tau[i]] - a[i]) / q)
+        t = (b[tau[i]] - a[i]) / q
+        total += psi(t) if t > 0 else eval_gauge(g, t)
     return CostReport(lhs=pi.cost(g), rhs=2.0 * total, gauge=g)
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,13 @@ def test_json_roundtrip():
         assert Gauge.from_json(g.to_json()) == g
     gs = gauges_from_json([g.to_json() for g in default_gauges()])
     assert gs == default_gauges()
+
+
+def test_gauges_pickle_and_compare_by_kind_and_param():
+    for g in list(default_gauges()) + [power(Fraction(1, 3)), capped(Fraction(1, 2))]:
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g)
+        assert eval_gauge(back, 2.5) == eval_gauge(g, 2.5)
 
 
 def test_labels_distinct():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,61 @@ def test_hypothesis_sweep_equals_naive(values, rnd):
     m = stable_allocation(cfg)
     assert naive_allocation(cfg).tau == m.tau
     _invariant_check(cfg, m.tau, compute_N(cfg)["N"])
+
+
+def _min_definition(cfg: PointConfig):
+    """tau(a) = min{b > a : |B n [a, b]| = |A n [a, b]|}, both counts by plain
+    loops over the points; an a without such b, or a b taken twice, gives
+    naive_allocation's exception type and message instead of the tau."""
+    tau = []
+    for a in cfg.a_num:
+        for j, b in enumerate(cfg.b_num):
+            n_b = sum(1 for y in cfg.b_num if a <= y <= b)
+            n_a = sum(1 for x in cfg.a_num if a <= x <= b)
+            if b > a and n_b == n_a:
+                tau.append(j)
+                break
+        else:
+            return (TruncationError,
+                    f"a-point {Fraction(a, cfg.q)} unmatched in naive evaluation")
+    if len(set(tau)) != len(tau):
+        return ConfigError, "naive evaluation requires tie-free configurations"
+    return tuple(tau)
+
+
+def _naive_outcome(cfg: PointConfig):
+    try:
+        return naive_allocation(cfg).tau
+    except (ConfigError, TruncationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_naive_allocation_equals_the_counted_min_definition():
+    for seed in range(500):
+        cfg, _ = random_interleaved_config(seed, 1 + seed % 20)
+        assert naive_allocation(cfg).tau == _min_definition(cfg)
+
+
+def test_naive_allocation_with_ties_equals_the_counted_min_definition():
+    # Repeated a's and b's: a b-value's copies all count once it is reached,
+    # so the b-count is not the index distance.  Unpadded draws leave a's
+    # unmatched, and tied a's can claim one b.
+    rnd, kinds = random.Random(5), set()
+    for _ in range(400):
+        values = rnd.sample(range(-30, 30), rnd.randint(2, 12))
+        side = {v: rnd.randint(0, 1) for v in values}
+        a = sorted((v for v in values if not side[v]
+                    for _ in range(rnd.randint(1, 3))), reverse=True)
+        b = sorted(v for v in values if side[v] for _ in range(rnd.randint(1, 3)))
+        if not a:
+            continue
+        if rnd.random() < 0.7:
+            b += [max(values) + k for k in range(1, len(a) + 2)]
+        cfg = PointConfig.make(a, b, allow_ties=True)
+        got = _naive_outcome(cfg)
+        assert got == _min_definition(cfg)
+        kinds.add(got[0] if isinstance(got[0], type) else tuple)
+    assert kinds == {tuple, TruncationError, ConfigError}
 
 
 def _fixture_excursion(seed=0, rep=0):

@@ -14,7 +14,8 @@ from helpers import (FractionMatrix, SizeLimitError, fraction_repair_trace,
 from shiftlab import rng
 from shiftlab.errors import ConfigError, FeasibilityError
 from shiftlab.gauges import capped, default_gauges, log1p, power, rational
-from shiftlab.stable_alloc import PointConfig, compute_N, stable_allocation
+from shiftlab.stable_alloc import (PointConfig, compute_N, naive_allocation,
+                                  stable_allocation)
 from shiftlab.transport import (Crossing, TransportMatrix, find_crossing,
                                 inequality_check, random_interleaved_config,
                                 repair_crossing, repair_sweep,
@@ -265,3 +266,52 @@ def test_matrix_json_masses_share_the_lcm_denominator():
                                      for i, j, p, q in obj["entries"]})
     for g in default_gauges():
         assert pi.cost(g) == ref.cost(g)
+
+
+_COST_GAUGES = (*default_gauges(), power(Fraction(1, 3)), capped(Fraction(1, 2)))
+
+
+def test_matrix_cost_equals_the_per_entry_gauge_sum():
+    # Bit for bit against FractionMatrix.cost, one eval_gauge call per entry,
+    # on sampled matrices and the repair traces of the small ones, for the
+    # default gauges and two more parameters.
+    for seed in range(120):
+        cfg, N = random_interleaved_config(seed, 1 + seed % 8)
+        pi = sample_feasible_matrix(cfg, N, seed=seed + 5)
+        for m in repair_sweep(pi)["trace"] if N <= 6 else [pi]:
+            ref = FractionMatrix(cfg, N, {c: Fraction(v, m.mass_q)
+                                          for c, v in m.entries.items()})
+            for g in _COST_GAUGES:
+                assert m.cost(g) == ref.cost(g)
+
+
+def test_a_backward_cell_costs_a_config_error():
+    cfg = PointConfig.make([3, 1], [2, 4])
+    pi = TransportMatrix(cfg, 2, {(0, 0): 1, (1, 1): 1})   # 3 -> 2 goes backward
+    for g in _COST_GAUGES:
+        with pytest.raises(ConfigError, match="must be nonnegative"):
+            pi.cost(g)
+
+
+def test_window_layer_outputs_are_pinned():
+    # The first 100 instances of perfbench's window-exact pool at seed 1 and
+    # what its ops compute from them: both allocations, the horizon, the
+    # sampled matrix, the margins and the repair sweep's cost trace.
+    gauges, h = default_gauges(), hashlib.sha256()
+    for i in range(100):
+        inst_seed, n_pairs = 1_000_000 + i, 1 + i % 25
+        cfg, N = random_interleaved_config(inst_seed, n_pairs)
+        row = [stable_allocation(cfg).tau, naive_allocation(cfg).tau,
+               compute_N(cfg)["N"], N]
+        small = 2 <= n_pairs <= 6
+        if N <= 8 or small:
+            pi = sample_feasible_matrix(cfg, N, seed=inst_seed + 1)
+            row.append(pi.to_json())
+            if N <= 8:
+                row.append([repr(inequality_check(pi, g).margin) for g in gauges])
+            if small:
+                trace = repair_sweep(pi)["trace"]
+                row.append([[repr(m.cost(g)) for m in trace] for g in gauges])
+        h.update(repr(row).encode())
+    assert h.hexdigest() == (
+        "322f51361c98e6fc0a025349f966dc1c34a5e0c8ddead5f27d24742166414246")
