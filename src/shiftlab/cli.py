@@ -23,7 +23,7 @@ from .experiments import (ExperimentConfig, StatReport, run_cost_compare,
                           run_embed_law, run_ergodic, run_excursion_cost,
                           run_tail, run_unbiased_test)
 from .gauges import gauges_from_json
-from .measures import as_int
+from .measures import as_int, reading
 from .stable_alloc import PointConfig, compute_N, stable_allocation
 from .transport import (TransportMatrix, inequality_check, repair_sweep,
                         stable_indicator)
@@ -56,7 +56,8 @@ def _output_dir(args, obj: dict) -> Path:
         return Path(env)
     if args.output_dir:
         return Path(args.output_dir)
-    return Path(obj.get("output_dir", "out"))
+    with reading("output_dir", obj.get("output_dir")):
+        return Path(obj.get("output_dir", "out"))
 
 
 def _emit_error(kind: str, exc: Exception) -> None:
@@ -78,10 +79,8 @@ def _write_report(report: StatReport, out_dir: Path) -> None:
 
 def _cmd_walk(obj: dict, out_dir: Path) -> int:
     cfg = ExperimentConfig.from_json(obj)
-    try:
+    with reading("replica", obj.get("replica")):
         replica = as_int(obj.get("replica", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed replica: {exc}") from exc
     if replica < 0:
         raise ConfigError(f"replica must be >= 0, got {replica}")
     if cfg.walk.horizon_fwd + cfg.walk.horizon_bwd > MAX_DENSE_STEPS:

@@ -36,8 +36,9 @@ from .embedding import draw_u_flag, require_unit_slots, tau_star_map
 from .embedding import compute_t_star, match_slots  # noqa: F401
 from .walk import build_ledger, sample_walk  # noqa: F401
 from .errors import ConfigError, InvariantError
-from .gauges import Gauge, eval_gauge, gauges_from_json
-from .measures import MeasurePair, as_int, measure_from_spec, split_measures
+from .gauges import Gauge, default_gauges, eval_gauge, gauges_from_json
+from .measures import (MeasurePair, as_int, as_rational, measure_from_spec, reading,
+                       split_measures)
 from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 from .stable_alloc import PointConfig
 from .transport import inequality_check, sample_feasible_matrix, stable_indicator
@@ -59,16 +60,26 @@ _WORD_BUDGET = 16384
 # (no fork-safe pool outside Linux), the cohorts are scanned in-process.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
+# The reader of each optional config key; an absent key keeps its default.
+_READERS = {"gauges": gauges_from_json, "replicas": as_int, "experiment": str,
+            "max_horizon": as_int, "r_levels": as_int,
+            "lags": lambda xs: tuple(as_int(x) for x in xs),
+            "thresholds": lambda t: {k: float(as_rational(v))
+                                     for k, v in dict(t).items()},
+            "comparators": lambda cs: tuple(Comparator(c["kind"], **{
+                k: as_int(c[k]) for k in ("seed", "n_swaps") if k in c}) for c in cs)}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     walk: WalkConfig
     pair: MeasurePair
-    gauges: tuple[Gauge, ...]
-    replicas: int
-    experiment: str
+    gauges: tuple[Gauge, ...] = default_gauges()
+    replicas: int = 1000
+    experiment: str = "embed_law"
     max_horizon: int = 1 << 20
-    thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
+    # Keys of DEFAULT_THRESHOLDS; construction merges them over the defaults.
+    thresholds: dict = field(default_factory=dict)
     comparators: tuple[Comparator, ...] = (
         Comparator("stable"), Comparator("fifo_rematch"),
         Comparator("random_feasible_rematch", seed=7),
@@ -77,6 +88,8 @@ class ExperimentConfig:
     r_levels: int = 6
 
     def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not set(self.thresholds) <= set(DEFAULT_THRESHOLDS):
             raise ConfigError(f"thresholds take only {sorted(DEFAULT_THRESHOLDS)}, "
                               f"got {sorted(self.thresholds)}")
@@ -85,6 +98,7 @@ class ExperimentConfig:
                 and 0 <= t["margin_tol"] <= 1e-6):
             raise ConfigError("thresholds need sigma finite and > 0, censor_flag in "
                               f"[0, 1] and margin_tol in [0, 1e-6], got {t}")
+        object.__setattr__(self, "thresholds", t)
         if not 1 <= self.replicas <= MAX_REPLICAS:
             raise ConfigError(
                 f"replicas must be >= 1 and <= 2^24, got {self.replicas}")
@@ -95,6 +109,10 @@ class ExperimentConfig:
                 and max(self.lags) <= MAX_HORIZON_STEPS):
             raise ConfigError(
                 f"lags must be nonempty, >= 1 and <= 2^30, got {list(self.lags)}")
+        # The engine's C, an int64, reaches at most q times 2^30 atom visits.
+        if self.pair.denominator > 1 << 32:
+            raise ConfigError("the common denominator of mu and nu must be <= 2^32, "
+                              f"got {self.pair.denominator}")
         # The engine tables one entry per site of the atoms' hull.
         sites = [s for m in (self.pair.mu, self.pair.nu) for s, _ in m.atoms]
         if max(sites) - min(sites) > MAX_DENSE_STEPS:
@@ -117,32 +135,13 @@ class ExperimentConfig:
         mu = measure_from_spec(obj["mu"])
         pair = split_measures(mu, measure_from_spec(obj["nu"]))
         walk = WalkConfig.from_json(obj["walk"], start_law=mu)
-        experiment = obj.get("experiment", "embed_law")
-        if experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {experiment!r}")
         kwargs = {}
-        try:
-            if obj.get("comparators"):
-                kwargs["comparators"] = tuple(
-                    Comparator(c["kind"], seed=as_int(c.get("seed", 0)),
-                               n_swaps=as_int(c.get("n_swaps", 8)))
-                    for c in obj["comparators"])
-            if "lags" in obj:
-                kwargs["lags"] = tuple(as_int(x) for x in obj["lags"])
-            if "r_levels" in obj:
-                kwargs["r_levels"] = as_int(obj["r_levels"])
-            extra = dict(obj.get("thresholds", {}))
-            return cls(
-                walk=walk, pair=pair,
-                gauges=gauges_from_json(obj.get("gauges")),
-                replicas=as_int(obj.get("replicas", 1000)),
-                experiment=experiment,
-                max_horizon=as_int(obj.get("max_horizon", 1 << 20)),
-                thresholds={**DEFAULT_THRESHOLDS,
-                            **{k: float(v) for k, v in extra.items()}},
-                **kwargs)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed experiment config: {exc!r}") from exc
+        for key, read in _READERS.items():
+            # An empty gauges or comparators list keeps the default too.
+            if key in obj and (obj[key] or key not in ("gauges", "comparators")):
+                with reading(key, obj[key]):
+                    kwargs[key] = read(obj[key])
+        return cls(walk, pair, **kwargs)
 
     def digest(self) -> str:
         payload = {
@@ -542,7 +541,7 @@ def run_unbiased_test(cfg: ExperimentConfig) -> StatReport:
             # B_T* - B_{T*-k}; before step 0 the path is the backward walk.
             if t >= k:
                 per_lag_bwd[k].append(fwd(t - k, t) / math.sqrt(k))
-            elif t - k >= -cfg.walk.horizon_bwd:
+            else:
                 bwd = _displacement(seed, (rep, STREAM_BWD), 0, k - t)
                 per_lag_bwd[k].append((fwd(0, t) - bwd) / math.sqrt(k))
             ctrl = _displacement(seed, (0xC117, 0), cursor, cursor + k)

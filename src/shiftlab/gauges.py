@@ -8,12 +8,12 @@ bugs, not through user input.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import ConfigError
-from .measures import as_int
+from .measures import as_rational, reading
 
 GAUGE_KINDS = ("power", "log1p", "capped", "rational")
 
@@ -39,8 +39,8 @@ class Gauge:
             if self.param is None or not (0 < self.param <= 1):
                 raise ConfigError("power gauge needs exponent in (0, 1]")
         elif self.kind == "capped":
-            if self.param is None or self.param <= 0:
-                raise ConfigError("capped gauge needs a positive cap")
+            if self.param is None or not 0 < self.param <= sys.float_info.max:
+                raise ConfigError("capped gauge needs a positive, finite cap")
         elif self.param is not None:
             raise ConfigError(f"gauge {self.kind!r} takes no parameter")
         # psi as one float function of t > 0 (power's is complex below 0),
@@ -70,18 +70,10 @@ class Gauge:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Gauge":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ConfigError(f"not a gauge object: {obj!r}")
-        param = obj.get("param")
-        try:
-            if isinstance(param, (list, tuple)):
-                num, den = param
-                param = Fraction(as_int(num), as_int(den))
-            elif param is not None:
-                param = Fraction(param).limit_denominator(10**9)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ConfigError(f"malformed gauge parameter: {obj!r}") from exc
-        return cls(kind=obj["kind"], param=param)
+        with reading("gauge", obj):
+            kind, param = obj["kind"], obj.get("param")
+            param = None if param is None else as_rational(param)
+        return cls(kind, param)
 
 
 def power(alpha) -> Gauge:
@@ -113,6 +105,8 @@ def eval_gauge(g: Gauge, t) -> float:
     return g._psi(t) if t != 0.0 else 0.0
 
 
-def gauges_from_json(items: Iterable[dict] | None) -> tuple[Gauge, ...]:
+def gauges_from_json(items: list | None) -> tuple[Gauge, ...]:
     """A config's "gauges" list, or the default set when it is missing or empty."""
+    if items and not isinstance(items, list):
+        raise ConfigError(f"gauges must be a list, got {items!r}")
     return tuple(Gauge.from_json(x) for x in items) if items else default_gauges()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -11,10 +12,32 @@ from .errors import ConfigError, InvariantError
 
 
 def as_int(x) -> int:
-    """``int(x)`` for an input value, refusing a number with a fractional part."""
-    if isinstance(x, float) and not x.is_integer():
+    """``int(x)`` for an input value, refusing a boolean or a fractional number."""
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
+
+
+def as_rational(x) -> Fraction:
+    """An input value as a Fraction: an int, a "p/q" or decimal string, a [p, q]
+    pair of integers, or a float, read by its decimal text (0.1 is 1/10)."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a number")
+    if isinstance(x, (list, tuple)):
+        p, q = x
+        return Fraction(as_int(p), as_int(q))
+    return Fraction(str(x) if isinstance(x, float) else x)
+
+
+@contextmanager
+def reading(what: str, obj):
+    """Reads of the input ``obj`` in the block raise a ConfigError that names
+    ``what`` for any error of a malformed value."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed {what}: {obj!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -96,12 +119,10 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteMeasure":
-        try:
+        with reading("measure object", obj):
             q = as_int(obj["denominator"])
             atoms = tuple((as_int(s), Fraction(as_int(num), q))
                           for s, num in obj["atoms"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"malformed measure object: {obj!r}") from exc
         return cls(atoms, q)
 
 
@@ -171,20 +192,13 @@ def split_measures(mu: DiscreteMeasure, nu: DiscreteMeasure) -> MeasurePair:
 
 
 def measure_from_spec(obj) -> DiscreteMeasure:
-    """Accept either the JSON schema or a shorthand list [[site, num, den], ...]."""
+    """Accept either the JSON schema or a shorthand list [[site, w], ...] of
+    weights ``as_rational`` reads, where [site, num, den] is [site, [num, den]]."""
     if isinstance(obj, dict):
         return DiscreteMeasure.from_json(obj)
-    if isinstance(obj, Sequence):
-        atoms = []
-        try:
-            for entry in obj:
-                if len(entry) == 2:
-                    site, w = entry
-                    atoms.append((site, Fraction(w)))
-                else:
-                    site, num, den = entry
-                    atoms.append((site, Fraction(as_int(num), as_int(den))))
-            return DiscreteMeasure.from_atoms(atoms)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ConfigError(f"malformed measure shorthand: {obj!r}") from exc
-    raise ConfigError(f"cannot parse measure from {obj!r}")
+    if not isinstance(obj, Sequence):
+        raise ConfigError(f"cannot parse measure from {obj!r}")
+    with reading("measure shorthand", obj):
+        atoms = [(as_int(site), as_rational(w[0] if len(w) == 1 else w))
+                 for site, *w in obj]
+    return DiscreteMeasure.from_atoms(atoms)

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .errors import ConfigError, TruncationError
 from .embedding import parenthesis_match
+from .measures import as_rational, reading
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,8 @@ class PointConfig:
     def __post_init__(self):
         if self.q < 1:
             raise ConfigError("common denominator q must be >= 1")
+        if not isinstance(self.allow_ties, bool):
+            raise ConfigError(f"allow_ties must be true or false: {self.allow_ties!r}")
         step = 0 if self.allow_ties else 1      # least gap between neighbours
         if any(x - y < step for x, y in zip(self.a_num, self.a_num[1:])):
             raise ConfigError("a-sequence must be decreasing")
@@ -71,12 +74,10 @@ class PointConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "PointConfig":
         """{"a", "b", "allow_ties"} with numbers or strings such as "1/3"."""
-        try:
-            return cls.make([Fraction(str(x)) for x in obj["a"]],
-                            [Fraction(str(x)) for x in obj["b"]],
-                            allow_ties=bool(obj.get("allow_ties", False)))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"malformed point config: {obj!r}") from exc
+        with reading("point config", obj):
+            a, b = ([as_rational(x) for x in obj[k]] for k in "ab")
+            allow_ties = obj.get("allow_ties", False)
+        return cls.make(a, b, allow_ties)
 
 
 @dataclass(frozen=True)

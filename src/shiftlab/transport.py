@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import ConfigError, FeasibilityError
 from .gauges import Gauge, eval_gauge
+from .measures import as_int, as_rational, reading
 from .rng import BitStream
 from .stable_alloc import PointConfig, StableMatch, compute_N, stable_allocation
 
@@ -91,12 +92,10 @@ class TransportMatrix:
 
     @classmethod
     def from_json(cls, cfg: PointConfig, obj: dict) -> "TransportMatrix":
-        try:
-            masses = {(int(i), int(j)): Fraction(int(p), int(q))
-                      for i, j, p, q in obj["entries"]}
-            N = int(obj["N"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"malformed transport matrix: {obj!r}") from exc
+        with reading("transport matrix", obj):
+            masses = {(as_int(i), as_int(j)): as_rational(pq)
+                      for i, j, *pq in obj["entries"]}
+            N = as_int(obj["N"])
         n_a, n_b = len(cfg.a_num), len(cfg.b_num)
         if not 1 <= N <= min(n_a, n_b):
             raise ConfigError(f"window N must be in [1, {min(n_a, n_b)}], got {N}")

@@ -11,6 +11,7 @@ atom visits alone (``EventLedger``), whether they come from a dense
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, HorizonExceededError
-from .measures import DiscreteMeasure, MeasurePair, as_int
+from .measures import DiscreteMeasure, MeasurePair, as_int, as_rational, reading
 from .rng import BitStream, STREAM_BWD, STREAM_FWD, STREAM_START
 
 # Caps checked before any path is allocated; configs use up to 2^18 steps
@@ -30,12 +31,6 @@ MAX_DENSE_STEPS = 1 << 24
 MAX_REPLICAS = 1 << 24
 
 
-def _parse_fraction(x) -> Fraction:
-    if isinstance(x, (list, tuple)):
-        return Fraction(as_int(x[0]), as_int(x[1]))
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class WalkConfig:
     dx: Fraction
@@ -45,8 +40,9 @@ class WalkConfig:
     start_law: DiscreteMeasure
 
     def __post_init__(self):
-        if self.dx <= 0:
-            raise ConfigError("dx must be positive")
+        # Costs read dt = dx^2 as a float.
+        if self.dx <= 0 or self.dt > sys.float_info.max:
+            raise ConfigError(f"dx must be > 0 with dx^2 a finite float, got {self.dx}")
         # Stream keys may round through float64 (rng.BitStream._claim).
         if not 0 <= self.seed < 1 << 53:
             raise ConfigError(f"seed must lie in [0, 2^53), got {self.seed}")
@@ -62,17 +58,11 @@ class WalkConfig:
 
     @classmethod
     def from_json(cls, obj: dict, start_law: DiscreteMeasure) -> "WalkConfig":
-        try:
-            return cls(
-                dx=_parse_fraction(obj.get("dx", 1)),
-                horizon_fwd=as_int(obj["horizon_fwd"]),
-                horizon_bwd=as_int(obj["horizon_bwd"]),
-                seed=as_int(obj["seed"]),
-                start_law=start_law,
-            )
-        except (AttributeError, KeyError, TypeError, ValueError,
-                ZeroDivisionError) as exc:
-            raise ConfigError(f"malformed walk config: {obj!r}") from exc
+        with reading("walk config", obj):
+            dx = as_rational(obj.get("dx", 1))
+            hf, hb = as_int(obj["horizon_fwd"]), as_int(obj["horizon_bwd"])
+            seed = as_int(obj["seed"])
+        return cls(dx, hf, hb, seed, start_law)
 
 
 def draw_start(law: DiscreteMeasure, stream: BitStream) -> int:

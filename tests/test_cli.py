@@ -1,4 +1,6 @@
 import ast
+import copy
+import csv
 import hashlib
 import json
 import math
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import shiftlab
+from shiftlab import experiments
 from shiftlab.cli import (EXIT_CONFIG, EXIT_HORIZON, EXIT_INVARIANT, EXIT_OK,
                           OUTPUT_DIR_ENV, main)
 from shiftlab.experiments import ExperimentConfig
@@ -101,6 +104,17 @@ def test_config_dir_key_used_as_fallback(tmp_path, monkeypatch):
                      {"a": [3, 1], "b": [2, 4, 5, 6], "output_dir": "cfg_out"})
     assert main(["allocate", cfg]) == EXIT_OK
     assert (tmp_path / "cfg_out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", [5, None, [], True])
+def test_config_dir_key_of_the_wrong_type_is_config_error(tmp_path, monkeypatch,
+                                                          capsys, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    cfg = write_json(tmp_path, "cfg.json",
+                     {"a": [3, 1], "b": [2, 4, 5, 6], "output_dir": value})
+    assert main(["allocate", cfg]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_allocate_report_values(tmp_path):
@@ -454,6 +468,29 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
     ("unbiased", walk_config({"thresholds": {"sigma": -1}})),
     ("embed", walk_config({"thresholds": {"censor_flag": -0.5}})),
     ("compare", walk_config({"thresholds": {"margin_tol": math.inf}})),
+    ("repair", {**_POINTS, "N": 1.5}),
+    ("repair", {**_POINTS, "N": 1e400}),
+    ("inequality", {**_POINTS, "N": 2, "matrix": [[0, 0, 1e400, 1], [1, 1, 1, 1]]}),
+    ("allocate", {**_POINTS, "allow_ties": "no"}),
+    ("embed", walk_config({"walk": {"dx": True, "horizon_fwd": 64, "horizon_bwd": 4,
+                                    "seed": 1}})),
+    ("embed", walk_config({"replicas": True})),
+    ("embed", walk_config({"walk": {"dx": [], "horizon_fwd": 64, "horizon_bwd": 4,
+                                    "seed": 1}})),
+    ("compare", walk_config({"walk": {"dx": 1e400, "horizon_fwd": 64,
+                                      "horizon_bwd": 4, "seed": 1}})),
+    ("compare", walk_config({"walk": {"dx": "1e200", "horizon_fwd": 64,
+                                      "horizon_bwd": 4, "seed": 1}})),
+    ("repair", {**_POINTS, "gauges": [{"kind": "capped", "param": "1e400"}]}),
+    ("inequality", {**_POINTS, "gauges": 1.5}),
+    ("embed", walk_config({"mu": {"denominator": 1 << 62, "atoms": [[0, 1 << 62]]},
+                           "nu": {"denominator": 1 << 62, "atoms": [[1, 1 << 62]]},
+                           "replicas": 200, "max_horizon": 1 << 12})),
+    ("embed", walk_config({"mu": {"denominator": 10**20, "atoms": [[0, 10**20]]},
+                           "nu": {"denominator": 10**20, "atoms": [[1, 10**20]]}})),
+    ("walk", walk_config({"mu": {"denominator": 10**20, "atoms": [[0, 10**20]]},
+                          "nu": {"denominator": 10**20, "atoms": [[1, 10**20]]}})),
+    ("embed", walk_config({"nu": [[1, 1, 3**40], [2, 3**40 - 1, 3**40]]})),
 ], ids=["gauge-param-zero-den", "gauge-param-text", "comparator-no-kind",
         "negative-n-swaps", "replicas-text", "measure-text-weight",
         "lags-not-a-list", "thresholds-not-an-object", "r-levels-zero",
@@ -470,12 +507,62 @@ _POINTS = {"a": [5, 4], "b": [6, 7]}
         "comparator-seed-past-53-bits", "walk-seed-past-53-bits",
         "sampler-seed-past-53-bits", "duplicate-lags", "duplicate-gauge-labels",
         "duplicate-comparator-kinds", "sigma-negative", "censor-flag-negative",
-        "margin-tol-infinite"])
+        "margin-tol-infinite", "fractional-window", "infinite-window",
+        "infinite-matrix-mass", "allow-ties-text", "dx-boolean", "replicas-boolean",
+        "dx-empty-list", "dx-infinite", "dx-squared-past-floats", "capped-past-floats",
+        "gauges-not-a-list", "denominator-2-to-62", "denominator-10-to-20",
+        "walk-denominator-10-to-20", "denominator-3-to-40"])
 def test_malformed_inputs_are_config_errors(tmp_path, capsys, command, obj):
     cfg = write_json(tmp_path, "cfg.json", obj)
     assert main(["--output-dir", str(tmp_path / "o"), command, cfg]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not (tmp_path / "o").exists()
+
+
+# Each command's minimal config, and the values the sweep puts into its keys
+# (JSON reads 1e400 as an infinity).
+_SWEEP_BASE = {"mu": {"denominator": 1, "atoms": [[0, 1]]},
+               "nu": {"denominator": 2, "atoms": [[-1, 1], [1, 1]]},
+               "walk": {"horizon_fwd": 64, "horizon_bwd": 4, "seed": 1}, "replicas": 4}
+_SWEEP_CONFIGS = {**{command: _SWEEP_BASE for command in (
+    "walk", "embed", "unbiased", "compare", "excursion-cost", "ergodic", "tail")},
+    "allocate": _POINTS, "repair": {**_POINTS, "N": 2},
+    "inequality": {**_POINTS, "N": 2}}
+_SWEEP_VALUES = [1e400, -1e400, math.nan, 1.5, "x", "", [], {}, [1, 0], True, None, -1,
+                 2**70]
+
+
+@pytest.mark.parametrize("command", sorted(_SWEEP_CONFIGS))
+def test_no_malformed_value_escapes_main(tmp_path, capsys, monkeypatch, command):
+    # Every sweep value in every key of the minimal config, nested keys
+    # included, and in walk.dx, gauges and allow_ties: main returns, with a
+    # JSON error on the last line of stderr unless it succeeds.  Cohorts are
+    # scanned in-process (ergodic's ensemble has four), so nothing is forked.
+    monkeypatch.setattr(experiments, "_WORKERS", 1)
+    base = _SWEEP_CONFIGS[command]
+    cfg = write_json(tmp_path, "cfg.json", base)
+    assert main(["--output-dir", str(tmp_path / "o"), command, cfg]) == EXIT_OK
+    keys = [(k,) for k in base] + [(k, sub) for k, v in base.items()
+                                   if isinstance(v, dict) for sub in v]
+    keys += [("walk", "dx")] if "walk" in base else []
+    for key in keys + [("gauges",), ("allow_ties",)]:
+        for value in _SWEEP_VALUES:
+            obj = copy.deepcopy(base)
+            (obj[key[0]] if len(key) == 2 else obj)[key[-1]] = value
+            cfg = write_json(tmp_path, "cfg.json", obj)
+            code = main(["--output-dir", str(tmp_path / "o"), command, cfg])
+            err = capsys.readouterr().err.splitlines()
+            assert code == EXIT_OK or "error" in json.loads(err[-1]), (key, value)
+
+
+def test_shorthand_float_weights_embed_their_decimal_values(tmp_path):
+    # 0.1 and 0.9 are read as 1/10 and 9/10, not as the binary fractions
+    # over 2^55 whose sum exceeds 1.
+    cfg = write_json(tmp_path, "cfg.json", walk_config(
+        {"mu": [[0, 1]], "nu": [[1, 0.1], [2, 0.9]], "replicas": 20}))
+    assert main(["--output-dir", str(tmp_path / "o"), "embed", cfg]) == EXIT_OK
+    with open(tmp_path / "o" / "tables" / "law.csv") as fobj:
+        assert [row["target"] for row in csv.DictReader(fobj)] == ["0.1", "0.9"]
 
 
 def test_excursion_cost_runs_at_its_largest_seed(tmp_path):

@@ -227,6 +227,18 @@ def test_unbiased_completes_replicas_past_the_first_block(delta_pair):
     assert {row["n_fwd"] for row in rep.tables["lags"]} == {60 - censored}
 
 
+def test_unbiased_reads_every_backward_lag(delta_pair):
+    # A lag past T* + horizon_bwd reads the backward stream as deep as it
+    # needs, so every completed replica gives a backward sample at every
+    # lag, and the backward KS test sees no selection on T*.
+    cfg = make_cfg(delta_pair, "unbiased", seed=77, replicas=200, hf=64, hb=1,
+                   max_horizon=1 << 12, lags=(1, 4, 16))
+    rep = run_unbiased_test(cfg)
+    assert rep.data["completed"] == 182
+    assert [row["n_bwd"] for row in rep.tables["lags"]] == [182] * 3
+    assert min(row["ks_pvalue_bwd"] for row in rep.tables["lags"]) > 0.01
+
+
 def test_unbiased_runs_on_a_general_target():
     pair = split_measures(
         DiscreteMeasure.delta(0),
@@ -875,6 +887,17 @@ def test_config_rejects_unknown_threshold_keys(symmetric_pair):
     for key in ("sigm", "ks_alpha"):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(dict(obj, thresholds={key: 0.1}))
+
+
+def test_config_merges_partial_thresholds(symmetric_pair):
+    # A config built in Python with some thresholds holds all three, so
+    # every runner finds the ones it reads.
+    cfg = make_cfg(symmetric_pair, "embed_law", replicas=20,
+                   thresholds={"sigma": 2.0})
+    assert cfg.thresholds == {**DEFAULT_THRESHOLDS, "sigma": 2.0}
+    assert run_embed_law(cfg).data["excess_censoring_flag"] is False
+    assert make_cfg(symmetric_pair, "cost_compare", replicas=20,
+                    thresholds={"censor_flag": 0.5}).thresholds["margin_tol"] == 1e-10
 
 
 def test_config_bounds_the_thresholds(symmetric_pair):

@@ -64,6 +64,23 @@ def test_json_roundtrip():
     assert gs == default_gauges()
 
 
+def test_json_param_forms():
+    # A float is read by its decimal text, and not snapped to a nearby
+    # fraction of small denominator.
+    for param, want in ((0.5, Fraction(1, 2)), ("1/3", Fraction(1, 3)),
+                        ([1, 3], Fraction(1, 3)),
+                        (0.333333333333, Fraction(333333333333, 10**12)),
+                        ("1/3000000000", Fraction(1, 3000000000))):
+        assert Gauge.from_json({"kind": "power", "param": param}).param == want
+    for obj in ({"kind": "power", "param": True}, {"param": 1}, ["power"],
+                {"kind": "capped", "param": "1e400"}):
+        with pytest.raises(ConfigError):
+            Gauge.from_json(obj)
+    for items in (3, "x", {"kind": "log1p"}):
+        with pytest.raises(ConfigError):
+            gauges_from_json(items)
+
+
 def test_gauges_pickle_and_compare_by_kind_and_param():
     for g in list(default_gauges()) + [power(Fraction(1, 3)), capped(Fraction(1, 2))]:
         back = pickle.loads(pickle.dumps(g))

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from shiftlab.errors import ConfigError, InvariantError
-from shiftlab.measures import DiscreteMeasure, measure_from_spec, split_measures
+from shiftlab.measures import (DiscreteMeasure, as_int, as_rational, measure_from_spec,
+                               reading, split_measures)
 
 
 def test_delta_and_totals():
@@ -97,3 +98,42 @@ def test_lift_denominator_rejects_non_multiple():
 def test_cumulative():
     m = DiscreteMeasure.from_atoms([(0, Fraction(1, 4)), (1, Fraction(3, 4))])
     assert m.cumulative() == ((0, Fraction(1, 4)), (1, Fraction(1)))
+
+
+def test_as_rational_reads_each_form():
+    assert as_rational(3) == 3 and as_rational([2, 6]) == Fraction(1, 3)
+    assert as_rational("2/6") == Fraction(1, 3)
+    assert as_rational("0.25") == as_rational(0.25) == Fraction(1, 4)
+    # A float is read by its decimal text, not by its binary value.
+    assert as_rational(0.1) == Fraction(1, 10)
+    assert as_rational(1e-300) == Fraction(1, 10**300)
+    for bad in (True, None, {}, "x", [1], [1, 2, 3], [1.5, 2], float("inf")):
+        with pytest.raises((TypeError, ValueError)):
+            as_rational(bad)
+
+
+def test_as_int_refuses_booleans_and_fractions():
+    assert as_int(4.0) == as_int("4") == 4
+    for bad in (True, False, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            as_int(bad)
+
+
+def test_reading_names_the_value_and_keeps_config_errors():
+    with pytest.raises(ConfigError, match=r"malformed weight: \[1, 0\]"):
+        with reading("weight", [1, 0]):
+            as_rational([1, 0])
+    with pytest.raises(ConfigError, match="^own message$"):
+        with reading("weight", 1):
+            raise ConfigError("own message")
+
+
+def test_shorthand_weights_are_read_as_decimal_text():
+    m = measure_from_spec([[1, 0.1], [2, 0.9]])
+    assert m.atoms == ((1, Fraction(1, 10)), (2, Fraction(9, 10)))
+    assert m.denominator == 10
+    assert measure_from_spec([[0, [1, 2]], [5, "1/2"]]) == measure_from_spec(
+        [[0, 1, 2], [5, 1, 2]])
+    for bad in ([[0, True]], [[0]], [[0, 1, 2, 3]], [[0.5, 1]], [[0, 1, 0]]):
+        with pytest.raises(ConfigError, match="malformed measure shorthand"):
+            measure_from_spec(bad)

@@ -50,6 +50,17 @@ def test_dt_is_dx_squared(delta_pair):
     assert cfg.dt == Fraction(1, 100)
 
 
+def test_dx_is_read_by_its_decimal_text(delta_pair):
+    obj = {"horizon_fwd": 4, "horizon_bwd": 4, "seed": 0}
+    for dx, want in ((0.1, Fraction(1, 10)), ("0.1", Fraction(1, 10)),
+                     ([1, 3], Fraction(1, 3)), (0.5, Fraction(1, 2))):
+        assert WalkConfig.from_json(dict(obj, dx=dx), delta_pair.mu).dx == want
+    # dt = dx^2 must be a finite float: the costs read it as one.
+    for dx in (True, [], [1, 2, 3], 1e300, "1e200", 0, -0.5):
+        with pytest.raises(ConfigError, match="dx"):
+            WalkConfig.from_json(dict(obj, dx=dx), delta_pair.mu)
+
+
 def test_path_is_nearest_neighbor(small_walk_cfg):
     path = sample_walk(small_walk_cfg)
     for n in range(-path.horizon_bwd + 1, path.horizon_fwd + 1):
